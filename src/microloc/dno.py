@@ -7,10 +7,13 @@ L_{2k+1} = |D|^{2k} G_0 of the cosh profile.
 dn_elliptic flattens the fluid domain with the full-strip map
 y = z + (1 + z/b) eta(x), z in [-b, 0] (flat image bottom), discretizes
 spectrally in x and with second-order differences in z, and solves the
-variable-coefficient problem iteratively against the flat-strip inverse
-(Richardson fixed point, escalating to preconditioned GMRES for steep
-surfaces).  The surface flux is (1+eta'^2)/J v_z - eta' v_x at z = 0 with
-J = 1 + eta/b, the Jacobian of the vertical stretch.
+variable-coefficient problem against the exact flat-strip inverse.  G(eta)
+is real-linear, so there is one solve path, on real data: a Richardson fixed
+point whose flat solves run on rfft half spectra, and a real GMRES with the
+same flat-solve preconditioner when the fixed point stalls (steep
+surfaces).  A complex psi is solved as its real and imaginary parts.  The
+surface flux is (1+eta'^2)/J v_z - eta' v_x at z = 0 with J = 1 + eta/b,
+the Jacobian of the vertical stretch.
 
 dn_symbols builds the boundary symbols lambda^(1), lambda^(0) and the
 a_+/a_- factorization of the flattened Laplacian, with the downward
@@ -20,7 +23,7 @@ recursion for lower orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -125,7 +128,6 @@ def dn_taylor(dom, psi, M=4, ratio_limit=1.0, monitor_limit=0.5):
         fs.append(Field(grid, -acc))
 
     total = np.zeros_like(psi.values)
-    term_norms = []
     prev = None
     for k in range(0, M + 1):
         term = np.zeros_like(psi.values)
@@ -138,16 +140,13 @@ def dn_taylor(dom, psi, M=4, ratio_limit=1.0, monitor_limit=0.5):
                 term -= grad_eta[ax] * eta_pows[m] * grads[ax].values
         total += term
         nrm = float(np.sqrt(np.sum(np.abs(term) ** 2)) * grid.spacing ** (grid.dim / 2))
-        term_norms.append(nrm)
         if prev is not None and prev > 0 and nrm / prev >= ratio_limit:
             raise TaylorDivergenceError(
                 f"term ratio {nrm / prev:.3f} >= {ratio_limit} at order {k}; "
                 "use dn_elliptic"
             )
         prev = nrm if nrm > 0 else prev
-    out = Field(grid, total)
-    out.term_norms = term_norms
-    return out
+    return Field(grid, total)
 
 
 # -- elliptic solver -------------------------------------------------------------
@@ -156,7 +155,10 @@ def dn_taylor(dom, psi, M=4, ratio_limit=1.0, monitor_limit=0.5):
 class _StripWorkspace:
     """Per-domain coefficients and flat-solve factors for the strip solver.
 
-    The Thomas factors depend only on (grid, b, nz); update_surface refreshes
+    G(eta) is real-linear, so the solver works on real data only: the
+    unknown v is a real (nz+1, n) array in physical space, row nz holding
+    the Dirichlet data, and the flat solve acts on its rfft half spectrum.
+    The z-eigenfactors depend only on (grid, b, nz); update_surface refreshes
     the eta-dependent coefficient arrays, so a time stepper can reuse one
     workspace (and its warm-start solution) across stages.
     """
@@ -168,20 +170,16 @@ class _StripWorkspace:
         self.dom = dom
         self.b = b
         self.nz = nz
+        self.n = grid.n
         self.dz = b / nz
-        n = grid.n
         zs = -b + self.dz * np.arange(nz + 1)
         self.zfac = (1.0 + zs / b)[:, None]  # (nz+1, 1)
 
-        self.xi = grid.frequencies()
-        ixi = 1j * self.xi.copy()
-        ixi[np.argmin(grid.axis_wavenumbers())] = 0.0  # odd multiplier: Nyquist zeroed
-        self.ixi = ixi
-
         # Eigen-factorization of the z-operator on rows 0..nz-1 (row nz is
         # Dirichlet): A v = v_zz with ghost-eliminated Neumann bottom.  A is
-        # symmetrized by D = diag(1, sqrt2, ..., sqrt2), and the per-mode
-        # shifted solves (A - xi^2) v = r become two matmuls.
+        # symmetrized by D = diag(1, sqrt2, ..., sqrt2), S = D A D^-1 = Q lam Q^T,
+        # so the per-mode shifted solves (A - xi^2) v = r become two matmuls,
+        # v = (D^-1 Q) (lam - xi^2)^-1 (Q^T D) r.
         dz2 = self.dz ** 2
         S = np.zeros((nz, nz))
         idx = np.arange(nz)
@@ -191,22 +189,14 @@ class _StripWorkspace:
         S[0, 1] = math.sqrt(2.0) / dz2
         S[1, 0] = math.sqrt(2.0) / dz2
         lam, Q = np.linalg.eigh(S)
-        self._lam = lam
         dscale = np.ones(nz)
         dscale[1:] = math.sqrt(2.0)
-        self._QTs = np.ascontiguousarray((Q.T * dscale[None, :]).astype(np.complex128))
-        # folding the row scaling into Q.T lets flat_solve scale only row nz-1
-        # (dscale is sqrt2 there), adjusting the Dirichlet coupling in place
-        self._QTs_unscaled = self._QTs
-        self._Qd = np.ascontiguousarray((Q / dscale[:, None]).astype(np.complex128))
-        self._qcorr = self._QTs[:, nz - 1] / dz2
-        self._shift_inv = 1.0 / (lam[:, None] - self.xi[None, :] ** 2)
-        # half-spectrum factors for the real-data fast path
-        xi_half = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing)
-        ixi_half = 1j * xi_half.copy()
-        ixi_half[-1] = 0.0  # Nyquist of the odd derivative zeroed
-        self.xi_half, self.ixi_half = xi_half, ixi_half
-        self._shift_inv_half = 1.0 / (lam[:, None] - xi_half[None, :] ** 2)
+        self._QTs = np.ascontiguousarray(Q.T * dscale[None, :])
+        self._Qd = np.ascontiguousarray(Q / dscale[:, None])
+        xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=grid.spacing)
+        self.ixi = 1j * xi
+        self.ixi[-1] = 0.0  # odd multiplier: Nyquist zeroed
+        self._shift_inv = 1.0 / (lam[:, None] - xi[None, :] ** 2)
         self.warm = None
         self._eta_ref = None
         self.update_surface(dom)
@@ -223,7 +213,7 @@ class _StripWorkspace:
         eta = np.real(dom.eta.values)
         etap = np.real(_grad_fields(dom.eta)[0].values)
         etapp = np.real(multiplier_apply(dom.eta, lambda xi: -(xi ** 2)).values)
-        self.eta, self.etap, self.etapp = eta, etap, etapp
+        self.etap = etap
         J = 1.0 + eta / b  # dy/dz, independent of z
         self.J = J
         # the z-dependence of every coefficient is a power of (1 + z/b), so
@@ -237,26 +227,29 @@ class _StripWorkspace:
         self.W = zf * w1[None, :]
         self.Czz = c0[None, :] + (zf ** 2) * c1[None, :]
 
-    def flat_solve(self, rhs_hat, top_hat, _owns_rhs=False):
-        """Solve (d_zz - xi^2) v = rhs per mode, v_z(-b)=0 ghost, v(0)=top."""
-        nz, n = self.nz, self.dom.grid.n
-        rhs = rhs_hat if _owns_rhs else rhs_hat.copy()
-        rhs[nz - 1] -= top_hat / self.dz ** 2
-        w = self._QTs @ rhs
+    def flat_solve_half(self, rhs, top):
+        """Solve (d_zz - xi^2) v = rhs per mode, v_z(-b)=0 ghost, v(0)=top.
+
+        rhs (nz, n//2+1) and top (n//2+1,) are rfft half spectra; rhs is
+        overwritten.  The real z-factors act on the real and imaginary parts
+        at once through a float view.
+        """
+        nz = self.nz
+        rhs[nz - 1] -= top / self.dz ** 2
+        w = (self._QTs @ rhs.view(np.float64)).view(np.complex128)
         w *= self._shift_inv
-        v = np.empty((nz + 1, n), dtype=np.complex128)
-        np.matmul(self._Qd, w, out=v[:nz])
-        v[nz] = top_hat
+        v = np.empty((nz + 1, rhs.shape[1]), dtype=np.complex128)
+        np.matmul(self._Qd, w.view(np.float64), out=v[:nz].view(np.float64))
+        v[nz] = top
         return v
 
-    def fft_x(self, v):
-        return np.fft.fft(v, axis=1)
-
-    def ifft_x(self, v):
-        return np.fft.ifft(v, axis=1)
+    def flat_solve(self, rhs, top):
+        """flat_solve_half for a real physical rhs; returns real physical v."""
+        v = self.flat_solve_half(sfft.rfft(rhs, axis=1, workers=2), top)
+        return sfft.irfft(v, axis=1, n=self.n, workers=2)
 
     def residual_op(self, v):
-        """Deviation of the strip operator from the flat Laplacian, in x-space.
+        """Deviation of the strip operator from the flat Laplacian.
 
         Rows: 0 is the ghost-eliminated bottom (E = 0 there, v_z = 0), nz is
         Dirichlet (no equation).  Returns rows 0..nz-1.
@@ -266,86 +259,24 @@ class _StripWorkspace:
         v_z[0] = 0.0  # Neumann bottom, exactly
         v_z[1:nz] = (v[2:] - v[:-2]) / (2 * dz)
         v_z[nz] = (3 * v[nz] - 4 * v[nz - 1] + v[nz - 2]) / (2 * dz)
-        v_xz = self.ifft_x(self.ixi[None, :] * self.fft_x(v_z))
-        v_zz = np.empty((nz, v.shape[1]), dtype=v.dtype)
+        v_xz = sfft.irfft(self.ixi[None, :] * sfft.rfft(v_z, axis=1, workers=2),
+                          axis=1, n=self.n, workers=2)
+        v_zz = np.empty((nz, self.n))
         v_zz[1:nz] = (v[2:] - 2 * v[1:nz] + v[:-2]) / dz ** 2
         v_zz[0] = (2 * v[1] - 2 * v[0]) / dz ** 2
         out = self.Czz[:nz] * v_zz + self.W[:nz] * v_z[:nz] - 2.0 * self.F[:nz] * v_xz[:nz]
         out[0] = self.Czz[0] * v_zz[0]
         return out
 
+    def v_z_top(self, v):
+        """Third-order one-sided v_z at z = 0."""
+        nz = self.nz
+        return (11 * v[nz] - 18 * v[nz - 1] + 9 * v[nz - 2] - 2 * v[nz - 3]) / (6 * self.dz)
+
     def flux(self, v):
-        """Surface flux (1+eta'^2)/J v_z - eta' v_x at z = 0 (3rd-order v_z)."""
-        nz, dz = self.nz, self.dz
-        v_z_top = (11 * v[nz] - 18 * v[nz - 1] + 9 * v[nz - 2] - 2 * v[nz - 3]) / (6 * dz)
-        v_x_top = self.ifft_x(self.ixi * self.fft_x(v[nz][None, :]))[0]
-        return (1.0 + self.etap ** 2) / self.J * v_z_top - self.etap * v_x_top
-
-
-def _real_flat_solve(ws, rhs_half, top_half, _owns_rhs=False):
-    nz = ws.nz
-    rhs = rhs_half if _owns_rhs else rhs_half.copy()
-    rhs[nz - 1] -= top_half / ws.dz ** 2
-    w = ws._QTs @ rhs
-    w *= ws._shift_inv_half
-    v = np.empty((nz + 1, rhs.shape[1]), dtype=np.complex128)
-    np.matmul(ws._Qd, w, out=v[:nz])
-    v[nz] = top_half
-    return v
-
-
-def _real_residual_op(ws, v):
-    nz, dz = ws.nz, ws.dz
-    v_z = np.empty_like(v)
-    v_z[0] = 0.0
-    v_z[1:nz] = (v[2:] - v[:-2]) / (2 * dz)
-    v_z[nz] = (3 * v[nz] - 4 * v[nz - 1] + v[nz - 2]) / (2 * dz)
-    v_xz = sfft.irfft(ws.ixi_half[None, :] * sfft.rfft(v_z, axis=1, workers=2),
-                      axis=1, n=v.shape[1], workers=2)
-    v_zz = np.empty((nz, v.shape[1]))
-    v_zz[1:nz] = (v[2:] - 2 * v[1:nz] + v[:-2]) / dz ** 2
-    v_zz[0] = (2 * v[1] - 2 * v[0]) / dz ** 2
-    out = ws.Czz[:nz] * v_zz + ws.W[:nz] * v_z[:nz] - 2.0 * ws.F[:nz] * v_xz[:nz]
-    out[0] = ws.Czz[0] * v_zz[0]
-    return out
-
-
-def _real_elliptic(dom, psi_vals, ws, tol, maxiter):
-    """Real-data strip solve: rfft spectra, real physical arrays.
-
-    Returns (flux real array, solution real array) or None when the fixed
-    point stalls (caller falls back to the complex GMRES path).
-    """
-    nz, n = ws.nz, dom.grid.n
-    psi_half = sfft.rfft(psi_vals, workers=2)
-    v = sfft.irfft(_real_flat_solve(ws, np.zeros((nz, n // 2 + 1), dtype=np.complex128),
-                                    psi_half), axis=1, n=n, workers=2)
-    if ws.warm is not None and ws.warm.shape == v.shape and np.isrealobj(ws.warm):
-        v = ws.warm.copy()
-        v[nz] = sfft.irfft(psi_half, n=n)
-    scale = max(float(np.max(np.abs(v))), 1e-300)
-    prev_delta = None
-    for it in range(maxiter):
-        rhs = sfft.rfft(_real_residual_op(ws, v), axis=1, workers=2)
-        np.negative(rhs, out=rhs)
-        v_new = sfft.irfft(_real_flat_solve(ws, rhs, psi_half, _owns_rhs=True),
-                           axis=1, n=n, workers=2)
-        delta = float(np.max(np.abs(v_new - v))) / scale
-        v = v_new
-        if delta < tol:
-            ws.warm = v
-            return _real_flux(ws, v), v
-        if prev_delta is not None and delta > 0.9 * prev_delta and it >= 4:
-            return None
-        prev_delta = delta
-    return None
-
-
-def _real_flux(ws, v):
-    nz, dz = ws.nz, ws.dz
-    v_z_top = (11 * v[nz] - 18 * v[nz - 1] + 9 * v[nz - 2] - 2 * v[nz - 3]) / (6 * dz)
-    v_x_top = sfft.irfft(ws.ixi_half * sfft.rfft(v[nz]), n=v.shape[1])
-    return (1.0 + ws.etap ** 2) / ws.J * v_z_top - ws.etap * v_x_top
+        """Surface flux (1+eta'^2)/J v_z - eta' v_x at z = 0."""
+        v_x_top = sfft.irfft(self.ixi * sfft.rfft(v[self.nz]), n=self.n)
+        return (1.0 + self.etap ** 2) / self.J * self.v_z_top(v) - self.etap * v_x_top
 
 
 def dn_elliptic(dom, psi, tol=1e-10, maxiter=50, workspace=None, return_solution=False):
@@ -353,83 +284,74 @@ def dn_elliptic(dom, psi, tol=1e-10, maxiter=50, workspace=None, return_solution
 
     Fixed-point iteration on the non-flat terms, preconditioned by the exact
     per-mode flat solve; GMRES (same preconditioner) takes over when the
-    fixed point stalls.  Raises EllipticSolveError if neither converges.
+    fixed point stalls.  A complex psi is solved as its real and imaginary
+    parts.  Raises EllipticSolveError if neither converges.
     """
     ws = workspace if workspace is not None else _StripWorkspace(dom)
     if workspace is not None:
         ws.update_surface(dom)
-    nz, n = ws.nz, dom.grid.n
-    if psi.is_real(1e-12) and dom.eta.is_real(1e-12):
-        got = _real_elliptic(dom, np.real(psi.values), ws, tol, maxiter)
-        if got is not None:
-            flux, v = got
-            out = Field(dom.grid, flux.astype(np.complex128))
-            if return_solution:
-                return out, v
-            return out
-    psi_hat = np.fft.fft(np.asarray(psi.values, dtype=np.complex128))
-
-    v = ws.ifft_x(ws.flat_solve(np.zeros((nz, n), dtype=np.complex128), psi_hat))
-    if ws.warm is not None and ws.warm.shape == v.shape:
-        # re-impose the current Dirichlet data on the warm start
-        v = ws.warm.astype(np.complex128, copy=True)
-        v[nz] = np.fft.ifft(psi_hat)
-    scale = max(float(np.max(np.abs(v))), 1e-300)
-
-    converged = False
-    prev_delta = None
-    for it in range(maxiter):
-        rhs = -ws.fft_x(ws.residual_op(v))
-        v_new = ws.ifft_x(ws.flat_solve(rhs, psi_hat))
-        delta = float(np.max(np.abs(v_new - v))) / scale
-        v = v_new
-        if delta < tol:
-            converged = True
-            break
-        if prev_delta is not None and delta > 0.9 * prev_delta and it >= 4:
-            break  # stalling; switch to GMRES
-        prev_delta = delta
-
-    if not converged:
-        v = _gmres_solve(ws, psi_hat, v, tol)
-    ws.warm = v
-
-    flux = ws.flux(v)
-    if psi.is_real(1e-8) and dom.eta.is_real(1e-8):
-        flux = np.real(flux).astype(np.complex128)
+    flux, v = _strip_solve(ws, np.real(psi.values), tol, maxiter)
+    if not psi.is_real(1e-12):
+        flux_im, v_im = _strip_solve(ws, np.imag(psi.values), tol, maxiter)
+        flux, v = flux + 1j * flux_im, v + 1j * v_im
     out = Field(dom.grid, flux)
     if return_solution:
         return out, v
     return out
 
 
-def _gmres_solve(ws, psi_hat, v0, tol):
-    nz, n = ws.nz, ws.dom.grid.n
-    shape = (nz, n)
-    v_lift = ws.ifft_x(ws.flat_solve(np.zeros(shape, dtype=np.complex128), psi_hat))
+def _strip_solve(ws, psi, tol, maxiter):
+    """Real strip solve for real Dirichlet data psi: (surface flux, v)."""
+    nz = ws.nz
+    psi_half = sfft.rfft(psi, workers=2)
+    v_lift = ws.flat_solve(np.zeros((nz, ws.n)), psi_half)  # flat harmonic extension
+    v = v_lift
+    if ws.warm is not None and ws.warm.shape == v.shape:
+        # re-impose the current Dirichlet data on the warm start
+        v = ws.warm.copy()
+        v[nz] = v_lift[nz]
+    scale = max(float(np.max(np.abs(v))), 1e-300)
+
+    converged = False
+    prev_delta = None
+    for it in range(maxiter):
+        v_new = ws.flat_solve(-ws.residual_op(v), psi_half)
+        delta = float(np.max(np.abs(v_new - v))) / scale
+        v = v_new
+        converged = delta < tol
+        if converged or (prev_delta is not None and delta > 0.9 * prev_delta and it >= 4):
+            break  # done, or stalling: switch to GMRES
+        prev_delta = delta
+
+    if not converged:
+        v = _gmres_solve(ws, v_lift, v, tol)
+    ws.warm = v
+    return ws.flux(v), v
+
+
+def _gmres_solve(ws, v_lift, v0, tol):
+    """GMRES for the interior rows w = v - v_lift of the flat-preconditioned
+    problem (I + L0^-1 E) w = -L0^-1 E v_lift, starting from v0."""
+    nz, n = ws.nz, ws.n
+    zero_top = np.zeros(n // 2 + 1, dtype=np.complex128)
 
     def pad(w):
-        full = np.zeros((nz + 1, n), dtype=np.complex128)
-        full[:nz] = w.reshape(shape)
+        full = np.zeros((nz + 1, n))
+        full[:nz] = w.reshape(nz, n)
         return full
 
-    def apply_op(wflat):
-        w = pad(wflat)
-        r = ws.fft_x(ws.residual_op(w))
-        corr = ws.ifft_x(ws.flat_solve(r, np.zeros(n, dtype=np.complex128)))
-        return (w[:nz] + corr[:nz]).ravel()
+    def apply_op(w):
+        return w + ws.flat_solve(ws.residual_op(pad(w)), zero_top)[:nz].ravel()
 
-    rhs = -ws.ifft_x(
-        ws.flat_solve(ws.fft_x(ws.residual_op(v_lift)), np.zeros(n, dtype=np.complex128))
-    )[:nz].ravel()
-    op = LinearOperator((nz * n, nz * n), matvec=apply_op, dtype=np.complex128)
+    rhs = -ws.flat_solve(ws.residual_op(v_lift), zero_top)[:nz].ravel()
+    op = LinearOperator((nz * n, nz * n), matvec=apply_op, dtype=np.float64)
     x0 = (v0[:nz] - v_lift[:nz]).ravel()
     sol, info = gmres(op, rhs, x0=x0, rtol=tol, atol=tol * max(np.max(np.abs(rhs)), 1e-300),
                       maxiter=400, restart=50)
     if info != 0:
         raise EllipticSolveError(f"GMRES did not converge (info={info})")
-    v = pad(sol) + np.vstack([v_lift[:nz], np.zeros((1, n))])
-    v[nz] = v_lift[nz]
+    v = v_lift.copy()
+    v[:nz] += sol.reshape(nz, n)
     return v
 
 
@@ -438,13 +360,13 @@ def discrete_flat_symbol(grid, b, nz):
 
     Oracle for solver checks: at eta = 0 the scheme is diagonal per mode and
     this is its symbol, converging to |xi| tanh(b |xi|) at rate nz^-2.
+    Computed on the half spectrum and returned in FFT order.
     """
     flat = FluidDomain(grid, Field(grid, np.zeros(grid.n, dtype=complex)), b, nz)
     ws = _StripWorkspace(flat)
-    n = grid.n
-    v = ws.flat_solve(np.zeros((nz, n), dtype=np.complex128), np.ones(n, dtype=np.complex128))
-    dz = ws.dz
-    return np.real((11 * v[nz] - 18 * v[nz - 1] + 9 * v[nz - 2] - 2 * v[nz - 3]) / (6 * dz))
+    m = grid.n // 2 + 1
+    v = ws.flat_solve_half(np.zeros((nz, m), dtype=np.complex128), np.ones(m, dtype=np.complex128))
+    return np.real(ws.v_z_top(v))[np.abs(grid.axis_wavenumbers())]
 
 
 # -- boundary symbols ------------------------------------------------------------
@@ -458,22 +380,24 @@ class SurfaceDerivatives:
     etapp: callable  # x -> eta''(x)
 
 
+def _node_sampler(vals, grid):
+    """x -> vals at the grid node nearest to x (periodic), vectorized."""
+    x_first = grid.axis_points()[0]
+
+    def f(x):
+        idx = np.rint((np.asarray(x) - x_first) / grid.spacing).astype(int) % grid.n
+        return vals[idx]
+
+    return f
+
+
 def surface_from_field(eta):
-    """Spectral-derivative adapter: symbols evaluated at arbitrary x by
-    trigonometric interpolation of the sampled surface."""
+    """Spectral-derivative adapter: eta', eta'' evaluated at arbitrary x by
+    sampling the nearest grid node."""
     grid = eta.grid
     etap = np.real(_grad_fields(eta)[0].values)
     etapp = np.real(multiplier_apply(eta, lambda xi: -(xi ** 2)).values)
-    xs = grid.axis_points()
-
-    def interp(vals):
-        def f(x):
-            idx = np.rint((np.asarray(x) - xs[0]) / grid.spacing).astype(int) % grid.n
-            return vals[idx]
-
-        return f
-
-    return SurfaceDerivatives(interp(etap), interp(etapp))
+    return SurfaceDerivatives(_node_sampler(etap, grid), _node_sampler(etapp, grid))
 
 
 def dn_symbols(surface, J=2):

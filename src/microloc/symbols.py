@@ -25,8 +25,6 @@ __all__ = [
     "radial_bump",
     "window_symbol",
     "symbol_product",
-    "symbol_sum",
-    "symbol_scale",
     "constant_symbol",
     "multiplier_symbol",
     "x_function_symbol",
@@ -167,30 +165,6 @@ def symbol_product(a, b):
         order=(a.mu + b.mu, a.k + b.k),
         separable=sep,
         label=f"({a.label})*({b.label})",
-    )
-
-
-def symbol_sum(a, b):
-    sep = None
-    if a.separable is not None and b.separable is not None:
-        sep = list(a.separable) + list(b.separable)
-    return Symbol(
-        lambda x, xi: np.asarray(a(x, xi)) + np.asarray(b(x, xi)),
-        order=(max(a.mu, b.mu), max(a.k, b.k)),
-        separable=sep,
-        label=f"({a.label})+({b.label})",
-    )
-
-
-def symbol_scale(a, c):
-    sep = None
-    if a.separable is not None:
-        sep = [(lambda x, cx=cx: c * np.asarray(cx(x)), m) for (cx, m) in a.separable]
-    return Symbol(
-        lambda x, xi: c * np.asarray(a(x, xi)),
-        order=a.order,
-        separable=sep,
-        label=f"{c}*({a.label})",
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dno import FluidDomain, _StripWorkspace, b_v_fields, dn_elliptic
+from .dno import FluidDomain, _StripWorkspace, _grad_fields, _node_sampler, b_v_fields, dn_elliptic
 from .errors import BlowUpError, ConfigError
 from .flows import SurfaceMetric, asymptotic_direction
 from .grid import Field, Grid, l2_norm, multiplier_apply, wave_packet
@@ -44,7 +44,6 @@ __all__ = [
     "energy",
     "symmetrizer_symbols",
     "lambda_mu_symbol",
-    "mollifier_symbol",
     "good_unknown",
     "symmetrized_u",
     "real_scaled_witness",
@@ -86,33 +85,20 @@ class SurfaceState:
         return FluidDomain(self.grid, self.eta, self.params.depth, self.params.nz)
 
 
-def _dx(values, grid):
-    xi = grid.frequencies()
-    ixi = 1j * xi.copy()
-    ixi[np.argmin(grid.axis_wavenumbers())] = 0.0
-    return np.fft.ifft(ixi * np.fft.fft(values))
-
-
 def mean_curvature(eta):
     """H(eta) = d_x( eta_x / sqrt(1 + eta_x^2) ), derivatives spectral."""
-    grid = eta.grid
-    ex = np.real(_dx(eta.values, grid))
-    flux = ex / np.sqrt(1.0 + ex ** 2)
-    return Field(grid, _dx(flux.astype(np.complex128), grid))
+    ex = np.real(_grad_fields(eta)[0].values)
+    return _grad_fields(Field(eta.grid, ex / np.sqrt(1.0 + ex ** 2)))[0]
 
 
 def zcs_rhs(state, workspace=None):
     """Right-hand side (eta_t, psi_t) of the ZCS system."""
     grid = state.grid
     p = state.params
-    if workspace is None:
-        workspace = _StripWorkspace(state.domain())
-    else:
-        workspace.update_surface(state.domain())
     G = dn_elliptic(state.domain(), state.psi, workspace=workspace)
     Gv = np.real(G.values)
-    ex = np.real(_dx(state.eta.values, grid))
-    px = np.real(_dx(state.psi.values, grid))
+    ex = np.real(_grad_fields(state.eta)[0].values)
+    px = np.real(_grad_fields(state.psi)[0].values)
     Hcurv = np.real(mean_curvature(state.eta).values)
     eta_t = Gv
     psi_t = (
@@ -148,14 +134,10 @@ def energy(state, workspace=None):
     """E = (1/2) int psi G psi + (g/2) int eta^2 + int (sqrt(1+eta_x^2) - 1)."""
     grid = state.grid
     p = state.params
-    if workspace is None:
-        workspace = _StripWorkspace(state.domain())
-    else:
-        workspace.update_surface(state.domain())
     G = np.real(dn_elliptic(state.domain(), state.psi, workspace=workspace).values)
     psi = np.real(state.psi.values)
     eta = np.real(state.eta.values)
-    ex = np.real(_dx(state.eta.values, grid))
+    ex = np.real(_grad_fields(state.eta)[0].values)
     dens = 0.5 * psi * G + 0.5 * p.gravity * eta ** 2 + (np.sqrt(1.0 + ex ** 2) - 1.0)
     return float(np.sum(dens) * grid.spacing)
 
@@ -254,20 +236,9 @@ def linearized_evolution(state0, T, discrete_symbol=None):
 
 
 def _m2_profile(eta):
-    grid = eta.grid
-    ex = np.real(_dx(eta.values, grid))
+    ex = np.real(_grad_fields(eta)[0].values)
     exx = np.real(multiplier_apply(eta, lambda xi: -(xi ** 2)).values)
     return ex, exx
-
-
-def _grid_sampled(vals, grid):
-    xs0 = grid.axis_points()[0]
-
-    def f(x):
-        idx = np.rint((np.asarray(x) - xs0) / grid.spacing).astype(int) % grid.n
-        return vals[idx]
-
-    return f
 
 
 def symmetrizer_symbols(eta, kappa=1.0):
@@ -276,14 +247,16 @@ def symmetrizer_symbols(eta, kappa=1.0):
     One-dimensional closed forms on top of lambda^(1) = |xi|: every symbol is
     separable, which the dyadic paradifferential applications exploit.
     """
+    if kappa != 1.0:
+        raise ConfigError("symmetrizer symbols assume unit surface tension")
     grid = eta.grid
     ex, exx = _m2_profile(eta)
     m2 = 1.0 + ex ** 2
-    m2_m14 = _grid_sampled(m2 ** -0.25, grid)
-    m2_m12 = _grid_sampled(m2 ** -0.5, grid)
-    m2_p14 = _grid_sampled(m2 ** 0.25, grid)
-    m2_m32full = _grid_sampled(-ex * exx * m2 ** -1.5, grid)  # d_x(m2^{-1/2})
-    m2_p34 = _grid_sampled(m2 ** 0.75, grid)
+    m2_m14 = _node_sampler(m2 ** -0.25, grid)
+    m2_m12 = _node_sampler(m2 ** -0.5, grid)
+    m2_p14 = _node_sampler(m2 ** 0.25, grid)
+    m2_m32full = _node_sampler(-ex * exx * m2 ** -1.5, grid)  # d_x(m2^{-1/2})
+    m2_p34 = _node_sampler(m2 ** 0.75, grid)
 
     def absxi(xi):
         return np.abs(xi)
@@ -310,18 +283,7 @@ def symmetrizer_symbols(eta, kappa=1.0):
                        label="q^(0)")
     sym["zeta"] = Symbol(lambda x, xi: m2_p34(x) * inv_sqrt_xi(xi), order=(-0.5, 0.0),
                          separable=[(m2_p34, inv_sqrt_xi)], label="zeta^(-1/2)")
-    if kappa != 1.0:
-        raise ConfigError("symmetrizer symbols assume unit surface tension")
     return sym
-
-
-def mollifier_symbol(eta, eps):
-    """j_eps^(0) = exp(-eps gamma^(3/2)) as a dense symbol (diagnostic use)."""
-    grid = eta.grid
-    ex, _ = _m2_profile(eta)
-    m2_m14 = _grid_sampled((1.0 + ex ** 2) ** -0.25, grid)
-    return Symbol(lambda x, xi: np.exp(-eps * m2_m14(x) * np.abs(xi) ** 1.5),
-                  order=(0.0, 0.0), label="j_eps^(0)")
 
 
 def lambda_mu_symbol(eta, mu):
@@ -332,7 +294,7 @@ def lambda_mu_symbol(eta, mu):
     """
     grid = eta.grid
     ex, _ = _m2_profile(eta)
-    m2_pow = _grid_sampled((1.0 + ex ** 2) ** (-mu / 6.0), grid)
+    m2_pow = _node_sampler((1.0 + ex ** 2) ** (-mu / 6.0), grid)
 
     def wxi(xi):
         a = np.abs(xi)
@@ -359,7 +321,7 @@ def symmetrized_u(state, mu=0.0, part=None, adm=None, width=None, workspace=None
         adm = default_admissible_pair()
     if part is None:
         part = make_dyadic_partition(state.grid)
-    syms = symmetrizer_symbols(state.eta)
+    syms = symmetrizer_symbols(state.eta, state.params.kappa)
     lam = lambda_mu_symbol(state.eta, mu)
     omega = good_unknown(state, adm=adm, workspace=workspace)
     Pp_eta = dyadic_paradiff_apply(syms["p12"], state.eta, part, adm, width=width)
@@ -540,7 +502,9 @@ def ramp_metric(amplitude, ramp_width, center=0.0, extent=50.0):
         u = (t - center) / ramp_width
         v = (t - center) / extent
         tap = math.exp(-(v ** 8))
-        core = amplitude / ramp_width / math.cosh(u) ** 2 * tap
+        e = math.exp(-2.0 * abs(u))
+        sech2 = 4.0 * e / (1.0 + e) ** 2  # 1/cosh(u)^2 without overflow
+        core = amplitude / ramp_width * sech2 * tap
         edge = amplitude * math.tanh(u) * tap * (-8.0 * v ** 7 / extent)
         return np.array([core + edge])
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from microloc import dno
 from microloc.errors import DomainError, TaylorDivergenceError
 from microloc.dno import (
     FluidDomain,
@@ -17,6 +18,7 @@ from microloc.dno import (
 from microloc.grid import Field, Grid, inner, l2_norm, multiplier_apply, random_field, wave_packet
 from microloc.paradiff import default_admissible_pair, paradiff_apply, rough_field_family
 from microloc.quantize import weighted_norm
+from microloc.waterwave import ramp_surface
 
 
 B_DEPTH = 1.0
@@ -182,6 +184,73 @@ def test_elliptic_steep_surface_converges(unit_grid):
     # Galilean invariance still holds on the hard path
     G2 = dn_elliptic(dom, Field(unit_grid, psi.values + 1.0))
     assert np.max(np.abs(G.values - G2.values)) < 1e-8
+
+
+def test_elliptic_complex_plane_waves_flat(unit_grid):
+    # a complex psi is two real solves; on the flat strip e^{ikx} is an
+    # eigenfunction with the scheme's own discrete symbol as eigenvalue
+    dom = flat_domain(unit_grid)
+    sym = discrete_flat_symbol(unit_grid, B_DEPTH, 64)
+    x = unit_grid.axis_points()
+    xi = unit_grid.frequencies()
+    for idx in (1, 3, 17, 60, unit_grid.n - 5, unit_grid.n // 2 + 1):
+        psi = Field(unit_grid, np.exp(1j * xi[idx] * x))
+        G = dn_elliptic(dom, psi)
+        err = np.max(np.abs(G.values - sym[idx] * psi.values))
+        assert err <= 1e-12 * max(1.0, abs(sym[idx]))
+
+
+def _strip_equation_residual(dom, v):
+    """Relative L2 residual of the discrete flattened strip equations, scaled
+    by the largest of its four terms.
+
+    With J = 1 + eta/b and Z = 1 + z/b the flattened Laplacian is
+    c_zz v_zz + v_xx + c_z v_z + c_xz v_xz with c_zz = (1 + Z^2 eta'^2)/J^2,
+    c_z = Z (2 eta'^2/(b J^2) - eta''/J), c_xz = -2 Z eta'/J: second-order
+    differences in z, spectral in x, ghost-eliminated Neumann bottom (row 0).
+    """
+    b, nz = dom.b, dom.nz
+    dz = b / nz
+    eta = np.real(dom.eta.values)
+    etap = np.real(multiplier_apply(dom.eta, lambda xi: 1j * xi).values)
+    etapp = np.real(multiplier_apply(dom.eta, lambda xi: -(xi ** 2)).values)
+    J = 1.0 + eta / b
+    Z = (1.0 + (-b + dz * np.arange(nz + 1)) / b)[:, None]
+    c_zz = (1.0 + Z ** 2 * etap ** 2) / J ** 2
+    c_z = Z * (2.0 * etap ** 2 / (b * J ** 2) - etapp / J)
+    c_xz = -2.0 * Z * etap / J
+
+    def dx(rows, m):
+        return np.real(np.fft.ifft(m * np.fft.fft(rows, axis=1), axis=1))
+
+    xi = dom.grid.frequencies()
+    ixi = 1j * xi
+    ixi[dom.grid.n // 2] = 0.0  # odd multiplier: Nyquist zeroed
+    v_zz = np.empty((nz, dom.grid.n))
+    v_zz[0] = 2.0 * (v[1] - v[0]) / dz ** 2
+    v_zz[1:] = (v[2:] - 2.0 * v[1:nz] + v[:nz - 1]) / dz ** 2
+    v_z = np.zeros((nz, dom.grid.n))
+    v_z[1:] = (v[2:] - v[:nz - 1]) / (2.0 * dz)
+    v_xx = dx(v[:nz], -(xi ** 2))
+    terms = [c_zz[:nz] * v_zz, v_xx, c_z[:nz] * v_z, c_xz[:nz] * dx(v_z, ixi)]
+    return np.linalg.norm(sum(terms)) / max(np.linalg.norm(t) for t in terms)
+
+
+def test_elliptic_stalled_fixed_point_solves_strip_equations(monkeypatch):
+    # the slope-0.5 ramp of the smoothing experiment: the fixed point stalls
+    # and GMRES delivers the answer, checked against the equations themselves
+    g = Grid(256, 64.0)
+    dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 64)
+    psi = random_field(g, seed=2, decay=3.0, real=True)
+    gmres_calls = []
+    gmres_solve = dno._gmres_solve
+    monkeypatch.setattr(dno, "_gmres_solve",
+                        lambda *a: gmres_calls.append(1) or gmres_solve(*a))
+    G, v = dn_elliptic(dom, psi, return_solution=True)
+    assert gmres_calls
+    assert np.isrealobj(v) and v.shape == (65, g.n)
+    assert np.max(np.abs(v[-1] - np.real(psi.values))) < 1e-12
+    assert _strip_equation_residual(dom, v) <= 1e-8
 
 
 def test_b_v_fields_flat(val_grid):
