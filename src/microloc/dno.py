@@ -286,6 +286,13 @@ def dn_elliptic(dom, psi, tol=1e-10, maxiter=50, workspace=None, return_solution
     per-mode flat solve; GMRES (same preconditioner) takes over when the
     fixed point stalls.  A complex psi is solved as its real and imaginary
     parts.  Raises EllipticSolveError if neither converges.
+
+    tol bounds the flat-preconditioned problem, not the strip equations: the
+    relative max-norm update of the fixed point, or the relative residual of
+    the preconditioned GMRES system.  The residual of the flattened strip
+    equations themselves can be larger; on a slope-0.5 ramp surface at
+    tol = 1e-10 it is 1.6e-8 of the largest term in the max norm, in the row
+    below the surface (2.4e-9 in L2).
     """
     ws = workspace if workspace is not None else _StripWorkspace(dom)
     if workspace is not None:

@@ -1,18 +1,21 @@
 """1D gravity-capillary water waves in Zakharov-Craig-Sulem variables.
 
-State is the surface pair (eta, psi) with unit surface tension:
+State is the surface pair (eta, psi) with surface tension kappa:
 
     eta_t = G(eta) psi,
-    psi_t = -g eta + H(eta) - |psi_x|^2/2 + (eta_x psi_x + G(eta) psi)^2
+    psi_t = -g eta + kappa H(eta) - |psi_x|^2/2 + (eta_x psi_x + G(eta) psi)^2
             / (2 (1 + eta_x^2)),
 
-stepped by classical RK4 under the |xi|^{3/2} CFL, with an optional
-exp(-eps dt |xi|^{3/2}) mollifier after each step.  The symmetrizer symbols
-(l, gamma, p, q, zeta), the good unknown omega = psi - T_B eta, and the
-symmetrized variable u = Lam^mu P_p eta - i Lam^mu P_q omega feed the
-wavefront experiments: transport of (1/2,1)-singularities at spatial
-infinity, and the microlocal smoothing experiment whose prediction uses the
-asymptotic direction of the initial surface's co-geodesic flow.
+stepped by integrating-factor (Lawson) RK4: the flat linear flow, whose
+capillary dispersion |xi|^{3/2} makes explicit stepping stiff, is integrated
+exactly per mode and RK4 steps only the remainder, under the step rule of
+cfl_dt; an optional exp(-eps dt |xi|^{3/2}) mollifier follows each step.
+The symmetrizer symbols (l, gamma, p, q, zeta), the good unknown
+omega = psi - T_B eta, and the symmetrized variable
+u = Lam^mu P_p eta - i Lam^mu P_q omega feed the wavefront experiments:
+transport of (1/2,1)-singularities at spatial infinity, and the microlocal
+smoothing experiment whose prediction uses the asymptotic direction of the
+initial surface's co-geodesic flow.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dno import FluidDomain, _StripWorkspace, _grad_fields, _node_sampler, b_v_fields, dn_elliptic
+from .dno import (FluidDomain, _StripWorkspace, _grad_fields, _node_sampler, b_v_fields,
+                  discrete_flat_symbol, dn_elliptic)
 from .errors import BlowUpError, ConfigError
 from .flows import SurfaceMetric, asymptotic_direction
 from .grid import Field, Grid, l2_norm, multiplier_apply, wave_packet
@@ -117,13 +121,24 @@ class WaveHistory:
     mass: list
     energy: list
     dt: float
+    steps: int  # time steps taken
+    rhs_evals: int  # zcs_rhs evaluations (one strip DN solve each)
 
     def final(self):
         return self.states[-1]
 
 
-def cfl_dt(grid, c=0.5):
-    return c / grid.nyquist ** 1.5
+def cfl_dt(grid, params, eta, c=0.5):
+    """Default step of integrate: c / max(xi_N, sigma sqrt(kappa) xi_N^{3/2}).
+
+    With the flat linear flow integrated exactly, xi_N bounds what is left of
+    the advection; sigma = 1 - (1 + max eta_x^2)^{-3/4} caps the capillary
+    stiffness a sloped surface leaves in the remainder (0 on a flat surface).
+    """
+    xi_n = grid.nyquist
+    ex = np.real(_grad_fields(eta)[0].values)
+    sigma = 1.0 - (1.0 + float(np.max(ex ** 2))) ** -0.75
+    return c / max(xi_n, sigma * math.sqrt(params.kappa) * xi_n ** 1.5)
 
 
 def mass(state):
@@ -142,30 +157,74 @@ def energy(state, workspace=None):
     return float(np.sum(dens) * grid.spacing)
 
 
+def _flat_dispersion(grid, p):
+    """g + kappa xi^2 in FFT order, with the Nyquist entry g: mean_curvature
+    takes two odd spectral derivatives, so H(eta) has no Nyquist mode."""
+    disp = p.gravity + p.kappa * grid.frequencies() ** 2
+    disp[grid.n // 2] = p.gravity
+    return disp
+
+
+def _real_ifft(vals_hat):
+    return np.real(np.fft.ifft(vals_hat)).astype(np.complex128)
+
+
+def _flat_flow(g0, disp, tau):
+    """Exact per-mode flow of eta_t = g0 psi, psi_t = -disp eta over time tau.
+
+    Returns the map (eta_hat, psi_hat) -> (eta_hat, psi_hat) on FFT-ordered
+    spectra; a mode with g0 disp = 0 moves as psi_hat -= disp eta_hat tau.
+    """
+    om = np.sqrt(np.maximum(disp * g0, 0.0))
+    c = np.cos(om * tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_over = np.where(om > 0, np.sin(om * tau) / np.where(om > 0, om, 1.0), tau)
+    a, b = g0 * s_over, disp * s_over
+
+    def flow(eh, ph):
+        return eh * c + a * ph, ph * c - b * eh
+
+    return flow
+
+
 def integrate(state0, T, dt=None, eps_mollify=1e-6, store_every=None, cfl=0.5,
               blowup_limit=1e6, track_invariants=True):
-    """Classical RK4 on zcs_rhs with a post-step |xi|^{3/2} mollifier.
+    """Integrating-factor (Lawson) RK4 on zcs_rhs with a post-step mollifier.
 
-    dt defaults to the CFL bound cfl / max|xi|^{3/2}; realness is re-imposed
-    after every step.  Returns a WaveHistory with sampled states.
+    zcs_rhs = L u + N(u): L is the flat linear flow of the solver's own
+    discrete operators, eta_t = g0 psi with g0 = dno.discrete_flat_symbol,
+    psi_t = -(g + kappa xi^2) eta with the Nyquist entry g (H(eta) has its
+    Nyquist mode zeroed), and is integrated exactly per mode; classical RK4
+    steps the remainder N(u) = zcs_rhs(u) - L u in the frame that L moves
+    (Hou, Lowengrub & Shelley 1994; Kassam & Trefethen 2005).  Each step costs
+    four zcs_rhs evaluations.  dt defaults to cfl_dt(grid, params, eta0, cfl).
+    After every step the exp(-eps dt |xi|^{3/2}) mollifier is applied, so the
+    total damping exp(-eps T |xi|^{3/2}) does not depend on the step count,
+    and realness is re-imposed.  Returns a WaveHistory with sampled states.
     """
     grid = state0.grid
     p = state0.params
     if dt is None:
-        dt = cfl_dt(grid, cfl)
+        dt = cfl_dt(grid, p, state0.eta, cfl)
     nsteps = max(1, int(math.ceil(abs(T) / dt - 1e-12)))
     dt = T / nsteps
     if store_every is None:
         store_every = nsteps
 
     ws = _StripWorkspace(state0.domain())
+    g0 = discrete_flat_symbol(grid, p.depth, p.nz)
+    disp = _flat_dispersion(grid, p)
+    half = _flat_flow(g0, disp, 0.5 * dt)
     absxi = np.abs(grid.frequencies())
     moll = np.exp(-eps_mollify * abs(dt) * absxi ** 1.5) if eps_mollify > 0 else None
+    rhs_evals = 0
 
-    def rhs(eta_v, psi_v):
-        st = SurfaceState(Field(grid, eta_v), Field(grid, psi_v), 0.0, p)
+    def nonlinear(eh, ph):
+        nonlocal rhs_evals
+        rhs_evals += 1
+        st = SurfaceState(Field(grid, _real_ifft(eh)), Field(grid, _real_ifft(ph)), 0.0, p)
         de, dp = zcs_rhs(st, workspace=ws)
-        return np.real(de.values), np.real(dp.values)
+        return np.fft.fft(de.values) - g0 * ph, np.fft.fft(dp.values) + disp * eh
 
     eta_v = np.real(state0.eta.values).astype(np.complex128)
     psi_v = np.real(state0.psi.values).astype(np.complex128)
@@ -177,59 +236,58 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, store_every=None, cfl=0.5,
         return st, m, e
 
     st, m0, e0 = snapshot(state0.t)
-    hist = WaveHistory([state0.t], [st], [m0], [e0], dt)
+    hist = WaveHistory([state0.t], [st], [m0], [e0], dt, nsteps, 0)
+    eh, ph = np.fft.fft(eta_v), np.fft.fft(psi_v)
     for k in range(1, nsteps + 1):
-        k1e, k1p = rhs(eta_v, psi_v)
-        k2e, k2p = rhs(eta_v + 0.5 * dt * k1e, psi_v + 0.5 * dt * k1p)
-        k3e, k3p = rhs(eta_v + 0.5 * dt * k2e, psi_v + 0.5 * dt * k2p)
-        k4e, k4p = rhs(eta_v + dt * k3e, psi_v + dt * k3p)
-        eta_v = eta_v + dt / 6.0 * (k1e + 2 * k2e + 2 * k3e + k4e)
-        psi_v = psi_v + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        # u_half = E(dt/2) u;  E(dt) = E(dt/2)^2
+        ae, ap = nonlinear(eh, ph)
+        ue, up = half(eh, ph)
+        te, tp = half(ae, ap)
+        be, bp = nonlinear(ue + 0.5 * dt * te, up + 0.5 * dt * tp)
+        ce, cp = nonlinear(ue + 0.5 * dt * be, up + 0.5 * dt * bp)
+        de, dp = nonlinear(*half(ue + dt * ce, up + dt * cp))
+        # u_new = E(dt) u + dt/6 (E(dt) a + 2 E(dt/2) (b + c) + d)
+        ve, vp = half(eh + dt / 6.0 * ae, ph + dt / 6.0 * ap)
+        ve, vp = half(ve + dt / 3.0 * (be + ce), vp + dt / 3.0 * (bp + cp))
+        eh, ph = ve + dt / 6.0 * de, vp + dt / 6.0 * dp
         if moll is not None:
-            eta_v = np.fft.ifft(moll * np.fft.fft(eta_v))
-            psi_v = np.fft.ifft(moll * np.fft.fft(psi_v))
-        eta_v = np.real(eta_v).astype(np.complex128)
-        psi_v = np.real(psi_v).astype(np.complex128)
+            eh, ph = moll * eh, moll * ph
+        eta_v, psi_v = _real_ifft(eh), _real_ifft(ph)
         if not (np.all(np.isfinite(eta_v)) and np.all(np.isfinite(psi_v))):
             raise BlowUpError("non-finite state", t=state0.t + k * dt)
         if max(np.max(np.abs(eta_v)), np.max(np.abs(psi_v))) > blowup_limit:
             raise BlowUpError("state exceeded blow-up limit", t=state0.t + k * dt)
+        eh, ph = np.fft.fft(eta_v), np.fft.fft(psi_v)
         if k % store_every == 0 or k == nsteps:
             st, m, e = snapshot(state0.t + k * dt)
             hist.times.append(state0.t + k * dt)
             hist.states.append(st)
             hist.mass.append(m)
             hist.energy.append(e)
+    hist.rhs_evals = rhs_evals
     return hist
 
 
 def linearized_evolution(state0, T, discrete_symbol=None):
     """Exact per-mode solution of the linearization about the rest state.
 
-    eta_tt = -(g + kappa xi^2) g0(xi) eta with g0 the flat DN symbol;
+    eta_tt = -(g + kappa xi^2) g0(xi) eta with g0 the flat DN symbol and the
+    Nyquist entry of the dispersion g, as in integrate's linear flow;
     `discrete_symbol` (from dno.discrete_flat_symbol) makes the oracle match
     the solver's own discrete operator, isolating the O(amplitude^2)
     nonlinear deviation.
     """
     grid = state0.grid
     p = state0.params
-    xi = grid.frequencies()
     if discrete_symbol is None:
-        g0 = np.abs(xi) * np.tanh(p.depth * np.abs(xi))
+        absxi = np.abs(grid.frequencies())
+        g0 = absxi * np.tanh(p.depth * absxi)
     else:
         g0 = discrete_symbol
-    disp = (p.gravity + p.kappa * xi ** 2)
-    om = np.sqrt(np.maximum(disp * g0, 0.0))
-    eh = np.fft.fft(np.real(state0.eta.values))
-    ph = np.fft.fft(np.real(state0.psi.values))
-    c, s = np.cos(om * T), np.sin(om * T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_over = np.where(om > 0, s / np.where(om > 0, om, 1.0), T)
-    eh_T = eh * c + g0 * ph * s_over
-    ph_T = ph * c - disp * eh * s_over
-    eta_T = np.real(np.fft.ifft(eh_T)).astype(np.complex128)
-    psi_T = np.real(np.fft.ifft(ph_T)).astype(np.complex128)
-    return SurfaceState(Field(grid, eta_T), Field(grid, psi_T), state0.t + T, p)
+    flow = _flat_flow(g0, _flat_dispersion(grid, p), T)
+    eh_T, ph_T = flow(np.fft.fft(np.real(state0.eta.values)), np.fft.fft(np.real(state0.psi.values)))
+    return SurfaceState(Field(grid, _real_ifft(eh_T)), Field(grid, _real_ifft(ph_T)),
+                        state0.t + T, p)
 
 
 # -- symmetrizer symbols ---------------------------------------------------------
@@ -263,7 +321,7 @@ def symmetrizer_symbols(eta, kappa=1.0):
 
     def inv_sqrt_xi(xi):
         a = np.abs(xi)
-        return np.where(a > 0, a ** -0.5, 0.0)
+        return np.where(a > 0, np.where(a > 0, a, 1.0) ** -0.5, 0.0)
 
     sym = {}
     sym["l2"] = Symbol(lambda x, xi: m2_m12(x) * xi ** 2, order=(2.0, 0.0),
@@ -458,6 +516,7 @@ def singularity_experiment_infinite(
         probes, list(hs_use),
         meta={
             "experiment": "ww_infinite",
+            "steps": hist.steps, "rhs_evals": hist.rhs_evals,
             "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
             "amplitude": amplitude, "mu_w": mu_w, "mu_probe": mu_probe,
             "offsets": list(offsets),
@@ -581,6 +640,7 @@ def singularity_experiment_smoothing(
         probes, list(hs_use),
         meta={
             "experiment": "ww_smoothing",
+            "steps": hist.steps, "rhs_evals": hist.rhs_evals,
             "x0": x0, "xi0": xi0, "t0": t0,
             "xi_inf": xi_inf, "x_bent": x_bent, "x_unbent": x_unbent,
             "surface_amplitude": surface_amplitude, "ramp_width": ramp_width,
