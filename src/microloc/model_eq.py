@@ -13,32 +13,44 @@ probe the quasi-homogeneous wavefront of the solution:
 Singular data is encoded by a multi-scale packet family: one normalized
 packet per probed scale h, placed at (h^-delta x0, h^-rho xi0) and weighted
 h^mu, which realizes decay order mu at the probe and rapid decay elsewhere.
+
+Every experiment here and in waterwave follows the same straight-line script:
+shared_h_grid fixes the h values valid at the prediction and at every other
+point that must share them (the witness's initial point, or the unbent
+control of the water-wave smoothing experiment); pick_controls places the
+controls; the field is evolved; probe_sweep measures mu_hat at the prediction
+and the controls; WavefrontReport.separation() is the verdict.  Control
+policy: each experiment lists its candidate points in order of preference,
+and pick_controls walks that list, skipping a candidate that repeats an
+earlier one or the prediction (to 9 digits), has fewer than 3 valid h, or
+fails the experiment's clean predicate (track_clean: no witness packet
+within 2.5 standard deviations of the scaled window at any of its h;
+_locus_clean: the window misses the dispersive locus).  It keeps the first
+`want` survivors, or all of them, and raises ConfigError when fewer than
+`want`, or none, survive, so a configuration without a verdict fails before
+anything is evolved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid, l2_norm, multiplier_apply, wave_packet
-from .quantize import (
-    ProbeResult,
-    WavefrontReport,
-    estimate_decay_order,
-    valid_h_grid,
-)
-from .symbols import radial_bump, radial_bump_grad, window_symbol
+from .grid import Field, Grid, multiplier_apply, wave_packet
+from .quantize import ProbeSpec, probe_sweep, shared_h_grid, valid_h_grid
+from .symbols import radial_bump, radial_bump_grad, window_radii
 
 __all__ = [
     "ModelParams",
     "propagate_fractional",
     "PacketTrack",
-    "ScaledWitness",
     "scaled_singularity_witness",
     "near_delta_field",
+    "track_clean",
+    "pick_controls",
     "transport_experiment",
     "smoothing_experiment",
     "free_schrodinger_limit",
@@ -103,42 +115,35 @@ class PacketTrack:
         return 1.0 / self.width
 
 
-@dataclass
-class ScaledWitness:
-    field: Field
-    tracks: list
-    x0: float
-    xi0: float
-    delta: float
-    rho: float
-    mu: float
-    h_list: list
-
-
 def scaled_singularity_witness(
-    grid, x0, xi0, delta, rho, h_list, mu=0.0, width_factor=1.0, amplitude=1.0
+    grid, x0, xi0, delta, rho, h_list, mu=0.0, width_factor=1.0, amplitude=1.0,
+    widths=None,
 ):
-    """Sum of unit-L2 packets at (h^-delta x0, h^-rho xi0), weighted h^mu.
+    """Sum of unit-L2 packets at (h^-delta x0, h^-rho xi0), weighted amplitude h^mu.
 
-    Packet widths balance the probing windows: w ~ sqrt(x-radius / xi-radius),
-    floored at 2.5 dx so every packet stays resolved.
+    Packet widths balance the probing windows: w ~ sqrt(x-radius / xi-radius)
+    with the radii of window_radii(x0, xi0), unless `widths` gives one per h;
+    every width is floored at 2.5 dx so the packet stays resolved.  Returns
+    (field, tracks), one PacketTrack per h.
     """
     if xi0 == 0.0:
         raise ValueError("witness needs xi0 != 0")
     vals = np.zeros(grid.n, dtype=np.complex128)
     tracks = []
-    r_x = 0.25 * max(abs(x0), 1.0)
-    r_xi = 0.25 * abs(xi0)
-    for h in h_list:
+    r_x, r_xi = window_radii(x0, xi0)
+    for j, h in enumerate(h_list):
         X = x0 * h ** (-delta)
         XI = xi0 * h ** (-rho)
-        w = width_factor * math.sqrt((r_x * h ** (-delta)) / (r_xi * h ** (-rho)))
+        if widths is not None:
+            w = widths[j]
+        else:
+            w = width_factor * math.sqrt((r_x * h ** (-delta)) / (r_xi * h ** (-rho)))
         w = max(w, 2.5 * grid.spacing)
         weight = amplitude * h ** mu
         pk = wave_packet(grid, X, XI, w, normalize=True)
         vals += weight * pk.values
         tracks.append(PacketTrack(X, XI, w, weight))
-    return ScaledWitness(Field(grid, vals), tracks, x0, xi0, delta, rho, mu, list(h_list))
+    return Field(grid, vals), tracks
 
 
 def near_delta_field(grid, x0=0.0, width=None):
@@ -153,13 +158,9 @@ def near_delta_field(grid, x0=0.0, width=None):
 # -- control placement ---------------------------------------------------------
 
 
-def _window_radii(x0, xi0):
-    return 0.25 * max(abs(x0), 1.0), 0.25 * abs(xi0)
-
-
-def _track_clean(xc, xic, delta, rho, tracks, h_grid, sigma_margin=2.5):
+def track_clean(xc, xic, delta, rho, tracks, h_grid, sigma_margin=2.5):
     """True when no witness packet leaks into the scaled window at any h."""
-    r_x, r_xi = _window_radii(xc, xic)
+    r_x, r_xi = window_radii(xc, xic)
     for h in h_grid:
         xlo, xhi = (xc - r_x) * h ** (-delta), (xc + r_x) * h ** (-delta)
         if xlo > xhi:
@@ -175,37 +176,35 @@ def _track_clean(xc, xic, delta, rho, tracks, h_grid, sigma_margin=2.5):
     return True
 
 
-def _pick_controls(candidates, tracks, delta, rho, grid, h_grid, want=4):
+def pick_controls(grid, predicted, candidates, delta, rho, hs, clean=None, want=None):
+    """ProbeSpecs for the control candidates (x, xi, label) that pass the policy.
+
+    Skips a candidate that repeats an earlier one or the predicted (x, xi) to
+    9 digits, that has fewer than 3 valid h in hs, or for which
+    clean(x, xi, its valid h) is false; keeps the first `want` survivors (all
+    of them when want is None).  Raises ConfigError when fewer than `want`, or
+    none, survive.
+    """
+    seen = {(round(predicted[0], 9), round(predicted[1], 9))}
     controls = []
     for (xc, xic, label) in candidates:
-        usable = valid_h_grid(grid, xc, xic, delta, rho, h_grid)
-        if len(usable) < 3:
+        key = (round(xc, 9), round(xic, 9))
+        if key in seen:
             continue
-        if not _track_clean(xc, xic, delta, rho, tracks, usable):
+        seen.add(key)
+        usable = valid_h_grid(grid, xc, xic, delta, rho, hs)
+        if len(usable) < 3 or (clean is not None and not clean(xc, xic, usable)):
             continue
-        controls.append((xc, xic, label))
-        if len(controls) >= want:
+        controls.append(ProbeSpec(xc, xic, delta, rho, label))
+        if len(controls) == want:
             break
-    if len(controls) < want:
+    need = want or 1
+    if len(controls) < need:
         raise ConfigError(
-            f"only {len(controls)} clean control probes available (need {want}); "
+            f"only {len(controls)} clean control probes available (need {need}); "
             "adjust the experiment geometry"
         )
     return controls
-
-
-def _run_probes(u, entries, delta, rho, h_grid):
-    probes = []
-    for (xc, xic, label) in entries:
-        fit = estimate_decay_order(u, xc, xic, delta, rho, h_grid=h_grid)
-        probes.append(
-            ProbeResult(
-                x0=xc, xi0=xic, delta=delta, rho=rho,
-                mu_hat=fit.mu_hat, r2=fit.r2, label=label,
-                h_used=fit.h_used, norms=fit.norms,
-            )
-        )
-    return probes
 
 
 # -- experiments ---------------------------------------------------------------
@@ -239,20 +238,10 @@ def transport_experiment(
 
     # witness scales and the main probes share the h values that keep both the
     # initial and the transported window inside the box/Nyquist budget
-    hs_use = [
-        h for h in valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
-        if h in valid_h_grid(grid, x_pred, xi0, delta, rho, h_grid)
-    ]
-    if len(hs_use) < min_h:
-        raise ConfigError(
-            f"only {len(hs_use)} h values fit the box/Nyquist budget (need {min_h}); "
-            "shrink |x0|, |xi0|, |t0| or the h range"
-        )
-
-    witness = scaled_singularity_witness(grid, x0, xi0, delta, rho, hs_use, mu=mu,
-                                         width_factor=width_factor)
-    u_t = propagate_fractional(witness.field, t0, gamma)
-    moved = [tr.at_time(t0, gamma) for tr in witness.tracks]
+    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi0)], delta, rho, h_grid, min_h)
+    u0, tracks = scaled_singularity_witness(grid, x0, xi0, delta, rho, hs_use, mu=mu,
+                                            width_factor=width_factor)
+    moved = [tr.at_time(t0, gamma) for tr in tracks]
 
     candidates = [
         (x0, xi0, "control_initial"),
@@ -266,21 +255,15 @@ def transport_experiment(
         (0.4 * x_pred, xi0, "control_near_x"),
         (-0.4 * x_pred, xi0, "control_reflected_near_x"),
     ]
-    # drop duplicates and anything coinciding with the prediction (e.g. t0 = 0)
-    seen, dedup = set(), []
-    for (xc, xic, label) in candidates:
-        key = (round(xc, 9), round(xic, 9))
-        if key in seen or key == (round(x_pred, 9), round(xi0, 9)):
-            continue
-        seen.add(key)
-        dedup.append((xc, xic, label))
-    controls = _pick_controls(dedup, moved, delta, rho, grid, hs_use, want=n_controls)
+    controls = pick_controls(
+        grid, (x_pred, xi0), candidates, delta, rho, hs_use,
+        clean=lambda xc, xic, hs: track_clean(xc, xic, delta, rho, moved, hs),
+        want=n_controls,
+    )
 
-    entries = [(x_pred, xi0, "predicted")] + controls
-    probes = _run_probes(u_t, entries, delta, rho, hs_use)
-    report = WavefrontReport(
-        probes,
-        list(hs_use),
+    u_t = propagate_fractional(u0, t0, gamma)
+    report = probe_sweep(
+        u_t, [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls, hs_use,
         meta={
             "experiment": "model_transport",
             "requested_h_grid": list(h_grid),
@@ -288,21 +271,10 @@ def transport_experiment(
             "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
             "witness_mu": mu,
             "grid": {"n": grid.n, "length": grid.length},
-            "separation": _separation(probes),
         },
     )
+    report.meta["separation"] = report.separation()
     return report
-
-
-def _separation(probes):
-    pred = [p.mu_hat for p in probes if p.label == "predicted"]
-    ctrl = [p.mu_hat for p in probes if p.label.startswith("control")]
-    if not pred or not ctrl:
-        return None
-    lo = min(ctrl)
-    if math.isinf(lo):
-        return math.inf
-    return lo - pred[0]
 
 
 def _locus_clean(xc, xic, x_pred, xi0, gamma, pad=1.15):
@@ -357,15 +329,8 @@ def smoothing_experiment(
     if xi0 == 0.0:
         raise ConfigError("xi0 rounds to zero on this lattice")
 
-    u0 = near_delta_field(grid, x0=source_x, width=delta_width)
-    u_t = propagate_fractional(u0, t0, gamma)
     x_pred = group_shift(xi0, t0, gamma)
-
-    hs_use = valid_h_grid(grid, x_pred, xi0, dp, rho, h_grid)
-    if len(hs_use) < min_h:
-        raise ConfigError(
-            f"only {len(hs_use)} h values fit the box/Nyquist budget (need {min_h})"
-        )
+    hs_use = shared_h_grid(grid, [(x_pred, xi0)], dp, rho, h_grid, min_h)
 
     candidates = [
         (x_pred, 2.0 * xi0, "control_double_xi"),
@@ -376,17 +341,15 @@ def smoothing_experiment(
         (2.0 * x_pred, xi0, "control_double_x"),
         (-x_pred, xi0, "control_reflected"),
     ]
-    kept = [(x_pred, xi0, "predicted")]
-    for (xc, xic, label) in candidates:
-        if len(valid_h_grid(grid, xc, xic, dp, rho, hs_use)) < 3:
-            continue
-        if not _locus_clean(xc, xic, x_pred, xi0, gamma, pad=1.15):
-            continue
-        kept.append((xc, xic, label))
-    probes = _run_probes(u_t, kept, dp, rho, hs_use)
-    return WavefrontReport(
-        probes,
-        list(hs_use),
+    controls = pick_controls(
+        grid, (x_pred, xi0), candidates, dp, rho, hs_use,
+        clean=lambda xc, xic, hs: _locus_clean(xc, xic, x_pred, xi0, gamma),
+    )
+
+    u0 = near_delta_field(grid, x0=source_x, width=delta_width)
+    u_t = propagate_fractional(u0, t0, gamma)
+    report = probe_sweep(
+        u_t, [ProbeSpec(x_pred, xi0, dp, rho, "predicted")] + controls, hs_use,
         meta={
             "experiment": "model_smoothing",
             "gamma": gamma, "delta": delta, "rho": rho,
@@ -395,9 +358,10 @@ def smoothing_experiment(
             "source_x": source_x,
             "delta_width": delta_width if delta_width is not None else 2.0 * grid.spacing,
             "grid": {"n": grid.n, "length": grid.length},
-            "separation": _separation(probes),
         },
     )
+    report.meta["separation"] = report.separation()
+    return report
 
 
 # -- free Schroedinger kernel --------------------------------------------------

@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import ConfigError, GridMismatchError
 from .grid import Field, Grid, l2_norm, multiplier_apply, spectrum
-from .symbols import Symbol, plateau_bump, window_symbol
+from .symbols import plateau_bump, window_radii, window_symbol
 
 __all__ = [
     "op_quantize",
@@ -32,11 +29,13 @@ __all__ = [
     "dyadic_norm",
     "default_h_grid",
     "valid_h_grid",
+    "shared_h_grid",
     "estimate_decay_order",
     "DecayFit",
     "ProbeSpec",
     "ProbeResult",
     "WavefrontReport",
+    "probe_sweep",
     "is_singular_at_order",
     "TOL_ORDER",
     "NORM_FLOOR",
@@ -224,19 +223,16 @@ def default_h_grid():
     return [2.0 ** (-j) for j in range(2, 10)]
 
 
-def valid_h_grid(grid, x0, xi0, delta, rho, h_grid, r_x=None, r_xi=None, margin=0.95):
+def valid_h_grid(grid, x0, xi0, delta, rho, h_grid, margin=0.95):
     """Drop h values whose scaled window leaves the box or passes Nyquist.
 
-    The window around (x0, xi0) occupies |x| <= h^-delta (|x0| + r_x) and
-    |xi| <= h^-rho (|xi0| + r_xi); quantization pushes mass there, so the
-    discrete box must contain it.
+    The window around (x0, xi0), of radii window_radii(x0, xi0) = (r_x, r_xi),
+    occupies |x| <= h^-delta (|x0| + r_x) and |xi| <= h^-rho (|xi0| + r_xi);
+    quantization pushes mass there, so the discrete box must contain it.
     """
     absx0 = float(np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))))
     absxi0 = float(np.linalg.norm(np.atleast_1d(np.asarray(xi0, dtype=float))))
-    if r_x is None:
-        r_x = 0.25 * max(absx0, 1.0)
-    if r_xi is None:
-        r_xi = 0.25 * absxi0
+    r_x, r_xi = window_radii(x0, xi0)
     keep = []
     for h in h_grid:
         x_reach = h ** (-delta) * (absx0 + r_x)
@@ -244,6 +240,22 @@ def valid_h_grid(grid, x0, xi0, delta, rho, h_grid, r_x=None, r_xi=None, margin=
         if x_reach <= margin * 0.5 * grid.length and xi_reach <= margin * grid.nyquist:
             keep.append(h)
     return keep
+
+
+def shared_h_grid(grid, points, delta, rho, h_grid, min_h):
+    """The h values of h_grid that valid_h_grid keeps at every (x, xi) in points.
+
+    Raises ConfigError when fewer than min_h remain.
+    """
+    hs = list(h_grid)
+    for (x, xi) in points:
+        hs = valid_h_grid(grid, x, xi, delta, rho, hs)
+    if len(hs) < min_h:
+        raise ConfigError(
+            f"only {len(hs)} h values fit the box/Nyquist budget (need {min_h}); "
+            "shrink |x0|, |xi0|, |t0| or the h range"
+        )
+    return hs
 
 
 @dataclass
@@ -317,8 +329,6 @@ class ProbeSpec:
     delta: float
     rho: float
     label: str = ""
-    r_x: Optional[float] = None
-    r_xi: Optional[float] = None
 
 
 @dataclass
@@ -352,9 +362,17 @@ class WavefrontReport:
             raise KeyError(f"no probe labelled {label!r}")
         return hits[0].mu_hat
 
-    def min_control_mu(self, control_prefix="control"):
-        vals = [p.mu_hat for p in self.probes if p.label.startswith(control_prefix)]
-        return min(vals) if vals else math.inf
+    def separation(self):
+        """Least control mu_hat minus the predicted mu_hat.
+
+        None without a predicted or a control probe; inf when the least
+        control mu_hat is inf.
+        """
+        ctrl = [p.mu_hat for p in self.probes if p.label.startswith("control")]
+        if not ctrl or not self.by_label("predicted"):
+            return None
+        lo = min(ctrl)
+        return math.inf if math.isinf(lo) else lo - self.mu("predicted")
 
     def to_dict(self):
         return {
@@ -409,35 +427,16 @@ def _jsonify(v):
     return float(v)
 
 
-def _max_threads():
-    env = os.environ.get("MICROLOC_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def probe_sweep(u, specs, h_grid=None, force_dense=False, meta=None):
-    """Run estimate_decay_order over a list of ProbeSpec, optionally threaded."""
+def probe_sweep(u, specs, h_grid=None, meta=None):
+    """Run estimate_decay_order, with the default window, for each ProbeSpec."""
     if h_grid is None:
         h_grid = default_h_grid()
-
-    def run(spec):
-        window = window_symbol(spec.x0, spec.xi0, r_x=spec.r_x, r_xi=spec.r_xi)
-        fit = estimate_decay_order(
-            u, spec.x0, spec.xi0, spec.delta, spec.rho,
-            window=window, h_grid=h_grid, force_dense=force_dense,
-        )
-        return ProbeResult(
+    results = []
+    for spec in specs:
+        fit = estimate_decay_order(u, spec.x0, spec.xi0, spec.delta, spec.rho, h_grid=h_grid)
+        results.append(ProbeResult(
             x0=spec.x0, xi0=spec.xi0, delta=spec.delta, rho=spec.rho,
             mu_hat=fit.mu_hat, r2=fit.r2, label=spec.label,
             h_used=fit.h_used, norms=fit.norms,
-        )
-
-    nthreads = _max_threads()
-    if nthreads > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(run, specs))
-    else:
-        results = [run(s) for s in specs]
+        ))
     return WavefrontReport(results, list(h_grid), meta=meta or {})

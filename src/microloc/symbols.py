@@ -11,7 +11,7 @@ are plain arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,8 +23,8 @@ __all__ = [
     "plateau_bump",
     "plateau_bump_prime",
     "radial_bump",
+    "window_radii",
     "window_symbol",
-    "symbol_product",
     "constant_symbol",
     "multiplier_symbol",
     "x_function_symbol",
@@ -151,23 +151,6 @@ def _first(z):
     return np.asarray(z[0]) if isinstance(z, (tuple, list)) else np.asarray(z)
 
 
-def symbol_product(a, b):
-    sep = None
-    if a.separable is not None and b.separable is not None:
-        sep = [
-            (lambda x, ca=ca, cb=cb: np.asarray(ca(x)) * np.asarray(cb(x)),
-             lambda xi, ma=ma, mb=mb: np.asarray(ma(xi)) * np.asarray(mb(xi)))
-            for (ca, ma) in a.separable
-            for (cb, mb) in b.separable
-        ]
-    return Symbol(
-        lambda x, xi: np.asarray(a(x, xi)) * np.asarray(b(x, xi)),
-        order=(a.mu + b.mu, a.k + b.k),
-        separable=sep,
-        label=f"({a.label})*({b.label})",
-    )
-
-
 def _dist(z, z0):
     if isinstance(z, (tuple, list)):
         z0 = np.asarray(z0, dtype=float)
@@ -175,21 +158,28 @@ def _dist(z, z0):
     return np.abs(np.asarray(z, dtype=float) - float(z0))
 
 
+def _abs(z):
+    return float(np.linalg.norm(np.atleast_1d(np.asarray(z, dtype=float))))
+
+
+def window_radii(x0, xi0):
+    """Probing-window radii at (x0, xi0): 0.25 max(|x0|, 1) in x, 0.25 |xi0| in xi."""
+    return 0.25 * max(_abs(x0), 1.0), 0.25 * _abs(xi0)
+
+
 def window_symbol(x0, xi0, r_x=None, r_xi=None, plateau=0.5):
     """Compactly supported window elliptic at (x0, xi0), value 1 at the center.
 
-    Defaults follow the probing convention: radius 0.25|xi0| in xi and
-    0.25 max(|x0|, 1) in x.  Separable single-term product of plateau bumps;
-    support is exactly {|x - x0| <= r_x} x {|xi - xi0| <= r_xi}.
+    Radii default to window_radii(x0, xi0).  Separable single-term product of
+    plateau bumps; support is exactly {|x - x0| <= r_x} x {|xi - xi0| <= r_xi}.
     """
-    absx0 = float(np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))))
-    absxi0 = float(np.linalg.norm(np.atleast_1d(np.asarray(xi0, dtype=float))))
+    d_x, d_xi = window_radii(x0, xi0)
     if r_x is None:
-        r_x = 0.25 * max(absx0, 1.0)
+        r_x = d_x
     if r_xi is None:
-        if absxi0 == 0.0:
+        if d_xi == 0.0:
             raise ValueError("xi0 = 0 needs an explicit r_xi")
-        r_xi = 0.25 * absxi0
+        r_xi = d_xi
 
     def bx(x):
         return plateau_bump(_dist(x, x0) / r_x, plateau, 1.0)

@@ -29,10 +29,11 @@ from .dno import (FluidDomain, _StripWorkspace, _grad_fields, _node_sampler, b_v
                   discrete_flat_symbol, dn_elliptic)
 from .errors import BlowUpError, ConfigError
 from .flows import SurfaceMetric, asymptotic_direction
-from .grid import Field, Grid, l2_norm, multiplier_apply, wave_packet
-from .model_eq import PacketTrack, _run_probes, _track_clean, group_shift
+from .grid import Field, multiplier_apply
+from .model_eq import (PacketTrack, group_shift, pick_controls, scaled_singularity_witness,
+                       track_clean)
 from .paradiff import default_admissible_pair, dyadic_paradiff_apply, paradiff_apply
-from .quantize import DyadicPartition, make_dyadic_partition, valid_h_grid, WavefrontReport
+from .quantize import ProbeSpec, make_dyadic_partition, probe_sweep, shared_h_grid, valid_h_grid
 from .symbols import Symbol, smoothstep
 
 __all__ = [
@@ -51,6 +52,8 @@ __all__ = [
     "good_unknown",
     "symmetrized_u",
     "real_scaled_witness",
+    "right_mover_state",
+    "ramp_surface",
     "singularity_experiment_infinite",
     "singularity_experiment_smoothing",
 ]
@@ -396,26 +399,14 @@ def real_scaled_witness(grid, x0, xi0, delta, rho, h_list, amplitude, mu_w=1.0,
                         width_factor=1.0, widths=None):
     """Real multi-scale packet family for the surface potential trace.
 
-    Packet j sits at (h^-delta x0, h^-rho xi0) with weight amplitude h^mu_w;
-    realness doubles it with the conjugate family at -xi.
+    2 Re of model_eq.scaled_singularity_witness: packet j sits at
+    (h^-delta x0, h^-rho xi0) with weight amplitude h^mu_w, and realness
+    doubles it with the conjugate family at -xi.  Returns (field, tracks).
     """
-    vals = np.zeros(grid.n, dtype=np.complex128)
-    tracks = []
-    r_x = 0.25 * max(abs(x0), 1.0)
-    r_xi = 0.25 * abs(xi0)
-    for j, h in enumerate(h_list):
-        X = x0 * h ** (-delta)
-        XI = xi0 * h ** (-rho)
-        if widths is not None:
-            w = widths[j]
-        else:
-            w = width_factor * math.sqrt((r_x * h ** (-delta)) / (r_xi * h ** (-rho)))
-        w = max(w, 2.5 * grid.spacing)
-        weight = amplitude * h ** mu_w
-        pk = wave_packet(grid, X, XI, w, normalize=True)
-        vals += weight * pk.values
-        tracks.append(PacketTrack(X, XI, w, weight))
-    return Field(grid, 2.0 * np.real(vals).astype(np.complex128)), tracks
+    field, tracks = scaled_singularity_witness(grid, x0, xi0, delta, rho, h_list, mu=mu_w,
+                                               width_factor=width_factor,
+                                               amplitude=amplitude, widths=widths)
+    return Field(grid, 2.0 * np.real(field.values).astype(np.complex128)), tracks
 
 
 def _ww_group_shift(xi, t):
@@ -464,22 +455,9 @@ def singularity_experiment_infinite(
     """
     delta, rho = 0.5, 1.0
     x_pred = x0 + _ww_group_shift(xi0, t0)
-    hs_use = [
-        h for h in valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
-        if h in valid_h_grid(grid, x_pred, xi0, delta, rho, h_grid)
-    ]
-    if len(hs_use) < min_h:
-        raise ConfigError(f"only {len(hs_use)} usable h values (need {min_h})")
-
+    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi0)], delta, rho, h_grid, min_h)
     psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_use,
                                        amplitude, mu_w=mu_w)
-    if right_mover:
-        state0 = right_mover_state(grid, params, psi0, tracks)
-    else:
-        state0 = SurfaceState(Field(grid, np.zeros(grid.n, dtype=complex)), psi0,
-                              0.0, params)
-    hist = integrate(state0, t0, eps_mollify=eps_mollify, cfl=cfl, track_invariants=False)
-    u_t = symmetrized_u(hist.final(), mu=mu_probe, width=width)
 
     # rails the data can populate: both chiralities at +-xi (the right-mover
     # pairing empties the left-movers, but keep them in the clean-check)
@@ -498,22 +476,24 @@ def singularity_experiment_infinite(
         (x0, xi0, "control_initial"),
         (2.5 * x_pred, xi0, "control_far_x"),
     ]
-    controls = []
-    for (xc, xic, label) in candidates:
-        if len(valid_h_grid(grid, xc, xic, delta, rho, hs_use)) < 3:
-            continue
-        if not _track_clean(xc, xic, delta, rho, moved, hs_use):
-            continue
-        controls.append((xc, xic, label))
-        if len(controls) >= n_controls:
-            break
-    entries = [(x_pred, xi0, "predicted")] + controls
-    for k, off in enumerate(offsets):
-        entries.append((x_pred + off, xi0, f"offset_{k}"))
-    probes = _run_probes(u_t, entries, delta, rho, hs_use)
-    sep = _sep(probes)
-    return WavefrontReport(
-        probes, list(hs_use),
+    controls = pick_controls(
+        grid, (x_pred, xi0), candidates, delta, rho, hs_use,
+        clean=lambda xc, xic, hs: track_clean(xc, xic, delta, rho, moved, hs),
+        want=n_controls,
+    )
+    offset_specs = [ProbeSpec(x_pred + off, xi0, delta, rho, f"offset_{k}")
+                    for k, off in enumerate(offsets)]
+
+    if right_mover:
+        state0 = right_mover_state(grid, params, psi0, tracks)
+    else:
+        state0 = SurfaceState(Field(grid, np.zeros(grid.n, dtype=complex)), psi0,
+                              0.0, params)
+    hist = integrate(state0, t0, eps_mollify=eps_mollify, cfl=cfl, track_invariants=False)
+    u_t = symmetrized_u(hist.final(), mu=mu_probe, width=width)
+    report = probe_sweep(
+        u_t, [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls + offset_specs,
+        hs_use,
         meta={
             "experiment": "ww_infinite",
             "steps": hist.steps, "rhs_evals": hist.rhs_evals,
@@ -523,18 +503,10 @@ def singularity_experiment_infinite(
             "grid": {"n": grid.n, "length": grid.length},
             "params": {"gravity": params.gravity, "depth": params.depth,
                        "nz": params.nz},
-            "separation": sep,
         },
     )
-
-
-def _sep(probes):
-    pred = [p.mu_hat for p in probes if p.label == "predicted"]
-    ctrl = [p.mu_hat for p in probes if p.label.startswith("control")]
-    if not pred or not ctrl:
-        return None
-    lo = min(ctrl)
-    return math.inf if math.isinf(lo) else lo - pred[0]
+    report.meta["separation"] = report.separation()
+    return report
 
 
 def ramp_surface(grid, amplitude, ramp_width, center=0.0, extent=None):
@@ -611,33 +583,27 @@ def singularity_experiment_smoothing(
         raise ConfigError("initial co-geodesic is trapped; no asymptotic direction")
     xi_inf = float(xi_inf_vec[0])
 
+    dp, rp = 0.5, 1.0  # (1/2, 1) probing of the evolved field
+    x_bent = _ww_group_shift(xi_inf, t0)
+    x_unbent = _ww_group_shift(xi0, t0)
+    hs_use = shared_h_grid(grid, [(x_bent, xi_inf), (x_unbent, xi0)], dp, rp, h_grid, min_h)
+    # every control is needed: control_unbent carries the bent margin
+    candidates = [
+        (x_unbent, xi0, "control_unbent"),
+        (-x_bent, xi_inf, "control_reflected"),
+        (2.0 * x_bent, xi_inf, "control_far_x"),
+    ]
+    controls = pick_controls(grid, (x_bent, xi_inf), candidates, dp, rp, hs_use,
+                             want=len(candidates))
+
     hs_wit = valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
     psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_wit,
                                        amplitude, mu_w=mu_w, widths=witness_widths)
     state0 = SurfaceState(eta0, psi0, 0.0, params)
     hist = integrate(state0, t0, eps_mollify=eps_mollify, cfl=cfl, track_invariants=False)
     u_t = symmetrized_u(hist.final(), mu=mu_probe, width=width)
-
-    dp, rp = 0.5, 1.0  # (1/2, 1) probing of the evolved field
-    x_bent = _ww_group_shift(xi_inf, t0)
-    x_unbent = _ww_group_shift(xi0, t0)
-    hs_use = [
-        h for h in valid_h_grid(grid, x_bent, xi_inf, dp, rp, h_grid)
-        if h in valid_h_grid(grid, x_unbent, xi0, dp, rp, h_grid)
-    ]
-    if len(hs_use) < min_h:
-        raise ConfigError(f"only {len(hs_use)} usable h values (need {min_h})")
-    entries = [
-        (x_bent, xi_inf, "predicted"),
-        (x_unbent, xi0, "control_unbent"),
-        (-x_bent, xi_inf, "control_reflected"),
-        (2.0 * x_bent, xi_inf, "control_far_x"),
-    ]
-    probes = _run_probes(u_t, entries, dp, rp, hs_use)
-    mu = {p.label: p.mu_hat for p in probes}
-    margin = mu["control_unbent"] - mu["predicted"]
-    return WavefrontReport(
-        probes, list(hs_use),
+    report = probe_sweep(
+        u_t, [ProbeSpec(x_bent, xi_inf, dp, rp, "predicted")] + controls, hs_use,
         meta={
             "experiment": "ww_smoothing",
             "steps": hist.steps, "rhs_evals": hist.rhs_evals,
@@ -649,7 +615,8 @@ def singularity_experiment_smoothing(
             "grid": {"n": grid.n, "length": grid.length},
             "params": {"gravity": params.gravity, "depth": params.depth,
                        "nz": params.nz},
-            "bent_margin": margin,
-            "separation": _sep(probes),
         },
     )
+    report.meta["bent_margin"] = report.mu("control_unbent") - report.mu("predicted")
+    report.meta["separation"] = report.separation()
+    return report

@@ -15,6 +15,7 @@ from microloc.model_eq import (
     gaussian_free_evolution,
     geometric_h_grid,
     near_delta_field,
+    pick_controls,
     propagate_fractional,
     smoothing_experiment,
     transport_experiment,
@@ -119,6 +120,43 @@ def test_transport_out_of_box_rejected():
     cfg["x0"] = -20.0
     with pytest.raises(ConfigError):
         transport_experiment(g, **cfg)
+
+
+# -- control policy ------------------------------------------------------------
+
+
+def test_pick_controls_policy(grid):
+    hs = geometric_h_grid(0.5, 0.5, 6)  # (1, 1) keeps 4 of them on this grid, (1, 4) only 2
+    cands = [
+        (1.0, 1.0, "control_at_prediction"),
+        (-1.0, 1.0, "control_a"),
+        (-1.0 + 1e-12, 1.0, "control_a_again"),
+        (1.0, 4.0, "control_few_h"),
+        (2.0, 1.0, "control_dirty"),
+        (-2.0, 1.0, "control_b"),
+        (1.0, -1.0, "control_c"),
+    ]
+    seen_hs = []
+
+    def clean(xc, xic, usable):
+        seen_hs.append(usable)
+        return xc != 2.0
+
+    def labels(**kw):
+        return [s.label for s in pick_controls(grid, (1.0, 1.0), kw.pop("cands", cands),
+                                               1.0, 1.0, hs, **kw)]
+
+    assert labels(clean=clean) == ["control_a", "control_b", "control_c"]
+    assert seen_hs[0] == hs[:4]  # the predicate sees the candidate's own valid h
+    assert labels(clean=clean, want=2) == ["control_a", "control_b"]
+    assert labels() == ["control_a", "control_dirty", "control_b", "control_c"]
+    spec = pick_controls(grid, (1.0, 1.0), cands, 0.5, 1.0, hs, want=1)[0]
+    assert (spec.x0, spec.xi0, spec.delta, spec.rho) == (-1.0, 1.0, 0.5, 1.0)
+    with pytest.raises(ConfigError):
+        labels(clean=clean, want=4)
+    with pytest.raises(ConfigError):
+        labels(clean=clean, cands=[c for c in cands if c[2] in
+                                   ("control_at_prediction", "control_few_h", "control_dirty")])
 
 
 # -- smoothing -----------------------------------------------------------------

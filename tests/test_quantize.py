@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from microloc.errors import ConfigError
 from microloc.grid import Field, Grid, l2_norm, multiplier_apply, random_field, transform, wave_packet
 from microloc.quantize import (
     dyadic_norm,
@@ -13,12 +14,14 @@ from microloc.quantize import (
     make_dyadic_partition,
     op_quantize,
     probe_sweep,
+    ProbeResult,
     ProbeSpec,
+    shared_h_grid,
     valid_h_grid,
     WavefrontReport,
     weighted_norm,
 )
-from microloc.symbols import Symbol, constant_symbol, multiplier_symbol, symbol_product, window_symbol, x_function_symbol
+from microloc.symbols import Symbol, constant_symbol, multiplier_symbol, window_symbol, x_function_symbol
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +237,12 @@ def test_valid_h_grid_truncation():
     kept = valid_h_grid(g, 4.0, 3.0, 1.0, 1.0, hs)
     assert len(kept) < len(hs)
     assert all(h ** (-1.0) * (4.0 + 1.0) <= 0.95 * 20.0 for h in kept)
+    # shared_h_grid: the h valid at every point, at least min_h of them
+    points = [(1.0, 3.0), (4.0, 3.0)]
+    assert valid_h_grid(g, 1.0, 3.0, 1.0, 1.0, hs) != kept
+    assert shared_h_grid(g, points, 1.0, 1.0, hs, min_h=len(kept)) == kept
+    with pytest.raises(ConfigError):
+        shared_h_grid(g, points, 1.0, 1.0, hs, min_h=len(kept) + 1)
 
 
 def test_garding_lower_bound(grid):
@@ -302,3 +311,16 @@ def test_report_json_roundtrip(witness_mu1):
     back = WavefrontReport.from_json(rep.to_json())
     assert back.to_dict() == rep.to_dict()
     assert rep.h_grid == list(hs)
+    assert back.separation() == rep.separation() == rep.mu("control_1") - rep.mu("predicted")
+
+
+def test_report_separation_rules():
+    def report(*probes):
+        return WavefrontReport([ProbeResult(1.0, 1.0, 0.5, 1.0, mu, 1.0, label)
+                                for label, mu in probes], [0.5, 0.25, 0.125])
+
+    assert report(("predicted", 1.0)).separation() is None
+    assert report(("control_a", 3.0)).separation() is None
+    assert report(("predicted", 1.0), ("control_a", 3.0), ("control_b", 2.5),
+                  ("offset_0", 0.0)).separation() == 1.5
+    assert report(("predicted", math.inf), ("control_a", math.inf)).separation() == math.inf

@@ -1,5 +1,5 @@
 """Water-wave layer: configuration checks, the analytic ramp metric, the
-step rule and the Lawson-RK4 time stepper."""
+step rule, the Lawson-RK4 time stepper and the two singularity experiments."""
 
 import math
 import warnings
@@ -11,6 +11,7 @@ from microloc.dno import discrete_flat_symbol
 from microloc.errors import ConfigError
 from microloc.grid import Field, Grid, wave_packet
 from microloc.model_eq import geometric_h_grid
+from microloc import waterwave
 from microloc.waterwave import (
     SurfaceState,
     WaveParams,
@@ -19,6 +20,7 @@ from microloc.waterwave import (
     linearized_evolution,
     ramp_metric,
     ramp_surface,
+    singularity_experiment_infinite,
     singularity_experiment_smoothing,
     symmetrized_u,
     symmetrizer_symbols,
@@ -181,3 +183,38 @@ def test_smoothing_experiment_reports_step_counts():
         surface_amplitude=0.5, ramp_width=1.0, s_max=150.0)
     assert rep.meta["steps"] == 4
     assert rep.meta["rhs_evals"] == 4 * rep.meta["steps"]
+
+
+def _no_integrate(*args, **kwargs):
+    raise AssertionError("integrate called for a configuration without a verdict")
+
+
+def test_infinite_experiment_flat_verdict():
+    # the ww_flat configuration: 26 Lawson steps, four clean controls, and the
+    # predicted point singular by more than one order against all of them
+    g = Grid(512, 64.0)
+    rep = singularity_experiment_infinite(g, WaveParams(), x0=4.0, xi0=1.0, t0=0.5,
+                                          h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14))
+    assert [p.label for p in rep.probes] == [
+        "predicted", "control_reflected", "control_mirror_initial",
+        "control_reflected_near_x", "control_reflected_neg_xi"]
+    assert rep.meta["separation"] == rep.separation() >= 1.0  # 1.7458
+    assert (rep.meta["steps"], rep.meta["rhs_evals"]) == (26, 104)
+
+
+def test_infinite_experiment_without_clean_controls_raises_before_stepping(monkeypatch):
+    # the wide h = 0.5 packets on four rails cover every control candidate
+    monkeypatch.setattr(waterwave, "integrate", _no_integrate)
+    with pytest.raises(ConfigError):
+        singularity_experiment_infinite(Grid(256, 64.0), WaveParams(), x0=1.0, xi0=0.5,
+                                        t0=1.0, h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14))
+
+
+def test_smoothing_experiment_on_flat_surface_raises_before_stepping(monkeypatch):
+    # xi_inf = xi0: the unbent control is the prediction, so no bent margin exists
+    monkeypatch.setattr(waterwave, "integrate", _no_integrate)
+    with pytest.raises(ConfigError):
+        singularity_experiment_smoothing(
+            Grid(256, 64.0), WaveParams(), x0=0.0, xi0=1.0, t0=0.125,
+            h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
+            surface_amplitude=0.0, ramp_width=1.0, s_max=150.0)
