@@ -115,30 +115,22 @@ class PacketTrack:
         return 1.0 / self.width
 
 
-def scaled_singularity_witness(
-    grid, x0, xi0, delta, rho, h_list, mu=0.0, width_factor=1.0, amplitude=1.0,
-    widths=None,
-):
+def scaled_singularity_witness(grid, x0, xi0, delta, rho, h_list, mu=0.0, amplitude=1.0):
     """Sum of unit-L2 packets at (h^-delta x0, h^-rho xi0), weighted amplitude h^mu.
 
-    Packet widths balance the probing windows: w ~ sqrt(x-radius / xi-radius)
-    with the radii of window_radii(x0, xi0), unless `widths` gives one per h;
-    every width is floored at 2.5 dx so the packet stays resolved.  Returns
-    (field, tracks), one PacketTrack per h.
+    Packet widths balance the probing windows: w = sqrt(x-radius / xi-radius)
+    with the radii of window_radii(x0, xi0), floored at 2.5 dx so the packet
+    stays resolved.  Returns (field, tracks), one PacketTrack per h.
     """
     if xi0 == 0.0:
         raise ValueError("witness needs xi0 != 0")
     vals = np.zeros(grid.n, dtype=np.complex128)
     tracks = []
     r_x, r_xi = window_radii(x0, xi0)
-    for j, h in enumerate(h_list):
+    for h in h_list:
         X = x0 * h ** (-delta)
         XI = xi0 * h ** (-rho)
-        if widths is not None:
-            w = widths[j]
-        else:
-            w = width_factor * math.sqrt((r_x * h ** (-delta)) / (r_xi * h ** (-rho)))
-        w = max(w, 2.5 * grid.spacing)
+        w = max(math.sqrt((r_x * h ** (-delta)) / (r_xi * h ** (-rho))), 2.5 * grid.spacing)
         weight = amplitude * h ** mu
         pk = wave_packet(grid, X, XI, w, normalize=True)
         vals += weight * pk.values
@@ -185,6 +177,8 @@ def pick_controls(grid, predicted, candidates, delta, rho, hs, clean=None, want=
     of them when want is None).  Raises ConfigError when fewer than `want`, or
     none, survive.
     """
+    if want is not None and want < 1:
+        raise ConfigError(f"want must be >= 1 or None, got {want}")
     seen = {(round(predicted[0], 9), round(predicted[1], 9))}
     controls = []
     for (xc, xic, label) in candidates:
@@ -198,7 +192,7 @@ def pick_controls(grid, predicted, candidates, delta, rho, hs, clean=None, want=
         controls.append(ProbeSpec(xc, xic, delta, rho, label))
         if len(controls) == want:
             break
-    need = want or 1
+    need = 1 if want is None else want
     if len(controls) < need:
         raise ConfigError(
             f"only {len(controls)} clean control probes available (need {need}); "
@@ -220,14 +214,13 @@ def transport_experiment(
     t0,
     h_grid,
     mu=0.0,
-    width_factor=1.0,
-    n_controls=4,
     min_h=6,
 ):
     """Propagate a (delta,rho)-singularity witness and probe the transported point.
 
     Requires rho*gamma = delta + rho (the scaling under which the wavefront is
-    carried by the Hamiltonian flow of |xi|^gamma).
+    carried by the Hamiltonian flow of |xi|^gamma).  The verdict uses the
+    first 4 clean controls.
     """
     if abs(rho * gamma - (delta + rho)) > 1e-12:
         raise ConfigError(f"transport scaling needs rho*gamma = delta+rho, got "
@@ -239,8 +232,7 @@ def transport_experiment(
     # witness scales and the main probes share the h values that keep both the
     # initial and the transported window inside the box/Nyquist budget
     hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi0)], delta, rho, h_grid, min_h)
-    u0, tracks = scaled_singularity_witness(grid, x0, xi0, delta, rho, hs_use, mu=mu,
-                                            width_factor=width_factor)
+    u0, tracks = scaled_singularity_witness(grid, x0, xi0, delta, rho, hs_use, mu=mu)
     moved = [tr.at_time(t0, gamma) for tr in tracks]
 
     candidates = [
@@ -258,7 +250,7 @@ def transport_experiment(
     controls = pick_controls(
         grid, (x_pred, xi0), candidates, delta, rho, hs_use,
         clean=lambda xc, xic, hs: track_clean(xc, xic, delta, rho, moved, hs),
-        want=n_controls,
+        want=4,
     )
 
     u_t = propagate_fractional(u0, t0, gamma)

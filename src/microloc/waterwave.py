@@ -395,8 +395,7 @@ def symmetrized_u(state, mu=0.0, part=None, adm=None, width=None, workspace=None
 # -- singularity experiments -------------------------------------------------------
 
 
-def real_scaled_witness(grid, x0, xi0, delta, rho, h_list, amplitude, mu_w=1.0,
-                        width_factor=1.0, widths=None):
+def real_scaled_witness(grid, x0, xi0, delta, rho, h_list, amplitude, mu_w=1.0):
     """Real multi-scale packet family for the surface potential trace.
 
     2 Re of model_eq.scaled_singularity_witness: packet j sits at
@@ -404,8 +403,7 @@ def real_scaled_witness(grid, x0, xi0, delta, rho, h_list, amplitude, mu_w=1.0,
     doubles it with the conjugate family at -xi.  Returns (field, tracks).
     """
     field, tracks = scaled_singularity_witness(grid, x0, xi0, delta, rho, h_list, mu=mu_w,
-                                               width_factor=width_factor,
-                                               amplitude=amplitude, widths=widths)
+                                               amplitude=amplitude)
     return Field(grid, 2.0 * np.real(field.values).astype(np.complex128)), tracks
 
 
@@ -441,17 +439,15 @@ def singularity_experiment_infinite(
     mu_probe=0.0,
     eps_mollify=1e-6,
     cfl=0.5,
-    n_controls=4,
-    offsets=(),
     width=None,
     min_h=6,
-    right_mover=True,
 ):
     """Embed a (1/2,1)-singularity witness in psi, evolve, probe u(t0).
 
-    The predicted singular point is x0 + (3/2) t0 |xi0|^{-1/2} xi0 under the
-    (1/2,1) scaling; controls are probes chosen clean against every rail the
-    real witness can populate (right/left movers at +-xi).
+    The witness is paired with the eta of a right-moving linear wave.  The
+    predicted singular point is x0 + (3/2) t0 |xi0|^{-1/2} xi0 under the
+    (1/2,1) scaling; the verdict uses the first 4 controls clean against
+    every rail the real witness can populate (right/left movers at +-xi).
     """
     delta, rho = 0.5, 1.0
     x_pred = x0 + _ww_group_shift(xi0, t0)
@@ -479,27 +475,19 @@ def singularity_experiment_infinite(
     controls = pick_controls(
         grid, (x_pred, xi0), candidates, delta, rho, hs_use,
         clean=lambda xc, xic, hs: track_clean(xc, xic, delta, rho, moved, hs),
-        want=n_controls,
+        want=4,
     )
-    offset_specs = [ProbeSpec(x_pred + off, xi0, delta, rho, f"offset_{k}")
-                    for k, off in enumerate(offsets)]
 
-    if right_mover:
-        state0 = right_mover_state(grid, params, psi0, tracks)
-    else:
-        state0 = SurfaceState(Field(grid, np.zeros(grid.n, dtype=complex)), psi0,
-                              0.0, params)
+    state0 = right_mover_state(grid, params, psi0, tracks)
     hist = integrate(state0, t0, eps_mollify=eps_mollify, cfl=cfl, track_invariants=False)
     u_t = symmetrized_u(hist.final(), mu=mu_probe, width=width)
     report = probe_sweep(
-        u_t, [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls + offset_specs,
-        hs_use,
+        u_t, [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls, hs_use,
         meta={
             "experiment": "ww_infinite",
             "steps": hist.steps, "rhs_evals": hist.rhs_evals,
             "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
             "amplitude": amplitude, "mu_w": mu_w, "mu_probe": mu_probe,
-            "offsets": list(offsets),
             "grid": {"n": grid.n, "length": grid.length},
             "params": {"gravity": params.gravity, "depth": params.depth,
                        "nz": params.nz},
@@ -559,7 +547,6 @@ def singularity_experiment_smoothing(
     amplitude=1e-2,
     mu_w=1.0,
     mu_probe=0.0,
-    witness_widths=None,
     eps_mollify=1e-6,
     cfl=0.5,
     width=None,
@@ -598,7 +585,7 @@ def singularity_experiment_smoothing(
 
     hs_wit = valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
     psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_wit,
-                                       amplitude, mu_w=mu_w, widths=witness_widths)
+                                       amplitude, mu_w=mu_w)
     state0 = SurfaceState(eta0, psi0, 0.0, params)
     hist = integrate(state0, t0, eps_mollify=eps_mollify, cfl=cfl, track_invariants=False)
     u_t = symmetrized_u(hist.final(), mu=mu_probe, width=width)

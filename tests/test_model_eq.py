@@ -157,6 +157,8 @@ def test_pick_controls_policy(grid):
     with pytest.raises(ConfigError):
         labels(clean=clean, cands=[c for c in cands if c[2] in
                                    ("control_at_prediction", "control_few_h", "control_dirty")])
+    with pytest.raises(ConfigError):
+        labels(want=0)  # not a request for every candidate
 
 
 # -- smoothing -----------------------------------------------------------------

@@ -322,5 +322,5 @@ def test_report_separation_rules():
     assert report(("predicted", 1.0)).separation() is None
     assert report(("control_a", 3.0)).separation() is None
     assert report(("predicted", 1.0), ("control_a", 3.0), ("control_b", 2.5),
-                  ("offset_0", 0.0)).separation() == 1.5
+                  ("extra", 0.0)).separation() == 1.5
     assert report(("predicted", math.inf), ("control_a", math.inf)).separation() == math.inf
