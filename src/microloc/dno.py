@@ -420,9 +420,6 @@ def dn_symbols(surface, J=2):
         gp = etap(x)
         return np.sqrt((1.0 + gp ** 2) * xi ** 2 - (gp * xi) ** 2)
 
-    def c_of(x):
-        return 1.0 / (1.0 + etap(x) ** 2)
-
     def a1(sign):
         def f(x, xi):
             gp = etap(x)

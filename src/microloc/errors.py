@@ -33,10 +33,6 @@ class FlowSingularityError(MicrolocError):
     """Hamiltonian integration approached the |xi| = 0 singularity."""
 
 
-class TrappedFlowError(MicrolocError):
-    """Trajectory did not escape; asymptotic data undefined."""
-
-
 class BlowUpError(MicrolocError):
     """Time integration produced non-finite values."""
 

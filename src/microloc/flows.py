@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .errors import FlowSingularityError, TrappedFlowError
+from .errors import FlowSingularityError
 from .symbols import radial_bump, radial_bump_grad
 
 __all__ = [

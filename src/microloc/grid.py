@@ -220,17 +220,35 @@ def multiplier_apply(f, m, nyquist_even=True):
     return Field(grid, out)
 
 
+# exp(-t) is exactly 0.0 in double precision for t > 745.2.
+_EXP_UNDERFLOW = 750.0
+
+
+def _box_gap(c, half):
+    """Distance from c to the interval [-half, half]."""
+    return max(-half - c, 0.0, c - half)
+
+
 def wave_packet(grid, x0, xi0, width, normalize=False, n_images=3):
-    """Gaussian wave packet exp(i xi0 x) exp(-|x-x0|^2 / 2 w^2), periodized."""
+    """Gaussian wave packet exp(i xi0 x) exp(-|x-x0|^2 / 2 w^2), periodized.
+
+    An image whose squared distance to the box, over 2 w^2, exceeds
+    _EXP_UNDERFLOW is skipped: its exp is 0.0 at every grid point.
+    """
     if width < 2.0 * grid.spacing:
         raise UnderResolvedError(
             f"packet width {width} below 2*dx = {2.0 * grid.spacing}"
         )
     L = grid.length
+    half = 0.5 * L
+    cut = _EXP_UNDERFLOW * 2.0 * width ** 2
+    shifts = range(-n_images, n_images + 1)
     if grid.dim == 1:
         x = grid.axis_points()
         env = np.zeros_like(x)
-        for mshift in range(-n_images, n_images + 1):
+        for mshift in shifts:
+            if _box_gap(x0 + mshift * L, half) ** 2 > cut:
+                continue
             env = env + np.exp(-((x - x0 - mshift * L) ** 2) / (2.0 * width ** 2))
         vals = np.exp(1j * xi0 * x) * env
     else:
@@ -238,8 +256,11 @@ def wave_packet(grid, x0, xi0, width, normalize=False, n_images=3):
         x0 = np.asarray(x0, dtype=float)
         xi0 = np.asarray(xi0, dtype=float)
         env = np.zeros_like(x1)
-        for m1 in range(-n_images, n_images + 1):
-            for m2 in range(-n_images, n_images + 1):
+        for m1 in shifts:
+            for m2 in shifts:
+                gap2 = _box_gap(x0[0] + m1 * L, half) ** 2 + _box_gap(x0[1] + m2 * L, half) ** 2
+                if gap2 > cut:
+                    continue
                 r2 = (x1 - x0[0] - m1 * L) ** 2 + (x2 - x0[1] - m2 * L) ** 2
                 env = env + np.exp(-r2 / (2.0 * width ** 2))
         vals = np.exp(1j * (xi0[0] * x1 + xi0[1] * x2)) * env

@@ -18,13 +18,13 @@ column (dense path) or once per separable term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpectrumUnresolvedError
-from .grid import Field, Grid, l2_norm, spectrum
-from .quantize import DyadicPartition, weighted_norm
+from .grid import Field, Grid, spectrum
+from .quantize import weighted_norm
 from .symbols import Symbol, smoothstep
 
 __all__ = [

@@ -7,6 +7,10 @@ op_quantize realizes the Kohn-Nirenberg action of a(h^delta x, h^rho xi):
 Wavefront orders are estimated by sweeping h over a geometric grid, applying
 a window symbol elliptic at the probe point, and regressing log L2-norm
 against log h: decay O(h^mu) shows up as slope mu.
+
+Probe-loop cost: estimate_decay_order takes one forward FFT of u per
+estimate and op_quantize one inverse FFT per h; the window's factors are
+evaluated only on the lattice points inside its support balls.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, GridMismatchError, MultiplierError
 from .grid import Field, Grid, l2_norm, multiplier_apply, spectrum
 from .symbols import plateau_bump, window_radii, window_symbol
 
@@ -88,39 +92,50 @@ def _dense_apply_2d(a, u, h, delta, rho, chunk=64):
     return Field(grid, out)
 
 
-def op_quantize(a, u, h, delta=0.0, rho=0.0, force_dense=False):
+def op_quantize(a, u, h, delta=0.0, rho=0.0, force_dense=False, *, u_fft=None):
     """Apply op_h^{delta,rho}(a) to u.
 
-    Separable symbols take the fast path sum_m c_m(h^delta x) m_m(h^rho xi)
-    applied as multiplier + pointwise product; otherwise a dense sweep over
-    the phase-space lattice is used.  Both paths agree to ~1e-10.
+    Separable symbols take the fast path sum_m c_m(h^delta x) m_m(h^rho xi):
+    each m_m is evaluated only on the lattice points inside a.support's xi
+    ball and multiplied into fftn(u), one inverse FFT follows, and c_m is
+    evaluated only inside the x ball (everywhere without a support hint).
+    Otherwise a dense sweep over the phase-space lattice is used.  Both paths
+    agree to ~1e-10.  u_fft, if given, must be np.fft.fftn(u.values); the
+    separable path then skips its forward transform.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     if delta < 0 or rho < 0:
         raise ValueError("delta and rho must be nonnegative")
     grid = u.grid
-    if not force_dense and getattr(a, "separable", None):
-        hx = h ** delta
-        hxi = h ** rho
+    if force_dense or not getattr(a, "separable", None):
         if grid.dim == 1:
-            xargs = hx * grid.axis_points()
-        else:
-            x1, x2 = grid.points()
-            xargs = (hx * x1, hx * x2)
-        out = np.zeros((grid.n,) * grid.dim, dtype=np.complex128)
-        for (cx, mxi) in a.separable:
-            if grid.dim == 1:
-                mf = multiplier_apply(u, lambda xi, mxi=mxi: mxi(hxi * xi), nyquist_even=False)
-            else:
-                mf = multiplier_apply(
-                    u, lambda xi, mxi=mxi: mxi((hxi * xi[0], hxi * xi[1])), nyquist_even=False
-                )
-            out += np.asarray(cx(xargs), dtype=np.complex128) * mf.values
-        return Field(grid, out)
-    if grid.dim == 1:
-        return _dense_apply_1d(a, u, h, delta, rho)
-    return _dense_apply_2d(a, u, h, delta, rho)
+            return _dense_apply_1d(a, u, h, delta, rho)
+        return _dense_apply_2d(a, u, h, delta, rho)
+    x = _scale(grid.points(), h ** delta)
+    xi = _scale(grid.frequencies(), h ** rho)
+    x_in, xi_in = a.support_masks(x, xi)
+    x, xi = _select(x, x_in), _select(xi, xi_in)
+    if u_fft is None:
+        u_fft = np.fft.fftn(u.values)
+    u_fft_in = u_fft[xi_in]
+    out = np.zeros_like(u_fft)
+    for (cx, mxi) in a.separable:
+        m = np.asarray(mxi(xi), dtype=np.complex128)
+        if not np.all(np.isfinite(m)):
+            raise MultiplierError("multiplier is not finite on the dual lattice")
+        prod = np.zeros_like(u_fft)
+        prod[xi_in] = m * u_fft_in
+        out[x_in] += np.asarray(cx(x), dtype=np.complex128) * np.fft.ifftn(prod)[x_in]
+    return Field(grid, out)
+
+
+def _scale(z, s):
+    return tuple(s * c for c in z) if isinstance(z, (tuple, list)) else s * z
+
+
+def _select(z, mask):
+    return tuple(c[mask] for c in z) if isinstance(z, (tuple, list)) else z[mask]
 
 
 def weighted_norm(u, nu=0.0, k=0.0):
@@ -291,8 +306,11 @@ def estimate_decay_order(
 ):
     """Fit log ||op_h(window) u||_L2 against log h; slope = decay order mu_hat.
 
-    Returns a DecayFit; mu_hat = +inf when every windowed norm sits below the
-    numerical floor (rapid decay beyond measurability).
+    u is transformed once; every h then costs op_quantize one inverse FFT.
+    Returns a DecayFit of the h values whose norm clears the numerical floor
+    and their norms; when fewer than min_points clear it, mu_hat = +inf
+    (rapid decay beyond measurability) and the fit lists every valid h with
+    its measured norm.
     """
     grid = u.grid
     if window is None:
@@ -305,14 +323,15 @@ def estimate_decay_order(
             "fewer than %d usable h values after box/Nyquist truncation" % min_points
         )
     floor = NORM_FLOOR * max(l2_norm(u), 1e-300)
-    hs, norms = [], []
-    for h in h_grid:
-        val = l2_norm(op_quantize(window, u, h, delta, rho, force_dense=force_dense))
-        if val > floor:
-            hs.append(h)
-            norms.append(val)
+    u_fft = np.fft.fftn(u.values)
+    measured = [
+        l2_norm(op_quantize(window, u, h, delta, rho, force_dense=force_dense, u_fft=u_fft))
+        for h in h_grid
+    ]
+    hs = [h for h, val in zip(h_grid, measured) if val > floor]
+    norms = [val for val in measured if val > floor]
     if len(hs) < min_points:
-        return DecayFit(math.inf, 1.0, list(h_grid), norms)
+        return DecayFit(math.inf, 1.0, list(h_grid), measured)
     mu_hat, r2 = _fit_loglog(hs, norms)
     return DecayFit(mu_hat, r2, hs, norms)
 

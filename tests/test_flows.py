@@ -1,7 +1,5 @@
 """Hamiltonian/geodesic flows, non-trapping diagnostics, escape symbols."""
 
-import math
-
 import numpy as np
 import pytest
 

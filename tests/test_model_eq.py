@@ -1,12 +1,10 @@
 """Model equation u_t + i|D|^gamma u = 0: propagator and experiments."""
 
-import math
-
 import numpy as np
 import pytest
 
 from microloc.errors import ConfigError
-from microloc.grid import Field, Grid, l2_norm, random_field
+from microloc.grid import Grid, l2_norm, random_field
 from microloc.model_eq import (
     ModelParams,
     escape_symbol_model,

@@ -1,11 +1,12 @@
 """Quantization, weighted/dyadic norms, and wavefront-order estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from microloc.errors import ConfigError
+from microloc.errors import ConfigError, MultiplierError
 from microloc.grid import Field, Grid, l2_norm, multiplier_apply, random_field, transform, wave_packet
 from microloc.quantize import (
     dyadic_norm,
@@ -89,6 +90,54 @@ def test_dense_equals_separable_on_random_symbols(grid):
         assert np.max(np.abs(fast.values - dense.values)) < 1e-10 * scale
 
 
+def _assert_support_restriction_exact(u, window, h, delta, rho):
+    """The support-restricted window equals the unrestricted and the dense one."""
+    grid = u.grid
+    if grid.dim == 1:
+        x, xi = h ** delta * grid.points(), h ** rho * grid.frequencies()
+    else:
+        x = tuple(h ** delta * c for c in grid.points())
+        xi = tuple(h ** rho * c for c in grid.frequencies())
+    x_in, xi_in = window.support_masks(x, xi)
+    assert 0 < x_in.sum() < x_in.size and 0 < xi_in.sum() < xi_in.size
+    fast = op_quantize(window, u, h, delta, rho)
+    full = op_quantize(dataclasses.replace(window, support=None), u, h, delta, rho)
+    dense = op_quantize(window, u, h, delta, rho, force_dense=True)
+    given = op_quantize(window, u, h, delta, rho, u_fft=np.fft.fftn(u.values))
+    scale = np.max(np.abs(full.values))
+    assert scale > 1e-6 * np.max(np.abs(u.values))
+    assert np.max(np.abs(fast.values - full.values)) <= 1e-13 * scale
+    assert np.max(np.abs(fast.values - dense.values)) <= 1e-10 * scale
+    assert np.array_equal(given.values, fast.values)
+
+
+@pytest.mark.parametrize(
+    "x0, xi0, delta",
+    [
+        (1.5, 2.0, 0.0),
+        (1.5, -2.0, 0.0),
+        (-2.0, 1.5, 0.5),
+        (2.0, -1.5, 0.5),
+        (15.0, 2.0, 0.0),  # x-reach 18.75 of the box half-length 20
+    ],
+)
+def test_support_restricted_window(grid, x0, xi0, delta):
+    u = random_field(grid, seed=11)
+    _assert_support_restriction_exact(u, window_symbol(x0, xi0), 0.3, delta, 1.0)
+
+
+def test_support_restricted_nan_multiplier_raises(grid):
+    u = random_field(grid, seed=13)
+    window = window_symbol(1.5, 2.0)
+    (_, r_xi) = window.support[1]
+    bx = window.separable[0][0]
+    bad = dataclasses.replace(
+        window, separable=[(bx, lambda xi: np.where(np.abs(xi - 2.0) < 0.5 * r_xi, np.nan, 0.0))]
+    )
+    with pytest.raises(MultiplierError):
+        op_quantize(bad, u, 0.3, 0.0, 1.0)
+
+
 def test_dense_equals_separable_2d():
     g = Grid(16, 8.0, dim=2)
     u = random_field(g, seed=6)
@@ -96,6 +145,7 @@ def test_dense_equals_separable_2d():
     fast = op_quantize(a, u, 0.4, 0.5, 1.0)
     dense = op_quantize(a, u, 0.4, 0.5, 1.0, force_dense=True)
     assert np.max(np.abs(fast.values - dense.values)) < 1e-10
+    _assert_support_restriction_exact(u, a, 0.4, 0.5, 1.0)
 
 
 def test_weighted_norm_plain_l2(grid):
@@ -190,6 +240,8 @@ def test_decay_order_floor_sentinel():
     # scaled window stays far from the packet in x: norms below floor -> +inf
     fit = estimate_decay_order(u, 20.0, -0.6, 1.0, 1.0, h_grid=hs)
     assert math.isinf(fit.mu_hat)
+    # every measured norm is reported next to its h
+    assert len(fit.h_used) == len(fit.norms) == 3
 
 
 def _witness(grid, x0, xi0, hs, mu):

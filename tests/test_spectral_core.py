@@ -174,6 +174,47 @@ def test_wave_packet_near_orthogonal():
     assert abs(lhs - rhs) < 1e-8 * rhs
 
 
+def _image_terms(grid, x0, width, n_images=3):
+    """Every periodic image's envelope on the grid, in wave_packet's order."""
+    L = grid.length
+    shifts = range(-n_images, n_images + 1)
+    if grid.dim == 1:
+        x = grid.axis_points()
+        return [np.exp(-((x - x0 - m * L) ** 2) / (2.0 * width ** 2)) for m in shifts]
+    x1, x2 = grid.points()
+    return [
+        np.exp(-((x1 - x0[0] - m1 * L) ** 2 + (x2 - x0[1] - m2 * L) ** 2) / (2.0 * width ** 2))
+        for m1 in shifts
+        for m2 in shifts
+    ]
+
+
+@pytest.mark.parametrize(
+    "grid, x0, xi0, width, skipped",
+    [
+        (Grid(65536, 3200.0), -40.0, 1.4, 5.3452248382484875, True),
+        (Grid(65536, 3200.0), -19.027313840043533, 8.4, 0.6484197773255049, True),
+        (Grid(64, 10.0), 3.0, 1.2, 4.0, False),
+        (Grid(512, 100.0), 45.0, 1.0, 1.0, True),  # the image at -55 wraps into the box
+        (Grid(16, 4.0, dim=2), (0.5, -1.0), (1.0, 2.0), 2.0, False),
+        (Grid(64, 32.0, dim=2), (10.0, -12.0), (1.0, 2.0), 1.0, True),
+    ],
+)
+def test_wave_packet_equals_explicit_image_sum(grid, x0, xi0, width, skipped):
+    # skipping images whose exp underflows everywhere leaves every bit unchanged
+    terms = _image_terms(grid, x0, width)
+    assert any(np.all(t == 0.0) for t in terms) == skipped
+    env = np.zeros_like(terms[0])
+    for t in terms:
+        env = env + t
+    if grid.dim == 1:
+        phase = np.exp(1j * xi0 * grid.axis_points())
+    else:
+        x1, x2 = grid.points()
+        phase = np.exp(1j * (xi0[0] * x1 + xi0[1] * x2))
+    assert np.array_equal(wave_packet(grid, x0, xi0, width).values, phase * env)
+
+
 def test_wave_packet_underresolved():
     g = Grid(64, 10.0)
     with pytest.raises(UnderResolvedError):
