@@ -5,15 +5,22 @@ recursion, built from the vertical-mode multipliers L_{2k} = |D|^{2k},
 L_{2k+1} = |D|^{2k} G_0 of the cosh profile.
 
 dn_elliptic flattens the fluid domain with the full-strip map
-y = z + (1 + z/b) eta(x), z in [-b, 0] (flat image bottom), discretizes
-spectrally in x and with second-order differences in z, and solves the
-variable-coefficient problem against the exact flat-strip inverse.  G(eta)
-is real-linear, so there is one solve path, on real data: a Richardson fixed
-point whose flat solves run on rfft half spectra, and a real GMRES with the
-same flat-solve preconditioner when the fixed point stalls (steep
-surfaces).  A complex psi is solved as its real and imaginary parts.  The
-surface flux is (1+eta'^2)/J v_z - eta' v_x at z = 0 with J = 1 + eta/b,
-the Jacobian of the vertical stretch.
+y = z + (1 + z/b) eta(x), z in [-b, 0] (flat image bottom), and discretizes
+spectrally in x and with second-order differences in z.  With J = 1 + eta/b,
+the Jacobian of the vertical stretch, the flattened v_zz coefficient is
+a(x) + (1 + z/b)^2 eta'^2/J^2 with a = 1/J^2.  G(eta) is real-linear, so
+there is one solve path, on real data, in two stages:
+
+- a fixed point on the non-flat terms, each sweep an exact flat-strip solve
+  on rfft half spectra.  It runs only where a varies by at most 3x
+  (near-flat surfaces), where it converges in a few sweeps;
+- right-preconditioned GMRES on the strip equations, when the fixed point
+  stalls or is skipped (sloped surfaces).  Its frozen-depth preconditioner
+  inverts a_j d_zz + d_xx exactly at a few depth nodes a_j and blends the
+  results in x; it stops on the residual of the strip equations.
+
+A complex psi is solved as its real and imaginary parts.  The surface flux
+is (1+eta'^2)/J v_z - eta' v_x at z = 0.
 
 dn_symbols builds the boundary symbols lambda^(1), lambda^(0) and the
 a_+/a_- factorization of the flattened Laplacian, with the downward
@@ -23,7 +30,7 @@ recursion for lower orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
@@ -37,6 +44,7 @@ __all__ = [
     "FluidDomain",
     "dn_taylor",
     "dn_elliptic",
+    "StripSolveStats",
     "discrete_flat_symbol",
     "SurfaceDerivatives",
     "surface_from_field",
@@ -152,16 +160,48 @@ def dn_taylor(dom, psi, M=4, ratio_limit=1.0, monitor_limit=0.5):
 # -- elliptic solver -------------------------------------------------------------
 
 
+@dataclass
+class StripSolveStats:
+    """What the last dn_elliptic call on a workspace did.
+
+    stages lists the stages that ran, in order ("fixed_point", "krylov");
+    the iteration counts add over the real solves of the call (two for a
+    complex psi); nodes is m, the node count of the frozen-depth
+    preconditioner of the surface.
+    """
+
+    nodes: int
+    stages: list = field(default_factory=list)
+    fixed_point_iters: int = 0
+    krylov_iters: int = 0
+
+    def ran(self, stage):
+        if stage not in self.stages:
+            self.stages.append(stage)
+
+
 class _StripWorkspace:
-    """Per-domain coefficients and flat-solve factors for the strip solver.
+    """Per-domain coefficients, flat-solve factors and the frozen-depth
+    preconditioner of the strip solver.
 
     G(eta) is real-linear, so the solver works on real data only: the
     unknown v is a real (nz+1, n) array in physical space, row nz holding
-    the Dirichlet data, and the flat solve acts on its rfft half spectrum.
-    The z-eigenfactors depend only on (grid, b, nz); update_surface refreshes
-    the eta-dependent coefficient arrays, so a time stepper can reuse one
-    workspace (and its warm-start solution) across stages.
+    the Dirichlet data, and the flat solves act on rfft half spectra.  The
+    z-eigenfactors depend only on (grid, b, nz).  update_surface refreshes
+    the eta-dependent coefficients and the preconditioner, so a time stepper
+    can reuse one workspace (and its warm-start solution) across stages.
+
+    The z-eigenvectors diagonalize a(x) d_zz for any a depending on x alone.
+    With a = 1/J^2, the x-only part of the flattened v_zz coefficient, the
+    preconditioner P^-1 applies the exact inverse of the constant-a strip
+    operator a_j d_zz + d_xx per z-mode at m nodes a_j, geometric over
+    [min a, max a] with consecutive ratio at most 3 (one node, at the
+    geometric mean, when max a / min a <= 3), and blends the m results in
+    physical x with weights piecewise linear in log a.  P is exact when a is
+    constant.
     """
+
+    NODE_RATIO = 3.0
 
     def __init__(self, dom):
         grid, b, nz = dom.grid, dom.b, dom.nz
@@ -178,8 +218,8 @@ class _StripWorkspace:
         # Eigen-factorization of the z-operator on rows 0..nz-1 (row nz is
         # Dirichlet): A v = v_zz with ghost-eliminated Neumann bottom.  A is
         # symmetrized by D = diag(1, sqrt2, ..., sqrt2), S = D A D^-1 = Q lam Q^T,
-        # so the per-mode shifted solves (A - xi^2) v = r become two matmuls,
-        # v = (D^-1 Q) (lam - xi^2)^-1 (Q^T D) r.
+        # so the per-mode shifted solves (a A - xi^2) v = r become two matmuls,
+        # v = (D^-1 Q) (a lam - xi^2)^-1 (Q^T D) r.
         dz2 = self.dz ** 2
         S = np.zeros((nz, nz))
         idx = np.arange(nz)
@@ -193,11 +233,14 @@ class _StripWorkspace:
         dscale[1:] = math.sqrt(2.0)
         self._QTs = np.ascontiguousarray(Q.T * dscale[None, :])
         self._Qd = np.ascontiguousarray(Q / dscale[:, None])
+        self._lam = lam[:, None]
         xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=grid.spacing)
+        self._xi2 = xi ** 2
         self.ixi = 1j * xi
         self.ixi[-1] = 0.0  # odd multiplier: Nyquist zeroed
-        self._shift_inv = 1.0 / (lam[:, None] - xi[None, :] ** 2)
+        self._shift_inv = 1.0 / (self._lam - self._xi2)
         self.warm = None
+        self.stats = None
         self._eta_ref = None
         self.update_surface(dom)
 
@@ -220,12 +263,32 @@ class _StripWorkspace:
         # only x-profiles are rebuilt per surface update
         f1 = etap / J
         w1 = 2.0 * etap ** 2 / (b * J ** 2) - etapp / J
-        c0 = 1.0 / J ** 2 - 1.0
+        a = 1.0 / J ** 2
         c1 = (etap / J) ** 2
         zf = self.zfac
         self.F = zf * f1[None, :]
         self.W = zf * w1[None, :]
-        self.Czz = c0[None, :] + (zf ** 2) * c1[None, :]
+        self.Czz = (a - 1.0)[None, :] + (zf ** 2) * c1[None, :]
+        self._build_preconditioner(a)
+
+    def _build_preconditioner(self, a):
+        """Nodes a_j, their per-mode inverses 1/(a_j lam_k - xi^2) and the
+        blending weights of P^-1 (m nz (n/2+1) divisions)."""
+        lo, hi = float(np.min(a)), float(np.max(a))
+        ratio = hi / lo
+        if ratio <= self.NODE_RATIO:
+            nodes = np.array([math.sqrt(lo * hi)])
+            weights = np.ones((1, self.n))
+        else:
+            k = math.ceil(math.log(ratio) / math.log(self.NODE_RATIO))
+            s = np.log(lo) + np.log(ratio) * np.arange(k + 1) / k
+            nodes = np.exp(s)
+            # hat functions in log a, one per node; they sum to 1
+            t = np.clip((np.log(a) - s[0]) / (s[1] - s[0]), 0.0, k)
+            weights = np.maximum(0.0, 1.0 - np.abs(t[None, :] - np.arange(k + 1)[:, None]))
+        self.nodes = nodes
+        self._node_inv = 1.0 / (nodes[:, None, None] * self._lam[None] - self._xi2)
+        self._weights = weights[:, None, :]  # (m, 1, n)
 
     def flat_solve_half(self, rhs, top):
         """Solve (d_zz - xi^2) v = rhs per mode, v_z(-b)=0 ghost, v(0)=top.
@@ -248,24 +311,43 @@ class _StripWorkspace:
         v = self.flat_solve_half(sfft.rfft(rhs, axis=1, workers=2), top)
         return sfft.irfft(v, axis=1, n=self.n, workers=2)
 
-    def residual_op(self, v):
-        """Deviation of the strip operator from the flat Laplacian.
+    def precondition(self, r):
+        """P^-1 r for real physical r (nz, n) with zero Dirichlet data.
 
-        Rows: 0 is the ghost-eliminated bottom (E = 0 there, v_z = 0), nz is
-        Dirichlet (no equation).  Returns rows 0..nz-1.
+        rfft, Q^T D in z, the m node inverses, one batched irfft over the
+        nodes, the weighted sum in x, D^-1 Q in z.
+        """
+        w = (self._QTs @ sfft.rfft(r, axis=1, workers=2).view(np.float64)).view(np.complex128)
+        y = sfft.irfft(w[None] * self._node_inv, axis=-1, n=self.n, workers=2)
+        return self._Qd @ np.sum(self._weights * y, axis=0)
+
+    def strip_op(self, v, flat=True):
+        """The flattened strip operator on v (nz+1, n), rows 0..nz-1.
+
+        Row 0 is the ghost-eliminated bottom (v_z = 0 there), row nz is
+        Dirichlet (no equation).  flat=False leaves out the flat Laplacian
+        d_zz + d_xx: that is E = L - L0, the fixed point's residual operator.
+        v_xx and v_xz come from one batched rfft/irfft.
         """
         nz, dz = self.nz, self.dz
-        v_z = np.empty_like(v)
+        v_z = np.empty((nz, self.n))
         v_z[0] = 0.0  # Neumann bottom, exactly
-        v_z[1:nz] = (v[2:] - v[:-2]) / (2 * dz)
-        v_z[nz] = (3 * v[nz] - 4 * v[nz - 1] + v[nz - 2]) / (2 * dz)
-        v_xz = sfft.irfft(self.ixi[None, :] * sfft.rfft(v_z, axis=1, workers=2),
-                          axis=1, n=self.n, workers=2)
+        v_z[1:] = (v[2:] - v[:nz - 1]) / (2 * dz)
         v_zz = np.empty((nz, self.n))
-        v_zz[1:nz] = (v[2:] - 2 * v[1:nz] + v[:-2]) / dz ** 2
+        v_zz[1:] = (v[2:] - 2 * v[1:nz] + v[:nz - 1]) / dz ** 2
         v_zz[0] = (2 * v[1] - 2 * v[0]) / dz ** 2
-        out = self.Czz[:nz] * v_zz + self.W[:nz] * v_z[:nz] - 2.0 * self.F[:nz] * v_xz[:nz]
-        out[0] = self.Czz[0] * v_zz[0]
+        if flat:
+            spec = sfft.rfft(np.concatenate((v[:nz], v_z)), axis=1, workers=2)
+            spec[:nz] *= -self._xi2
+            spec[nz:] *= self.ixi
+            d = sfft.irfft(spec, axis=1, n=self.n, workers=2)
+            v_xx, v_xz = d[:nz], d[nz:]
+        else:
+            v_xz = sfft.irfft(self.ixi * sfft.rfft(v_z, axis=1, workers=2),
+                              axis=1, n=self.n, workers=2)
+        out = self.Czz[:nz] * v_zz + self.W[:nz] * v_z - 2.0 * self.F[:nz] * v_xz
+        if flat:
+            out += v_zz + v_xx
         return out
 
     def v_z_top(self, v):
@@ -282,21 +364,25 @@ class _StripWorkspace:
 def dn_elliptic(dom, psi, tol=1e-10, maxiter=50, workspace=None, return_solution=False):
     """G(eta) psi via the flattened variable-coefficient strip problem.
 
-    Fixed-point iteration on the non-flat terms, preconditioned by the exact
-    per-mode flat solve; GMRES (same preconditioner) takes over when the
-    fixed point stalls.  A complex psi is solved as its real and imaginary
-    parts.  Raises EllipticSolveError if neither converges.
+    Two stages.  On a surface whose a = 1/J^2 varies by at most 3x (one
+    preconditioner node), a fixed-point iteration on the non-flat terms,
+    preconditioned by the exact per-mode flat solve, runs first (at most
+    maxiter sweeps).  If it stalls, or on a surface with more nodes,
+    GMRES, right-preconditioned by the frozen-depth preconditioner, solves
+    the strip equations.  A complex psi is solved as its real and imaginary
+    parts.  The workspace's stats record what ran.  Raises
+    EllipticSolveError if neither stage converges.
 
-    tol bounds the flat-preconditioned problem, not the strip equations: the
-    relative max-norm update of the fixed point, or the relative residual of
-    the preconditioned GMRES system.  The residual of the flattened strip
-    equations themselves can be larger; on a slope-0.5 ramp surface at
-    tol = 1e-10 it is 1.6e-8 of the largest term in the max norm, in the row
-    below the surface (2.4e-9 in L2).
+    tol bounds, for the fixed point, its relative max-norm update; for the
+    Krylov stage, the L2 residual of the flattened strip equations relative
+    to that of the flat harmonic extension of psi.  The fixed point's test is
+    on the flat-preconditioned problem, so the strip residual of its answer
+    can be larger than tol.
     """
     ws = workspace if workspace is not None else _StripWorkspace(dom)
     if workspace is not None:
         ws.update_surface(dom)
+    ws.stats = StripSolveStats(nodes=len(ws.nodes))
     flux, v = _strip_solve(ws, np.real(psi.values), tol, maxiter)
     if not psi.is_real(1e-12):
         flux_im, v_im = _strip_solve(ws, np.imag(psi.values), tol, maxiter)
@@ -317,48 +403,58 @@ def _strip_solve(ws, psi, tol, maxiter):
         # re-impose the current Dirichlet data on the warm start
         v = ws.warm.copy()
         v[nz] = v_lift[nz]
-    scale = max(float(np.max(np.abs(v))), 1e-300)
 
     converged = False
-    prev_delta = None
-    for it in range(maxiter):
-        v_new = ws.flat_solve(-ws.residual_op(v), psi_half)
-        delta = float(np.max(np.abs(v_new - v))) / scale
-        v = v_new
-        converged = delta < tol
-        if converged or (prev_delta is not None and delta > 0.9 * prev_delta and it >= 4):
-            break  # done, or stalling: switch to GMRES
-        prev_delta = delta
+    if len(ws.nodes) == 1:
+        ws.stats.ran("fixed_point")
+        scale = max(float(np.max(np.abs(v))), 1e-300)
+        prev_delta = None
+        for it in range(maxiter):
+            v_new = ws.flat_solve(-ws.strip_op(v, flat=False), psi_half)
+            ws.stats.fixed_point_iters += 1
+            delta = float(np.max(np.abs(v_new - v))) / scale
+            v = v_new
+            converged = delta < tol
+            if converged or (prev_delta is not None and delta > 0.9 * prev_delta and it >= 4):
+                break  # done, or stalling: switch to GMRES
+            prev_delta = delta
 
     if not converged:
-        v = _gmres_solve(ws, v_lift, v, tol)
+        ws.stats.ran("krylov")
+        v = _krylov_solve(ws, v_lift, v, tol)
     ws.warm = v
     return ws.flux(v), v
 
 
-def _gmres_solve(ws, v_lift, v0, tol):
-    """GMRES for the interior rows w = v - v_lift of the flat-preconditioned
-    problem (I + L0^-1 E) w = -L0^-1 E v_lift, starting from v0."""
+def _krylov_solve(ws, v_lift, v0, tol):
+    """Right-preconditioned GMRES on the strip equations L v = 0.
+
+    v = v0 + P^-1 y with L P^-1 y = -L v0, where v0 carries the Dirichlet
+    data and P^-1 y does not; v0 is the given start or the flat lift
+    v_lift, whichever has the smaller strip residual.  The GMRES residual is
+    the strip residual itself: it stops at ||L v||_2 <= tol ||L v_lift||_2.
+    """
     nz, n = ws.nz, ws.n
-    zero_top = np.zeros(n // 2 + 1, dtype=np.complex128)
+    r_lift = ws.strip_op(v_lift)
+    r0 = ws.strip_op(v0)
+    if np.linalg.norm(r_lift) <= np.linalg.norm(r0):
+        v0, r0 = v_lift, r_lift
+    full = np.zeros((nz + 1, n))  # row nz stays 0: P^-1 y carries no Dirichlet data
 
-    def pad(w):
-        full = np.zeros((nz + 1, n))
-        full[:nz] = w.reshape(nz, n)
-        return full
+    def apply_op(y):
+        full[:nz] = ws.precondition(y.reshape(nz, n))
+        return ws.strip_op(full).ravel()
 
-    def apply_op(w):
-        return w + ws.flat_solve(ws.residual_op(pad(w)), zero_top)[:nz].ravel()
+    def count(_):
+        ws.stats.krylov_iters += 1
 
-    rhs = -ws.flat_solve(ws.residual_op(v_lift), zero_top)[:nz].ravel()
     op = LinearOperator((nz * n, nz * n), matvec=apply_op, dtype=np.float64)
-    x0 = (v0[:nz] - v_lift[:nz]).ravel()
-    sol, info = gmres(op, rhs, x0=x0, rtol=tol, atol=tol * max(np.max(np.abs(rhs)), 1e-300),
-                      maxiter=400, restart=50)
+    sol, info = gmres(op, -r0.ravel(), rtol=0.0, atol=tol * np.linalg.norm(r_lift),
+                      restart=50, maxiter=400, callback=count, callback_type="pr_norm")
     if info != 0:
         raise EllipticSolveError(f"GMRES did not converge (info={info})")
-    v = v_lift.copy()
-    v[:nz] += sol.reshape(nz, n)
+    v = v0.copy()
+    v[:nz] += ws.precondition(sol.reshape(nz, n))
     return v
 
 

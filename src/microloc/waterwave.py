@@ -126,6 +126,8 @@ class WaveHistory:
     dt: float
     steps: int  # time steps taken
     rhs_evals: int  # zcs_rhs evaluations (one strip DN solve each)
+    dn_fixed_point_iters: int = 0  # fixed-point sweeps of those DN solves
+    dn_krylov_iters: int = 0  # GMRES iterations of those DN solves
 
     def final(self):
         return self.states[-1]
@@ -203,7 +205,8 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, store_every=None, cfl=0.5,
     four zcs_rhs evaluations.  dt defaults to cfl_dt(grid, params, eta0, cfl).
     After every step the exp(-eps dt |xi|^{3/2}) mollifier is applied, so the
     total damping exp(-eps T |xi|^{3/2}) does not depend on the step count,
-    and realness is re-imposed.  Returns a WaveHistory with sampled states.
+    and realness is re-imposed.  Returns a WaveHistory with sampled states
+    and the fixed-point and Krylov iteration totals of the zcs_rhs DN solves.
     """
     grid = state0.grid
     p = state0.params
@@ -220,13 +223,15 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, store_every=None, cfl=0.5,
     half = _flat_flow(g0, disp, 0.5 * dt)
     absxi = np.abs(grid.frequencies())
     moll = np.exp(-eps_mollify * abs(dt) * absxi ** 1.5) if eps_mollify > 0 else None
-    rhs_evals = 0
+    rhs_evals = fp_iters = kr_iters = 0
 
     def nonlinear(eh, ph):
-        nonlocal rhs_evals
+        nonlocal rhs_evals, fp_iters, kr_iters
         rhs_evals += 1
         st = SurfaceState(Field(grid, _real_ifft(eh)), Field(grid, _real_ifft(ph)), 0.0, p)
         de, dp = zcs_rhs(st, workspace=ws)
+        fp_iters += ws.stats.fixed_point_iters
+        kr_iters += ws.stats.krylov_iters
         return np.fft.fft(de.values) - g0 * ph, np.fft.fft(dp.values) + disp * eh
 
     eta_v = np.real(state0.eta.values).astype(np.complex128)
@@ -268,6 +273,7 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, store_every=None, cfl=0.5,
             hist.mass.append(m)
             hist.energy.append(e)
     hist.rhs_evals = rhs_evals
+    hist.dn_fixed_point_iters, hist.dn_krylov_iters = fp_iters, kr_iters
     return hist
 
 
@@ -486,6 +492,8 @@ def singularity_experiment_infinite(
         meta={
             "experiment": "ww_infinite",
             "steps": hist.steps, "rhs_evals": hist.rhs_evals,
+            "dn_fixed_point_iters": hist.dn_fixed_point_iters,
+            "dn_krylov_iters": hist.dn_krylov_iters,
             "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
             "amplitude": amplitude, "mu_w": mu_w, "mu_probe": mu_probe,
             "grid": {"n": grid.n, "length": grid.length},
@@ -594,6 +602,8 @@ def singularity_experiment_smoothing(
         meta={
             "experiment": "ww_smoothing",
             "steps": hist.steps, "rhs_evals": hist.rhs_evals,
+            "dn_fixed_point_iters": hist.dn_fixed_point_iters,
+            "dn_krylov_iters": hist.dn_krylov_iters,
             "x0": x0, "xi0": xi0, "t0": t0,
             "xi_inf": xi_inf, "x_bent": x_bent, "x_unbent": x_unbent,
             "surface_amplitude": surface_amplitude, "ramp_width": ramp_width,

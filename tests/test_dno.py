@@ -114,6 +114,14 @@ def test_elliptic_constant_psi(unit_grid):
     dom = FluidDomain(unit_grid, eta, B_DEPTH, 64)
     psi = Field(unit_grid, np.full(unit_grid.n, 2.0, dtype=complex))
     assert l2_norm(dn_elliptic(dom, psi)) < 1e-10
+    # Krylov stage, warm-started from other data: the flat lift of a constant
+    # solves the strip equations to rounding, so it must be the start
+    g = Grid(256, 64.0)
+    ramp = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 64)
+    ws = dno._StripWorkspace(ramp)
+    dn_elliptic(ramp, random_field(g, seed=2, decay=3.0, real=True), workspace=ws)
+    G = dn_elliptic(ramp, Field(g, np.full(g.n, 2.0, dtype=complex)), workspace=ws)
+    assert ws.stats.stages == ["krylov"] and l2_norm(G) < 1e-10
 
 
 def test_cross_method_agreement(unit_grid):
@@ -236,21 +244,61 @@ def _strip_equation_residual(dom, v):
     return np.linalg.norm(sum(terms)) / max(np.linalg.norm(t) for t in terms)
 
 
-def test_elliptic_stalled_fixed_point_solves_strip_equations(monkeypatch):
-    # the slope-0.5 ramp of the smoothing experiment: the fixed point stalls
-    # and GMRES delivers the answer, checked against the equations themselves
+def test_elliptic_stalled_fixed_point_solves_strip_equations():
+    # the slope-0.5 ramp of the smoothing experiment: a = 1/J^2 varies 9x, so
+    # the fixed point is skipped and the Krylov stage (three preconditioner
+    # nodes) delivers the answer, checked against the equations themselves
     g = Grid(256, 64.0)
     dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 64)
     psi = random_field(g, seed=2, decay=3.0, real=True)
-    gmres_calls = []
-    gmres_solve = dno._gmres_solve
-    monkeypatch.setattr(dno, "_gmres_solve",
-                        lambda *a: gmres_calls.append(1) or gmres_solve(*a))
-    G, v = dn_elliptic(dom, psi, return_solution=True)
-    assert gmres_calls
+    ws = dno._StripWorkspace(dom)
+    G, v = dn_elliptic(dom, psi, return_solution=True, workspace=ws)
+    assert ws.stats.stages == ["krylov"] and ws.stats.nodes == 3
+    assert ws.stats.fixed_point_iters == 0 and ws.stats.krylov_iters > 0
     assert np.isrealobj(v) and v.shape == (65, g.n)
     assert np.max(np.abs(v[-1] - np.real(psi.values))) < 1e-12
     assert _strip_equation_residual(dom, v) <= 1e-8
+
+
+def test_elliptic_slope_one_and_a_half_ramp():
+    # A = 0.75, w = 0.5 at depth 1: the column runs from depth 0.25 to 1.75,
+    # a varies 49x (five nodes); the Krylov stage meets the strip equations
+    g = Grid(256, 64.0)
+    dom = FluidDomain(g, ramp_surface(g, 0.75, 0.5), B_DEPTH, 64)
+    psi = random_field(g, seed=2, decay=3.0, real=True)
+    ws = dno._StripWorkspace(dom)
+    G, v = dn_elliptic(dom, psi, return_solution=True, workspace=ws)
+    assert ws.stats.stages == ["krylov"] and ws.stats.nodes == 5
+    assert _strip_equation_residual(dom, v) <= 1e-8
+    assert ws.stats.krylov_iters <= 45
+
+
+def test_elliptic_constant_elevation_is_the_deeper_flat_strip(unit_grid):
+    # eta = 0.3 stretches z uniformly: the scheme is the flat scheme of depth
+    # b + 0.3 on its uniform nz grid, so its discrete symbol is the oracle.
+    # The fixed point's update test is relative to max |v|, which this psi's
+    # mean dominates; tol = 1e-12 keeps the solver error below the bound
+    nz = 64
+    dom = FluidDomain(unit_grid, Field(unit_grid, np.full(unit_grid.n, 0.3 + 0j)), B_DEPTH, nz)
+    psi = random_field(unit_grid, seed=3, decay=3.0, real=True)
+    G = dn_elliptic(dom, psi, tol=1e-12)
+    sym = discrete_flat_symbol(unit_grid, B_DEPTH + 0.3, nz)
+    oracle = np.fft.ifft(sym * np.fft.fft(psi.values))
+    assert np.linalg.norm(G.values - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+
+def test_frozen_depth_preconditioner_is_exact_for_constant_depth(unit_grid):
+    # constant a: P is the strip operator itself, so P^-1 L v = v for any v
+    # with zero Dirichlet data
+    nz = 64
+    dom = FluidDomain(unit_grid, Field(unit_grid, np.full(unit_grid.n, 0.3 + 0j)), B_DEPTH, nz)
+    ws = dno._StripWorkspace(dom)
+    rng = np.random.default_rng(5)
+    v = np.zeros((nz + 1, unit_grid.n))
+    v[:nz] = rng.standard_normal((nz, unit_grid.n))
+    v[:nz] = np.fft.irfft(np.fft.rfft(v[:nz], axis=1), axis=1, n=unit_grid.n)
+    back = ws.precondition(ws.strip_op(v))
+    assert np.max(np.abs(back - v[:nz])) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_b_v_fields_flat(val_grid):
