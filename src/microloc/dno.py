@@ -81,34 +81,21 @@ class FluidDomain:
         return self.b + float(np.min(np.real(self.eta.values)))
 
 
-def _abs_xi(grid):
-    if grid.dim == 1:
-        return np.abs(grid.frequencies())
-    xi1, xi2 = grid.frequencies()
-    return np.hypot(xi1, xi2)
+def _x_derivative(f):
+    """Spectral x-derivative (odd multiplier: Nyquist zeroed)."""
+    return multiplier_apply(f, lambda xi: 1j * xi)
 
 
-def _grad_fields(f):
-    """Spectral gradient, one field per axis (odd multiplier: Nyquist zeroed)."""
-    grid = f.grid
-    if grid.dim == 1:
-        return [multiplier_apply(f, lambda xi: 1j * xi)]
-    return [
-        multiplier_apply(f, lambda xi: 1j * xi[0]),
-        multiplier_apply(f, lambda xi: 1j * xi[1]),
-    ]
-
-
-def dn_taylor(dom, psi, M=4, ratio_limit=1.0, monitor_limit=0.5):
+def dn_taylor(dom, psi, M=4):
     """Taylor expansion sum_{k<=M} G_k(eta) psi about the flat surface.
 
-    Term norms are monitored; consecutive-term ratios above `ratio_limit`
-    abort with advice to use the elliptic solver.  Returns the partial sum.
+    Term norms are monitored; a consecutive-term ratio of 1 or more aborts
+    with advice to use the elliptic solver.  Returns the partial sum.
     """
     grid = dom.grid
     b = dom.b
     eta = np.real(dom.eta.values)
-    absxi = _abs_xi(grid)
+    absxi = np.abs(grid.axis_frequencies())
     g0_mult = absxi * np.tanh(b * absxi)
 
     def L_apply(m, f):
@@ -126,7 +113,7 @@ def dn_taylor(dom, psi, M=4, ratio_limit=1.0, monitor_limit=0.5):
     for m in range(1, M + 1):
         eta_pows.append(eta_pows[-1] * eta / m)  # eta^m / m!
 
-    grad_eta = [np.real(g.values) for g in _grad_fields(dom.eta)]
+    eta_x = np.real(_x_derivative(dom.eta).values)
 
     fs = [psi]
     for j in range(1, M + 1):
@@ -143,15 +130,12 @@ def dn_taylor(dom, psi, M=4, ratio_limit=1.0, monitor_limit=0.5):
             term += eta_pows[m] * L_apply(m + 1, fs[k - m]).values
         for m in range(0, k):
             inner = L_apply(m, fs[k - 1 - m])
-            grads = _grad_fields(inner)
-            for ax in range(grid.dim):
-                term -= grad_eta[ax] * eta_pows[m] * grads[ax].values
+            term -= eta_x * eta_pows[m] * _x_derivative(inner).values
         total += term
-        nrm = float(np.sqrt(np.sum(np.abs(term) ** 2)) * grid.spacing ** (grid.dim / 2))
-        if prev is not None and prev > 0 and nrm / prev >= ratio_limit:
+        nrm = float(np.sqrt(np.sum(np.abs(term) ** 2)) * grid.spacing ** 0.5)
+        if prev is not None and prev > 0 and nrm / prev >= 1.0:
             raise TaylorDivergenceError(
-                f"term ratio {nrm / prev:.3f} >= {ratio_limit} at order {k}; "
-                "use dn_elliptic"
+                f"term ratio {nrm / prev:.3f} >= 1 at order {k}; use dn_elliptic"
             )
         prev = nrm if nrm > 0 else prev
     return Field(grid, total)
@@ -205,8 +189,6 @@ class _StripWorkspace:
 
     def __init__(self, dom):
         grid, b, nz = dom.grid, dom.b, dom.nz
-        if grid.dim != 1:
-            raise NotImplementedError("dn_elliptic is one-dimensional")
         self.dom = dom
         self.b = b
         self.nz = nz
@@ -254,7 +236,7 @@ class _StripWorkspace:
         self._eta_ref = dom.eta.values
         b = self.b
         eta = np.real(dom.eta.values)
-        etap = np.real(_grad_fields(dom.eta)[0].values)
+        etap = np.real(_x_derivative(dom.eta).values)
         etapp = np.real(multiplier_apply(dom.eta, lambda xi: -(xi ** 2)).values)
         self.etap = etap
         J = 1.0 + eta / b  # dy/dz, independent of z
@@ -361,13 +343,13 @@ class _StripWorkspace:
         return (1.0 + self.etap ** 2) / self.J * self.v_z_top(v) - self.etap * v_x_top
 
 
-def dn_elliptic(dom, psi, tol=1e-10, maxiter=50, workspace=None, return_solution=False):
+def dn_elliptic(dom, psi, tol=1e-10, workspace=None, return_solution=False):
     """G(eta) psi via the flattened variable-coefficient strip problem.
 
     Two stages.  On a surface whose a = 1/J^2 varies by at most 3x (one
     preconditioner node), a fixed-point iteration on the non-flat terms,
-    preconditioned by the exact per-mode flat solve, runs first (at most
-    maxiter sweeps).  If it stalls, or on a surface with more nodes,
+    preconditioned by the exact per-mode flat solve, runs first (at most 50
+    sweeps).  If it stalls, or on a surface with more nodes,
     GMRES, right-preconditioned by the frozen-depth preconditioner, solves
     the strip equations.  A complex psi is solved as its real and imaginary
     parts.  The workspace's stats record what ran.  Raises
@@ -383,9 +365,9 @@ def dn_elliptic(dom, psi, tol=1e-10, maxiter=50, workspace=None, return_solution
     if workspace is not None:
         ws.update_surface(dom)
     ws.stats = StripSolveStats(nodes=len(ws.nodes))
-    flux, v = _strip_solve(ws, np.real(psi.values), tol, maxiter)
+    flux, v = _strip_solve(ws, np.real(psi.values), tol)
     if not psi.is_real(1e-12):
-        flux_im, v_im = _strip_solve(ws, np.imag(psi.values), tol, maxiter)
+        flux_im, v_im = _strip_solve(ws, np.imag(psi.values), tol)
         flux, v = flux + 1j * flux_im, v + 1j * v_im
     out = Field(dom.grid, flux)
     if return_solution:
@@ -393,7 +375,7 @@ def dn_elliptic(dom, psi, tol=1e-10, maxiter=50, workspace=None, return_solution
     return out
 
 
-def _strip_solve(ws, psi, tol, maxiter):
+def _strip_solve(ws, psi, tol):
     """Real strip solve for real Dirichlet data psi: (surface flux, v)."""
     nz = ws.nz
     psi_half = sfft.rfft(psi, workers=2)
@@ -409,7 +391,7 @@ def _strip_solve(ws, psi, tol, maxiter):
         ws.stats.ran("fixed_point")
         scale = max(float(np.max(np.abs(v))), 1e-300)
         prev_delta = None
-        for it in range(maxiter):
+        for it in range(50):
             v_new = ws.flat_solve(-ws.strip_op(v, flat=False), psi_half)
             ws.stats.fixed_point_iters += 1
             delta = float(np.max(np.abs(v_new - v))) / scale
@@ -498,7 +480,7 @@ def surface_from_field(eta):
     """Spectral-derivative adapter: eta', eta'' evaluated at arbitrary x by
     sampling the nearest grid node."""
     grid = eta.grid
-    etap = np.real(_grad_fields(eta)[0].values)
+    etap = np.real(_x_derivative(eta).values)
     etapp = np.real(multiplier_apply(eta, lambda xi: -(xi ** 2)).values)
     return SurfaceDerivatives(_node_sampler(etap, grid), _node_sampler(etapp, grid))
 
@@ -589,9 +571,11 @@ def dn_symbols(surface, J=2):
     return symbols
 
 
-def _recursion_symbol(symbols, m, etap, step_x=1e-5, step_xi=1e-5):
+def _recursion_symbol(symbols, m, etap):
     """a_-^{(m-1)} = (a_-^1 - a_+^1)^-1 sum_{k,l} sum_{|alpha|=k+l-m}
-    (1/alpha!) d_xi^alpha a_-^k D_x^alpha a_+^l  (1D)."""
+    (1/alpha!) d_xi^alpha a_-^k D_x^alpha a_+^l, with centered differences
+    of step 1e-5 in x and xi."""
+    step_x = step_xi = 1e-5
     aM = symbols["a_minus"]
     aP = symbols["a_plus"]
 
@@ -626,25 +610,24 @@ def _recursion_symbol(symbols, m, etap, step_x=1e-5, step_xi=1e-5):
 # -- derived fields ---------------------------------------------------------------
 
 
-def b_v_fields(dom, psi, workspace=None):
-    """B = (grad eta . grad psi + G psi) / (1+|grad eta|^2), V = grad psi - B grad eta."""
-    G = dn_elliptic(dom, psi, workspace=workspace)
-    etap = np.real(_grad_fields(dom.eta)[0].values)
-    psip = _grad_fields(psi)[0].values
+def b_v_fields(dom, psi):
+    """B = (eta' psi' + G psi) / (1 + eta'^2), V = psi' - B eta'."""
+    G = dn_elliptic(dom, psi)
+    etap = np.real(_x_derivative(dom.eta).values)
+    psip = _x_derivative(psi).values
     Bv = (etap * psip + G.values) / (1.0 + etap ** 2)
     Vv = psip - Bv * etap
     return Field(dom.grid, Bv), Field(dom.grid, Vv)
 
 
-def shape_derivative_check(dom, psi, phi_dir, h_fd=1e-4, nz=None):
+def shape_derivative_check(dom, psi, phi_dir, h_fd=1e-4):
     """Relative error of the shape-derivative identity
-    dG(eta)[phi] psi = -G(eta)(B phi) - div(V phi), with centered differences."""
+    dG(eta)[phi] psi = -G(eta)(B phi) - d_x(V phi), with centered differences."""
     grid = dom.grid
-    nz = nz if nz is not None else dom.nz
     phi = np.real(phi_dir.values)
 
     def G_at(eta_vals):
-        d = FluidDomain(grid, Field(grid, eta_vals.astype(np.complex128)), dom.b, nz)
+        d = FluidDomain(grid, Field(grid, eta_vals.astype(np.complex128)), dom.b, dom.nz)
         return dn_elliptic(d, psi)
 
     eta0 = np.real(dom.eta.values)
@@ -656,7 +639,7 @@ def shape_derivative_check(dom, psi, phi_dir, h_fd=1e-4, nz=None):
     Bphi = Field(grid, B.values * phi)
     term1 = dn_elliptic(dom, Bphi)
     Vphi = Field(grid, V.values * phi)
-    term2 = _grad_fields(Vphi)[0]
+    term2 = _x_derivative(Vphi)
     formula = -term1.values - term2.values
 
     ref = l2_norm(dn_elliptic(dom, psi))

@@ -84,28 +84,28 @@ class SurfaceMetric:
         return np.concatenate([fac * dxi, -fac * dx])
 
 
-def flat_metric(dim=1):
+def flat_metric():
     return SurfaceMetric(
         eta=lambda x: 0.0,
-        grad_eta=lambda x: np.zeros(dim),
-        hess_eta=lambda x: np.zeros((dim, dim)),
-        dim=dim,
+        grad_eta=lambda x: np.zeros(1),
+        hess_eta=lambda x: np.zeros((1, 1)),
+        dim=1,
     )
 
 
-def gaussian_bump_metric(amplitude, width=1.0, center=0.0):
-    """eta(x) = A exp(-(x-c)^2 / 2 w^2) in one dimension."""
+def gaussian_bump_metric(amplitude, width=1.0):
+    """eta(x) = A exp(-x^2 / 2 w^2) in one dimension."""
 
     def eta(x):
-        t = (float(np.atleast_1d(x)[0]) - center) / width
+        t = float(np.atleast_1d(x)[0]) / width
         return amplitude * math.exp(-0.5 * t * t)
 
     def grad(x):
-        t = (float(np.atleast_1d(x)[0]) - center) / width
+        t = float(np.atleast_1d(x)[0]) / width
         return np.array([-amplitude * t / width * math.exp(-0.5 * t * t)])
 
     def hess(x):
-        t = (float(np.atleast_1d(x)[0]) - center) / width
+        t = float(np.atleast_1d(x)[0]) / width
         return np.array([[amplitude * (t * t - 1.0) / width ** 2 * math.exp(-0.5 * t * t)]])
 
     return SurfaceMetric(eta, grad, hess, dim=1)
@@ -118,8 +118,6 @@ def metric_from_samples(field):
     smooth off-grid derivatives the grid samples cannot provide directly.
     """
     grid = field.grid
-    if grid.dim != 1:
-        raise ValueError("sampled metric adapter is one-dimensional")
     xs = np.append(grid.axis_points(), 0.5 * grid.length)
     vals = np.real(field.values)
     vals = np.append(vals, vals[0])
@@ -222,8 +220,9 @@ def integrate_hamiltonian(metric, z0, s_end, tol=1e-10, symbol="H"):
     return Trajectory(metric, symbol, res.t, states, sol=res.sol, tol=tol, nfev=res.nfev)
 
 
-def reparam_check(metric, z0, s_end, tol=1e-10, n_samples=200):
-    """Max |Phi_s - Geo_{phi_s}| with phi_s = (3/4) int G(Phi_sigma)^{-1/4} dsigma."""
+def reparam_check(metric, z0, s_end, tol=1e-10):
+    """Max |Phi_s - Geo_{phi_s}| over 200 samples of s, with
+    phi_s = (3/4) int G(Phi_sigma)^{-1/4} dsigma."""
     d = metric.dim
 
     def phi_rate(s, z):
@@ -234,21 +233,21 @@ def reparam_check(metric, z0, s_end, tol=1e-10, n_samples=200):
     phi_end = res.y[-1, -1]
     geo = integrate_hamiltonian(metric, z0, phi_end, tol=tol, symbol="G")
     dev = 0.0
-    for s in np.linspace(0.0, s_end, n_samples):
+    for s in np.linspace(0.0, s_end, 200):
         y = res.sol(s)
         dev = max(dev, float(np.max(np.abs(y[: 2 * d] - geo.state(y[-1])))))
     return dev
 
 
-def asymptotic_direction(
-    metric, z0, s_max=1.0e3, escape_radius=None, tol=1e-10, cauchy_tol=1e-6
-):
+def asymptotic_direction(metric, z0, s_max=1.0e3, escape_radius=None, cauchy_tol=1e-6):
     """Escape a trajectory and extrapolate (xi_inf, z_inf) at dyadic checkpoints.
 
     z_s = x_s - x_0 - (3/2) int |xi|^{-1/2} xi converges together with xi_s on
-    non-trapping surfaces with decaying curvature.  Returns (xi_inf, z_inf,
-    trapped, info); trapped=True when |x| never exceeds the escape radius.
+    non-trapping surfaces with decaying curvature; the flow is integrated to
+    tolerance 1e-10.  Returns (xi_inf, z_inf, trapped, info); trapped=True
+    when |x| never exceeds the escape radius.
     """
+    tol = 1e-10
     d = metric.dim
     z0 = np.asarray(z0, dtype=float)
     x0 = z0[:d]
@@ -297,9 +296,11 @@ def asymptotic_direction(
     return state[d:].copy(), zq.copy(), False, info
 
 
-def nontrapping_diagnostic(metric, z0, s_end, tol=1e-10, n_samples=2000):
-    """Minimum of d/ds (x . xi) along the trajectory, and a positivity flag."""
-    traj = integrate_hamiltonian(metric, z0, s_end, tol=tol)
+def nontrapping_diagnostic(metric, z0, s_end):
+    """Minimum of d/ds (x . xi) over 2000 samples of the trajectory, and a
+    positivity flag."""
+    n_samples = 2000
+    traj = integrate_hamiltonian(metric, z0, s_end)
     ss = np.linspace(0.0, s_end, n_samples)
     d = metric.dim
     vals = np.empty(n_samples)
@@ -367,16 +368,16 @@ def escape_symbol_surface(s, x, xi, traj, lam, delta, nu, sign=+1, plateau=0.5):
     return value, transport
 
 
-def escape_symbol_surface_fd(s, x, xi, traj, lam, delta, nu, sign=+1, plateau=0.5,
-                             step=1e-4):
-    """Finite-difference transport derivative of chi^pm (oracle for the analytic one)."""
+def escape_symbol_surface_fd(s, x, xi, traj, lam, delta, nu, plateau=0.5):
+    """Finite-difference transport derivative of chi^+, step 1e-4 (oracle for
+    the analytic one)."""
+    step = 1e-4
 
     def chi(ss, xx, xxi):
         z = traj.state(ss)
         D = delta - ss ** (-nu)
-        sgn = 1.0 if sign >= 0 else -1.0
         return (radial_bump((xx - z[0]) / (lam * delta * ss), plateau, 1.0)
-                * radial_bump((xxi - sgn * z[1]) / D, plateau, 1.0))
+                * radial_bump((xxi - z[1]) / D, plateau, 1.0))
 
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -397,14 +398,12 @@ def escape_symbol_surface_fd(s, x, xi, traj, lam, delta, nu, sign=+1, plateau=0.
                       - traj.metric.H(np.array([px - step]), np.array([pxi]))) / (2 * step)
         dH_dxi[idx] = (traj.metric.H(np.array([px]), np.array([pxi + step]))
                        - traj.metric.H(np.array([px]), np.array([pxi - step]))) / (2 * step)
-    sgn = 1.0 if sign >= 0 else -1.0
-    return ds + sgn * (dH_dxi * dchi_dx - dH_dx * dchi_dxi)
+    return ds + (dH_dxi * dchi_dx - dH_dx * dchi_dxi)
 
 
-def escape_symbol_surface_min_transport(
-    traj, s, lam, delta, nu, sign=+1, nx=40, nxi=40, plateau=0.5
-):
-    """Minimum of the transport derivative over a sample of supp chi^pm."""
+def escape_symbol_surface_min_transport(traj, s, lam, delta, nu, sign=+1):
+    """Minimum of the transport derivative over a 40 x 40 sample of supp chi^pm."""
+    nx = nxi = 40
     z = traj.state(s)
     xs, xis = z[0], z[1]
     D = delta - s ** (-nu)
@@ -412,7 +411,7 @@ def escape_symbol_surface_min_transport(
     xr = np.linspace(xs - lam * delta * s, xs + lam * delta * s, nx)
     xir = np.linspace(sgn * xis - D, sgn * xis + D, nxi)
     X, XI = np.meshgrid(xr, xir)
-    val, tr = escape_symbol_surface(s, X, XI, traj, lam, delta, nu, sign, plateau)
+    val, tr = escape_symbol_surface(s, X, XI, traj, lam, delta, nu, sign)
     mask = val > 0
     if not np.any(mask):
         return 0.0

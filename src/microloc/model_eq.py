@@ -39,12 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid, multiplier_apply, wave_packet
+from .grid import Field, multiplier_apply, wave_packet
 from .quantize import ProbeSpec, probe_sweep, shared_h_grid, valid_h_grid
 from .symbols import radial_bump, radial_bump_grad, window_radii
 
 __all__ = [
-    "ModelParams",
     "propagate_fractional",
     "PacketTrack",
     "scaled_singularity_witness",
@@ -61,26 +60,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    gamma: float
-    t: float
-    grid: Grid
-
-    def __post_init__(self):
-        if self.gamma < 1.0:
-            raise ValueError(f"dispersion exponent gamma must be >= 1, got {self.gamma}")
-
-
 def propagate_fractional(u0, t, gamma):
     """Exact lattice solution of u_t + i|D|^gamma u = 0 at time t."""
     if gamma < 1.0:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if u0.grid.dim == 1:
-        m = lambda xi: np.exp(-1j * t * np.abs(xi) ** gamma)
-    else:
-        m = lambda xi: np.exp(-1j * t * (np.hypot(xi[0], xi[1])) ** gamma)
-    return multiplier_apply(u0, m)
+    return multiplier_apply(u0, lambda xi: np.exp(-1j * t * np.abs(xi) ** gamma))
 
 
 def group_shift(xi, t, gamma):
@@ -138,20 +122,21 @@ def scaled_singularity_witness(grid, x0, xi0, delta, rho, h_list, mu=0.0, amplit
     return Field(grid, vals), tracks
 
 
-def near_delta_field(grid, x0=0.0, width=None):
-    """Mass-one Gaussian of width 2dx: the lattice surrogate of a delta."""
+def near_delta_field(grid, width=None):
+    """Mass-one Gaussian at 0 of width 2dx: the lattice surrogate of a delta."""
     if width is None:
         width = 2.0 * grid.spacing
     x = grid.axis_points()
-    vals = np.exp(-((x - x0) ** 2) / (2.0 * width ** 2)) / (math.sqrt(2.0 * math.pi) * width)
+    vals = np.exp(-(x ** 2) / (2.0 * width ** 2)) / (math.sqrt(2.0 * math.pi) * width)
     return Field(grid, vals.astype(np.complex128))
 
 
 # -- control placement ---------------------------------------------------------
 
 
-def track_clean(xc, xic, delta, rho, tracks, h_grid, sigma_margin=2.5):
-    """True when no witness packet leaks into the scaled window at any h."""
+def track_clean(xc, xic, delta, rho, tracks, h_grid):
+    """True when no witness packet comes within 2.5 standard deviations of
+    the scaled window at any h."""
     r_x, r_xi = window_radii(xc, xic)
     for h in h_grid:
         xlo, xhi = (xc - r_x) * h ** (-delta), (xc + r_x) * h ** (-delta)
@@ -163,7 +148,7 @@ def track_clean(xc, xic, delta, rho, tracks, h_grid, sigma_margin=2.5):
         for tr in tracks:
             dx = max(xlo - tr.x, tr.x - xhi, 0.0) / tr.width
             dxi = max(flo - tr.xi, tr.xi - fhi, 0.0) / tr.sigma_xi
-            if dx ** 2 + dxi ** 2 < sigma_margin ** 2:
+            if dx ** 2 + dxi ** 2 < 2.5 ** 2:
                 return False
     return True
 
@@ -214,13 +199,12 @@ def transport_experiment(
     t0,
     h_grid,
     mu=0.0,
-    min_h=6,
 ):
     """Propagate a (delta,rho)-singularity witness and probe the transported point.
 
     Requires rho*gamma = delta + rho (the scaling under which the wavefront is
-    carried by the Hamiltonian flow of |xi|^gamma).  The verdict uses the
-    first 4 clean controls.
+    carried by the Hamiltonian flow of |xi|^gamma) and at least 6 shared h
+    values.  The verdict uses the first 4 clean controls.
     """
     if abs(rho * gamma - (delta + rho)) > 1e-12:
         raise ConfigError(f"transport scaling needs rho*gamma = delta+rho, got "
@@ -231,7 +215,7 @@ def transport_experiment(
 
     # witness scales and the main probes share the h values that keep both the
     # initial and the transported window inside the box/Nyquist budget
-    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi0)], delta, rho, h_grid, min_h)
+    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi0)], delta, rho, h_grid, 6)
     u0, tracks = scaled_singularity_witness(grid, x0, xi0, delta, rho, hs_use, mu=mu)
     moved = [tr.at_time(t0, gamma) for tr in tracks]
 
@@ -269,13 +253,15 @@ def transport_experiment(
     return report
 
 
-def _locus_clean(xc, xic, x_pred, xi0, gamma, pad=1.15):
+def _locus_clean(xc, xic, x_pred, xi0, gamma):
     """Check that a probe window avoids the dispersive locus x = t g |xi|^{g-2} xi.
 
     Scale-invariantly, the x-window [0.75, 1.25] |xc| corresponds to stationary
     frequencies (|x| / (t gamma))^{1/(gamma-1)}; the probe is clean when that
-    interval (padded) misses its xi-window, or the signs disagree.
+    interval, padded by a factor 1.15, misses its xi-window, or the signs
+    disagree.
     """
+    pad = 1.15
     if np.sign(xc) != np.sign(xic) or xc == 0.0:
         return True
     p = 1.0 / (gamma - 1.0)
@@ -298,14 +284,12 @@ def smoothing_experiment(
     rho,
     t0,
     h_grid,
-    source_x=0.0,
-    delta_width=None,
-    min_h=6,
 ):
-    """Evolve near-delta data and probe the (rho(gamma-1), rho) wavefront.
+    """Evolve near-delta data at x = 0 and probe the (rho(gamma-1), rho) wavefront.
 
-    Requires gamma > 1 and rho*gamma > delta + rho; the singular locus of the
-    evolved field is the dispersive ray (t0 gamma |xi|^{gamma-2} xi, xi).
+    Requires gamma > 1, rho*gamma > delta + rho and at least 6 valid h
+    values; the singular locus of the evolved field is the dispersive ray
+    (t0 gamma |xi|^{gamma-2} xi, xi).
     """
     if gamma <= 1.0:
         raise ConfigError("smoothing needs gamma > 1")
@@ -322,7 +306,7 @@ def smoothing_experiment(
         raise ConfigError("xi0 rounds to zero on this lattice")
 
     x_pred = group_shift(xi0, t0, gamma)
-    hs_use = shared_h_grid(grid, [(x_pred, xi0)], dp, rho, h_grid, min_h)
+    hs_use = shared_h_grid(grid, [(x_pred, xi0)], dp, rho, h_grid, 6)
 
     candidates = [
         (x_pred, 2.0 * xi0, "control_double_xi"),
@@ -338,7 +322,7 @@ def smoothing_experiment(
         clean=lambda xc, xic, hs: _locus_clean(xc, xic, x_pred, xi0, gamma),
     )
 
-    u0 = near_delta_field(grid, x0=source_x, width=delta_width)
+    u0 = near_delta_field(grid)
     u_t = propagate_fractional(u0, t0, gamma)
     report = probe_sweep(
         u_t, [ProbeSpec(x_pred, xi0, dp, rho, "predicted")] + controls, hs_use,
@@ -347,8 +331,8 @@ def smoothing_experiment(
             "gamma": gamma, "delta": delta, "rho": rho,
             "probe_delta": dp, "probe_rho": rho,
             "xi0": xi0, "t0": t0, "x_pred": x_pred,
-            "source_x": source_x,
-            "delta_width": delta_width if delta_width is not None else 2.0 * grid.spacing,
+            "source_x": 0.0,
+            "delta_width": 2.0 * grid.spacing,
             "grid": {"n": grid.n, "length": grid.length},
         },
     )
@@ -359,30 +343,30 @@ def smoothing_experiment(
 # -- free Schroedinger kernel --------------------------------------------------
 
 
-def gaussian_free_evolution(grid, sigma, t_schrodinger, x0=0.0):
-    """Closed form of exp(i t Delta / 2) applied to a mass-one Gaussian.
+def gaussian_free_evolution(grid, sigma, t_schrodinger):
+    """Closed form of exp(i t Delta / 2) applied to a mass-one Gaussian at 0.
 
     The half-Laplacian convention matches the explicit kernel
-    exp(-i pi d/4) (2 pi t)^{-d/2} exp(i|x-x0|^2/2t) of the delta evolution;
-    in model time this is propagate_fractional(u0, t/2, gamma=2).
+    exp(-i pi/4) (2 pi t)^{-1/2} exp(i x^2/2t) of the delta evolution; in
+    model time this is propagate_fractional(u0, t/2, gamma=2).
     """
     x = grid.axis_points()
     a = sigma ** 2 + 1j * t_schrodinger
-    vals = np.exp(-((x - x0) ** 2) / (2.0 * a)) / np.sqrt(2.0 * np.pi * a)
+    vals = np.exp(-(x ** 2) / (2.0 * a)) / np.sqrt(2.0 * np.pi * a)
     return Field(grid, vals)
 
 
-def free_schrodinger_limit(grid, widths, t_schrodinger, window=1.4):
+def free_schrodinger_limit(grid, widths, t_schrodinger):
     """Evolve mass-one Gaussians of decreasing width under exp(i t Delta / 2).
 
-    Returns rows (width, max over |x| <= window of the relative deviation of
+    Returns rows (width, max over |x| <= 1.4 of the relative deviation of
     the modulus from (2 pi t)^{-1/2}, closed-form agreement over the box).
     As width -> 2dx the modulus approaches the delta-kernel constant on the
     observation window; the residual envelope exp(-x^2 w^2 / 2 t^2) caps how
     far out the flat plateau extends.
     """
     target = (2.0 * np.pi * t_schrodinger) ** (-0.5)
-    mask = np.abs(grid.axis_points()) <= window
+    mask = np.abs(grid.axis_points()) <= 1.4
     rows = []
     for w in widths:
         u0 = near_delta_field(grid, width=w)
@@ -400,17 +384,15 @@ def free_schrodinger_limit(grid, widths, t_schrodinger, window=1.4):
 # -- escape symbol (transport to infinity) -------------------------------------
 
 
-def escape_symbol_model(s, x, xi, x0, xi0, gamma, eps, phi=None, phi_grad=None,
-                        plateau=0.5):
+def escape_symbol_model(s, x, xi, x0, xi0, gamma, eps, plateau=0.5):
     """Escape symbol chi = phi((x - s g(xi) - x0)/(1+s)) phi((xi - xi0)/eps).
 
-    Returns (value, transport derivative d_s chi + {|xi|^gamma, chi}) using the
-    closed form of the transport derivative, which is pointwise >= 0 for
-    radial decreasing phi.
+    phi is the radial bump with the given plateau.  Returns (value, transport
+    derivative d_s chi + {|xi|^gamma, chi}) using the closed form of the
+    transport derivative, which is pointwise >= 0 for radial decreasing phi.
     """
-    if phi is None:
-        phi = lambda z: radial_bump(z, plateau, 1.0)
-        phi_grad = lambda z: radial_bump_grad(z, plateau, 1.0)
+    phi = lambda z: radial_bump(z, plateau, 1.0)
+    phi_grad = lambda z: radial_bump_grad(z, plateau, 1.0)
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     gxi = gamma * np.abs(xi) ** (gamma - 2.0) * xi
@@ -422,8 +404,10 @@ def escape_symbol_model(s, x, xi, x0, xi0, gamma, eps, phi=None, phi_grad=None,
     return value, transport
 
 
-def escape_symbol_model_fd(s, x, xi, x0, xi0, gamma, eps, step=1e-4, plateau=0.5):
-    """Centered finite-difference transport derivative (oracle for the closed form)."""
+def escape_symbol_model_fd(s, x, xi, x0, xi0, gamma, eps, plateau=0.5):
+    """Centered finite-difference transport derivative, step 1e-4 (oracle for
+    the closed form)."""
+    step = 1e-4
 
     def chi(ss, xx, xxi):
         gxi = gamma * np.abs(xxi) ** (gamma - 2.0) * xxi

@@ -3,7 +3,7 @@
 T_a keeps only the low-frequency part of the coefficient against the high
 frequencies of the argument:
 
-    (T_a u)^(xi) = (2 pi)^-d sum_eta chi(xi - eta, eta) pi(eta)
+    (T_a u)^(xi) = (2 pi)^-1 sum_eta chi(xi - eta, eta) pi(eta)
                    ahat(xi - eta, eta) uhat(eta) deta,
 
 with (chi, pi) an admissible pair: pi a low-frequency cutoff and chi a
@@ -11,8 +11,8 @@ homogeneous-degree-zero cutoff with chi = 1 on |theta| <= eps1 |eta| and
 chi = 0 on |theta| >= eps2 |eta|.  P_a = sum_j psi~_j T_{psi_j a} psi~_j
 localizes T on spatial dyadic rings so polynomial weights act ring by ring.
 
-One-dimensional grids only; the symbol transform ahat is taken per frequency
-column (dense path) or once per separable term.
+The symbol transform ahat is taken per frequency column (dense path) or once
+per separable term.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpectrumUnresolvedError
+from .errors import GridMismatchError, SpectrumUnresolvedError
 from .grid import Field, Grid, spectrum
 from .quantize import weighted_norm
 from .symbols import Symbol, smoothstep
@@ -117,21 +117,20 @@ def _as_terms(a, grid):
     raise TypeError(f"cannot interpret symbol argument of type {type(a)}")
 
 
-def paradiff_apply(a, u, adm=None, x_window=None, chunk=512):
-    """Apply the paradifferential operator T_a to u (1D).
+def paradiff_apply(a, u, adm=None, x_window=None):
+    """Apply the paradifferential operator T_a to u.
 
     a may be a Symbol (fast path when separable), a Field/array of x-samples
     (purely x-dependent symbol, e.g. T_B), or a callable a(x, eta).  x_window,
-    when given, multiplies the symbol by a spatial window (used by P_a).
+    when given, multiplies the symbol by a spatial window (used by P_a).  The
+    (theta, eta) sum is gathered 512 frequency columns at a time.
     """
     grid = u.grid
-    if grid.dim != 1:
-        raise NotImplementedError("paradifferential operators are one-dimensional")
     if adm is None:
         adm = default_admissible_pair()
     n = grid.n
     c = n // 2
-    x = grid.axis_points()
+    chunk = 512
     eta = np.fft.fftshift(grid.axis_frequencies())
     phase = (-1.0) ** grid.axis_wavenumbers()
 
@@ -186,7 +185,7 @@ def dyadic_neighbor_width(J):
 def dyadic_paradiff_apply(a, u, part, adm=None, width=None):
     """P_a u = sum_j psi~_j T_{psi_j a} (psi~_j u) over the rings of `part`."""
     if not part.grid.compatible(u.grid):
-        raise ValueError("partition built on a different grid")
+        raise GridMismatchError("partition built on a different grid")
     if adm is None:
         adm = default_admissible_pair()
     if width is None:
@@ -205,20 +204,22 @@ def dyadic_paradiff_apply(a, u, part, adm=None, width=None):
 # -- remainder diagnostics -------------------------------------------------------
 
 
-def check_resolved(f, tol=1e-10, band=0.125):
-    """Raise unless the top `band` fraction of the spectrum is below tol * peak."""
+def check_resolved(f):
+    """Raise unless the top eighth of the spectrum, at either end, is below
+    1e-10 times its peak."""
     spec = np.abs(_sorted_spectrum(f))
-    n = len(spec)
-    edge = int(n * band)
+    edge = len(spec) // 8
     top = max(spec[:edge].max(), spec[-edge:].max())
-    if top > tol * spec.max():
+    if top > 1e-10 * spec.max():
         raise SpectrumUnresolvedError(
-            f"spectrum tail {top:.3e} exceeds {tol:.1e} x peak {spec.max():.3e}"
+            f"spectrum tail {top:.3e} exceeds 1e-10 x peak {spec.max():.3e}"
         )
 
 
-def sobolev_slope(f, s_grid=(0.0, 1.0, 2.0, 3.0, 4.0)):
-    """Fitted d log ||f||_{H^s} / ds: log of the effective spectral radius."""
+def sobolev_slope(f):
+    """Fitted d log ||f||_{H^s} / ds over s = 0..4: log of the effective
+    spectral radius."""
+    s_grid = (0.0, 1.0, 2.0, 3.0, 4.0)
     vals = [max(weighted_norm(f, s, 0.0), 1e-300) for s in s_grid]
     coef = np.polyfit(np.asarray(s_grid), np.log(vals), 1)
     return float(coef[0])
@@ -263,8 +264,8 @@ def paralinearization_remainder(F, Fprime, u, adm=None, strict=True):
 # -- multi-resolution refinement instruments -------------------------------------
 
 
-def rough_field_family(alpha, length, seed=0, n_max=4096, real=True):
-    """Truncations of one random distribution with spectrum ~ <xi>^{-alpha-1/2}.
+def rough_field_family(alpha, length, seed=0, n_max=4096):
+    """Truncations of one real random distribution with spectrum ~ <xi>^{-alpha-1/2}.
 
     Returns a callable n -> Field; the H^s norms grow like n^{s-alpha} for
     s > alpha under refinement, which is what the remainder-order diagnostics
@@ -287,16 +288,14 @@ def rough_field_family(alpha, length, seed=0, n_max=4096, real=True):
             if 0 < ki <= n_max // 2:
                 coeffs[i] = phases[ki] * (1.0 + xi[i] ** 2) ** (-(alpha + 0.5) / 2.0)
         vals = np.fft.ifft(coeffs) * n / length
-        f = Field(grid, vals)
-        if real:
-            f = Field(grid, 2.0 * np.real(f.values).astype(np.complex128))
-        return f
+        return Field(grid, 2.0 * np.real(vals).astype(np.complex128))
 
     return make
 
 
-def refinement_ratios(make_field, op, s, resolutions=(256, 512, 1024)):
-    """||op(field_n)||_{H^s} across resolutions, plus the per-doubling log2 growth."""
+def refinement_ratios(make_field, op, s):
+    """||op(field_n)||_{H^s} at n = 256, 512, 1024, plus the per-doubling log2 growth."""
+    resolutions = (256, 512, 1024)
     norms = []
     for n in resolutions:
         f = op(make_field(n))

@@ -2,7 +2,7 @@
 
 op_quantize realizes the Kohn-Nirenberg action of a(h^delta x, h^rho xi):
 
-    (op u)(x) = (2 pi)^-d * sum_xi exp(i x xi) a(h^delta x, h^rho xi) uhat(xi) dxi.
+    (op u)(x) = (2 pi)^-1 * sum_xi exp(i x xi) a(h^delta x, h^rho xi) uhat(xi) dxi.
 
 Wavefront orders are estimated by sweeping h over a geometric grid, applying
 a window symbol elliptic at the probe point, and regressing log L2-norm
@@ -49,7 +49,7 @@ TOL_ORDER = 0.5  # membership tolerance: regression slopes on 6-8 points carry ~
 NORM_FLOOR = 1e-14
 
 
-def _dense_apply_1d(a, u, h, delta, rho, chunk=512):
+def _dense_apply(a, u, h, delta, rho):
     grid = u.grid
     x = grid.axis_points()
     xi = grid.axis_frequencies()
@@ -58,6 +58,7 @@ def _dense_apply_1d(a, u, h, delta, rho, chunk=512):
     out = np.empty(grid.n, dtype=np.complex128)
     hx = h ** delta
     hxi = h ** rho
+    chunk = 512
     for lo in range(0, grid.n, chunk):
         hi = min(lo + chunk, grid.n)
         block = np.asarray(a(hx * x[lo:hi, None], hxi * xi[None, :]), dtype=np.complex128)
@@ -66,41 +67,15 @@ def _dense_apply_1d(a, u, h, delta, rho, chunk=512):
     return Field(grid, out)
 
 
-def _dense_apply_2d(a, u, h, delta, rho, chunk=64):
-    grid = u.grid
-    n = grid.n
-    xs = grid.axis_points()
-    xi1, xi2 = grid.frequencies()
-    uhat = spectrum(u)
-    p = (-1.0) ** grid.axis_wavenumbers()
-    phase = np.multiply.outer(p, p)
-    hx = h ** delta
-    hxi = h ** rho
-    out = np.empty((n, n), dtype=np.complex128)
-    xi_args = (hxi * xi1[None, :, :], hxi * xi2[None, :, :])
-    for i in range(n):
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            x_args = (
-                np.full((hi - lo, 1, 1), hx * xs[i]),
-                hx * xs[lo:hi][:, None, None],
-            )
-            block = np.asarray(a(x_args, xi_args), dtype=np.complex128)
-            rows = np.fft.ifft2(phase[None, :, :] * (block * uhat[None, :, :]), axes=(1, 2))
-            rows /= grid.spacing ** 2
-            out[i, lo:hi] = rows[np.arange(hi - lo), i, np.arange(lo, hi)]
-    return Field(grid, out)
-
-
 def op_quantize(a, u, h, delta=0.0, rho=0.0, force_dense=False, *, u_fft=None):
     """Apply op_h^{delta,rho}(a) to u.
 
     Separable symbols take the fast path sum_m c_m(h^delta x) m_m(h^rho xi):
     each m_m is evaluated only on the lattice points inside a.support's xi
-    ball and multiplied into fftn(u), one inverse FFT follows, and c_m is
+    ball and multiplied into fft(u), one inverse FFT follows, and c_m is
     evaluated only inside the x ball (everywhere without a support hint).
     Otherwise a dense sweep over the phase-space lattice is used.  Both paths
-    agree to ~1e-10.  u_fft, if given, must be np.fft.fftn(u.values); the
+    agree to ~1e-10.  u_fft, if given, must be np.fft.fft(u.values); the
     separable path then skips its forward transform.
     """
     if h <= 0:
@@ -109,15 +84,13 @@ def op_quantize(a, u, h, delta=0.0, rho=0.0, force_dense=False, *, u_fft=None):
         raise ValueError("delta and rho must be nonnegative")
     grid = u.grid
     if force_dense or not getattr(a, "separable", None):
-        if grid.dim == 1:
-            return _dense_apply_1d(a, u, h, delta, rho)
-        return _dense_apply_2d(a, u, h, delta, rho)
-    x = _scale(grid.points(), h ** delta)
-    xi = _scale(grid.frequencies(), h ** rho)
+        return _dense_apply(a, u, h, delta, rho)
+    x = h ** delta * grid.axis_points()
+    xi = h ** rho * grid.axis_frequencies()
     x_in, xi_in = a.support_masks(x, xi)
-    x, xi = _select(x, x_in), _select(xi, xi_in)
+    x, xi = x[x_in], xi[xi_in]
     if u_fft is None:
-        u_fft = np.fft.fftn(u.values)
+        u_fft = np.fft.fft(u.values)
     u_fft_in = u_fft[xi_in]
     out = np.zeros_like(u_fft)
     for (cx, mxi) in a.separable:
@@ -126,38 +99,20 @@ def op_quantize(a, u, h, delta=0.0, rho=0.0, force_dense=False, *, u_fft=None):
             raise MultiplierError("multiplier is not finite on the dual lattice")
         prod = np.zeros_like(u_fft)
         prod[xi_in] = m * u_fft_in
-        out[x_in] += np.asarray(cx(x), dtype=np.complex128) * np.fft.ifftn(prod)[x_in]
+        out[x_in] += np.asarray(cx(x), dtype=np.complex128) * np.fft.ifft(prod)[x_in]
     return Field(grid, out)
-
-
-def _scale(z, s):
-    return tuple(s * c for c in z) if isinstance(z, (tuple, list)) else s * z
-
-
-def _select(z, mask):
-    return tuple(c[mask] for c in z) if isinstance(z, (tuple, list)) else z[mask]
 
 
 def weighted_norm(u, nu=0.0, k=0.0):
     """Weighted Sobolev norm || <x>^k <D>^nu u ||_L2."""
-    grid = u.grid
     if nu == 0.0:
         smoothed = u
     else:
-        if grid.dim == 1:
-            smoothed = multiplier_apply(u, lambda xi: (1.0 + xi ** 2) ** (nu / 2.0))
-        else:
-            smoothed = multiplier_apply(
-                u, lambda xi: (1.0 + xi[0] ** 2 + xi[1] ** 2) ** (nu / 2.0)
-            )
+        smoothed = multiplier_apply(u, lambda xi: (1.0 + xi ** 2) ** (nu / 2.0))
     if k == 0.0:
         return l2_norm(smoothed)
-    if grid.dim == 1:
-        w = (1.0 + grid.axis_points() ** 2) ** (k / 2.0)
-    else:
-        x1, x2 = grid.points()
-        w = (1.0 + x1 ** 2 + x2 ** 2) ** (k / 2.0)
-    return l2_norm(Field(grid, w * smoothed.values))
+    w = (1.0 + u.grid.axis_points() ** 2) ** (k / 2.0)
+    return l2_norm(Field(u.grid, w * smoothed.values))
 
 
 # -- dyadic partitions ---------------------------------------------------------
@@ -165,7 +120,7 @@ def weighted_norm(u, nu=0.0, k=0.0):
 
 @dataclass
 class DyadicPartition:
-    """Radial dyadic partition of unity: supp psi_j in {2^j/C <= |x| <= C 2^j}."""
+    """Dyadic partition of unity: supp psi_j in {2^j/C <= |x| <= C 2^j}."""
 
     grid: Grid
     pieces: list = dc_field(repr=False)  # list of ndarray samples, index j = 0..J
@@ -186,7 +141,7 @@ class DyadicPartition:
 
 
 def make_dyadic_partition(grid, C=2.0):
-    """Build the telescoped radial partition psi_0 + psi_1 + ... = 1.
+    """Build the telescoped partition psi_0 + psi_1 + ... = 1.
 
     Uses theta_j(x) = Theta(|x| / 2^j) with Theta = 1 on r <= 1 and 0 on
     r >= C, and psi_j = theta_j - theta_{j-1}; the telescoping makes the sum
@@ -194,16 +149,11 @@ def make_dyadic_partition(grid, C=2.0):
     previous plateau edge 2^{j-1} = 2^j / 2).
     """
     if C < 2.0:
-        raise ValueError("telescoped partition requires C >= 2")
-    if grid.dim == 1:
-        r = np.abs(grid.axis_points())
-    else:
-        x1, x2 = grid.points()
-        r = np.hypot(x1, x2)
-    half_diag = 0.5 * grid.length * math.sqrt(grid.dim)
-    J = max(0, math.ceil(math.log2(half_diag)))
+        raise ConfigError("telescoped partition requires C >= 2")
+    r = np.abs(grid.axis_points())
+    J = max(0, math.ceil(math.log2(0.5 * grid.length)))
     if J < 3:
-        raise ValueError(
+        raise ConfigError(
             f"grid too small for a dyadic partition: needs >= 3 rings, box gives J={J}"
         )
 
@@ -238,21 +188,20 @@ def default_h_grid():
     return [2.0 ** (-j) for j in range(2, 10)]
 
 
-def valid_h_grid(grid, x0, xi0, delta, rho, h_grid, margin=0.95):
+def valid_h_grid(grid, x0, xi0, delta, rho, h_grid):
     """Drop h values whose scaled window leaves the box or passes Nyquist.
 
     The window around (x0, xi0), of radii window_radii(x0, xi0) = (r_x, r_xi),
     occupies |x| <= h^-delta (|x0| + r_x) and |xi| <= h^-rho (|xi0| + r_xi);
-    quantization pushes mass there, so the discrete box must contain it.
+    quantization pushes mass there, so the discrete box must contain it,
+    within a 5% margin.
     """
-    absx0 = float(np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))))
-    absxi0 = float(np.linalg.norm(np.atleast_1d(np.asarray(xi0, dtype=float))))
     r_x, r_xi = window_radii(x0, xi0)
     keep = []
     for h in h_grid:
-        x_reach = h ** (-delta) * (absx0 + r_x)
-        xi_reach = h ** (-rho) * (absxi0 + r_xi)
-        if x_reach <= margin * 0.5 * grid.length and xi_reach <= margin * grid.nyquist:
+        x_reach = h ** (-delta) * (abs(float(x0)) + r_x)
+        xi_reach = h ** (-rho) * (abs(float(xi0)) + r_xi)
+        if x_reach <= 0.95 * 0.5 * grid.length and xi_reach <= 0.95 * grid.nyquist:
             keep.append(h)
     return keep
 
@@ -293,44 +242,32 @@ def _fit_loglog(hs, norms):
     return float(coef[0]), r2
 
 
-def estimate_decay_order(
-    u,
-    x0,
-    xi0,
-    delta,
-    rho,
-    window=None,
-    h_grid=None,
-    force_dense=False,
-    min_points=3,
-):
+def estimate_decay_order(u, x0, xi0, delta, rho, h_grid=None, force_dense=False):
     """Fit log ||op_h(window) u||_L2 against log h; slope = decay order mu_hat.
 
-    u is transformed once; every h then costs op_quantize one inverse FFT.
-    Returns a DecayFit of the h values whose norm clears the numerical floor
-    and their norms; when fewer than min_points clear it, mu_hat = +inf
-    (rapid decay beyond measurability) and the fit lists every valid h with
-    its measured norm.
+    The window is window_symbol(x0, xi0).  u is transformed once; every h
+    then costs op_quantize one inverse FFT.  Returns a DecayFit of the h
+    values whose norm clears the numerical floor and their norms; when fewer
+    than 3 clear it, mu_hat = +inf (rapid decay beyond measurability) and the
+    fit lists every valid h with its measured norm.  Raises ConfigError when
+    fewer than 3 h values fit the box and Nyquist budget.
     """
     grid = u.grid
-    if window is None:
-        window = window_symbol(x0, xi0)
+    window = window_symbol(x0, xi0)
     if h_grid is None:
         h_grid = default_h_grid()
     h_grid = valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
-    if len(h_grid) < min_points:
-        raise ValueError(
-            "fewer than %d usable h values after box/Nyquist truncation" % min_points
-        )
+    if len(h_grid) < 3:
+        raise ConfigError("fewer than 3 usable h values after box/Nyquist truncation")
     floor = NORM_FLOOR * max(l2_norm(u), 1e-300)
-    u_fft = np.fft.fftn(u.values)
+    u_fft = np.fft.fft(u.values)
     measured = [
         l2_norm(op_quantize(window, u, h, delta, rho, force_dense=force_dense, u_fft=u_fft))
         for h in h_grid
     ]
     hs = [h for h, val in zip(h_grid, measured) if val > floor]
     norms = [val for val in measured if val > floor]
-    if len(hs) < min_points:
+    if len(hs) < 3:
         return DecayFit(math.inf, 1.0, list(h_grid), measured)
     mu_hat, r2 = _fit_loglog(hs, norms)
     return DecayFit(mu_hat, r2, hs, norms)
@@ -397,8 +334,8 @@ class WavefrontReport:
         return {
             "probes": [
                 {
-                    "x0": _jsonify(p.x0),
-                    "xi0": _jsonify(p.xi0),
+                    "x0": float(p.x0),
+                    "xi0": float(p.xi0),
                     "delta": p.delta,
                     "rho": p.rho,
                     "mu_hat": p.mu_hat,
@@ -414,8 +351,8 @@ class WavefrontReport:
             "meta": self.meta,
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d):
@@ -438,12 +375,6 @@ class WavefrontReport:
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
-
-
-def _jsonify(v):
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return [float(c) for c in np.atleast_1d(v)]
-    return float(v)
 
 
 def probe_sweep(u, specs, h_grid=None, meta=None):

@@ -3,10 +3,7 @@
 A Symbol is a pointwise-evaluable function on phase space with declared
 growth orders (mu, k), i.e. |a(x, xi)| <= C <x>^k <xi>^mu.  Separable symbols
 additionally carry a term list a = sum_m c_m(x) m_m(xi), which quantization
-and paradifferential routines exploit.
-
-In 2D, the x and xi arguments are (component, component) tuples; in 1D they
-are plain arrays.
+and paradifferential routines exploit.  The x and xi arguments are arrays.
 """
 
 from __future__ import annotations
@@ -72,30 +69,18 @@ def plateau_bump_prime(r, r_plateau=0.5, r_support=1.0):
 
 
 def radial_bump(x, r_plateau=0.5, r_support=1.0):
-    """|x|-radial plateau bump; accepts scalars, arrays, or component tuples.
+    """|x|-radial plateau bump of scalars or arrays.
 
     Radial and decreasing, so x . grad phi <= 0 as the escape-symbol lemmas
     require.
     """
-    if isinstance(x, (tuple, list)):
-        r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in x))
-    else:
-        r = np.abs(np.asarray(x, dtype=float))
-    return plateau_bump(r, r_plateau, r_support)
+    return plateau_bump(np.abs(np.asarray(x, dtype=float)), r_plateau, r_support)
 
 
 def radial_bump_grad(x, r_plateau=0.5, r_support=1.0):
-    """Gradient of radial_bump; returns same structure as x."""
-    if isinstance(x, (tuple, list)):
-        comps = [np.asarray(c, dtype=float) for c in x]
-        r = np.sqrt(sum(c ** 2 for c in comps))
-        dr = plateau_bump_prime(r, r_plateau, r_support)
-        safe = np.where(r > 0.0, r, 1.0)
-        return tuple(dr * c / safe for c in comps)
+    """Derivative of radial_bump."""
     x = np.asarray(x, dtype=float)
-    r = np.abs(x)
-    dr = plateau_bump_prime(r, r_plateau, r_support)
-    return dr * np.sign(x)
+    return plateau_bump_prime(np.abs(x), r_plateau, r_support) * np.sign(x)
 
 
 @dataclass
@@ -120,7 +105,7 @@ class Symbol:
         All true without a support hint.
         """
         if self.support is None:
-            return np.ones(_first(x).shape, bool), np.ones(_first(xi).shape, bool)
+            return np.ones(np.shape(x), bool), np.ones(np.shape(xi), bool)
         (x0, r_x), (xi0, r_xi) = self.support
         return _dist(x, x0) < r_x, _dist(xi, xi0) < r_xi
 
@@ -135,52 +120,41 @@ class Symbol:
 
 def constant_symbol(c):
     return Symbol(
-        lambda x, xi: c * np.ones(np.broadcast(_first(x), _first(xi)).shape),
+        lambda x, xi: c * np.ones(np.broadcast(x, xi).shape),
         order=(0.0, 0.0),
-        separable=[(lambda x: c * np.ones_like(_first(x)), lambda xi: np.ones_like(_first(xi)))],
+        separable=[(lambda x: c * np.ones_like(x), lambda xi: np.ones_like(xi))],
         label=f"const({c})",
     )
 
 
 def multiplier_symbol(m, mu=0.0):
     return Symbol(
-        lambda x, xi: np.broadcast_to(np.asarray(m(xi)), np.broadcast(_first(x), np.asarray(m(xi))).shape),
+        lambda x, xi: np.broadcast_to(np.asarray(m(xi)), np.broadcast(x, np.asarray(m(xi))).shape),
         order=(mu, 0.0),
-        separable=[(lambda x: np.ones_like(_first(x)), m)],
+        separable=[(lambda x: np.ones_like(x), m)],
         label="multiplier",
     )
 
 
 def x_function_symbol(c, k=0.0):
     return Symbol(
-        lambda x, xi: np.broadcast_to(np.asarray(c(x)), np.broadcast(np.asarray(c(x)), _first(xi)).shape),
+        lambda x, xi: np.broadcast_to(np.asarray(c(x)), np.broadcast(np.asarray(c(x)), xi).shape),
         order=(0.0, k),
-        separable=[(c, lambda xi: np.ones_like(_first(xi)))],
+        separable=[(c, lambda xi: np.ones_like(xi))],
         label="x-function",
     )
 
 
-def _first(z):
-    return np.asarray(z[0]) if isinstance(z, (tuple, list)) else np.asarray(z)
-
-
 def _dist(z, z0):
-    if isinstance(z, (tuple, list)):
-        z0 = np.asarray(z0, dtype=float)
-        return np.sqrt(sum((np.asarray(c, dtype=float) - z0[i]) ** 2 for i, c in enumerate(z)))
     return np.abs(np.asarray(z, dtype=float) - float(z0))
-
-
-def _abs(z):
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(z, dtype=float))))
 
 
 def window_radii(x0, xi0):
     """Probing-window radii at (x0, xi0): 0.25 max(|x0|, 1) in x, 0.25 |xi0| in xi."""
-    return 0.25 * max(_abs(x0), 1.0), 0.25 * _abs(xi0)
+    return 0.25 * max(abs(float(x0)), 1.0), 0.25 * abs(float(xi0))
 
 
-def window_symbol(x0, xi0, r_x=None, r_xi=None, plateau=0.5):
+def window_symbol(x0, xi0, r_x=None, r_xi=None):
     """Compactly supported window elliptic at (x0, xi0), value 1 at the center.
 
     Radii default to window_radii(x0, xi0).  Separable single-term product of
@@ -195,10 +169,10 @@ def window_symbol(x0, xi0, r_x=None, r_xi=None, plateau=0.5):
         r_xi = d_xi
 
     def bx(x):
-        return plateau_bump(_dist(x, x0) / r_x, plateau, 1.0)
+        return plateau_bump(_dist(x, x0) / r_x)
 
     def bxi(xi):
-        return plateau_bump(_dist(xi, xi0) / r_xi, plateau, 1.0)
+        return plateau_bump(_dist(xi, xi0) / r_xi)
 
     return Symbol(
         lambda x, xi: bx(x) * bxi(xi),

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dno import (FluidDomain, _StripWorkspace, _grad_fields, _node_sampler, b_v_fields,
+from .dno import (FluidDomain, _StripWorkspace, _node_sampler, _x_derivative, b_v_fields,
                   discrete_flat_symbol, dn_elliptic)
 from .errors import BlowUpError, ConfigError
 from .flows import SurfaceMetric, asymptotic_direction
 from .grid import Field, multiplier_apply
 from .model_eq import (PacketTrack, group_shift, pick_controls, scaled_singularity_witness,
                        track_clean)
-from .paradiff import default_admissible_pair, dyadic_paradiff_apply, paradiff_apply
+from .paradiff import dyadic_paradiff_apply, paradiff_apply
 from .quantize import ProbeSpec, make_dyadic_partition, probe_sweep, shared_h_grid, valid_h_grid
 from .symbols import Symbol, smoothstep
 
@@ -94,8 +94,8 @@ class SurfaceState:
 
 def mean_curvature(eta):
     """H(eta) = d_x( eta_x / sqrt(1 + eta_x^2) ), derivatives spectral."""
-    ex = np.real(_grad_fields(eta)[0].values)
-    return _grad_fields(Field(eta.grid, ex / np.sqrt(1.0 + ex ** 2)))[0]
+    ex = np.real(_x_derivative(eta).values)
+    return _x_derivative(Field(eta.grid, ex / np.sqrt(1.0 + ex ** 2)))
 
 
 def zcs_rhs(state, workspace=None):
@@ -104,8 +104,8 @@ def zcs_rhs(state, workspace=None):
     p = state.params
     G = dn_elliptic(state.domain(), state.psi, workspace=workspace)
     Gv = np.real(G.values)
-    ex = np.real(_grad_fields(state.eta)[0].values)
-    px = np.real(_grad_fields(state.psi)[0].values)
+    ex = np.real(_x_derivative(state.eta).values)
+    px = np.real(_x_derivative(state.psi).values)
     Hcurv = np.real(mean_curvature(state.eta).values)
     eta_t = Gv
     psi_t = (
@@ -119,15 +119,15 @@ def zcs_rhs(state, workspace=None):
 
 @dataclass
 class WaveHistory:
-    times: list
-    states: list
+    times: list  # the initial and the final time
+    states: list  # the states at those times
     mass: list
     energy: list
     dt: float
     steps: int  # time steps taken
     rhs_evals: int  # zcs_rhs evaluations (one strip DN solve each)
-    dn_fixed_point_iters: int = 0  # fixed-point sweeps of those DN solves
-    dn_krylov_iters: int = 0  # GMRES iterations of those DN solves
+    dn_fixed_point_iters: int  # fixed-point sweeps of those DN solves
+    dn_krylov_iters: int  # GMRES iterations of those DN solves
 
     def final(self):
         return self.states[-1]
@@ -141,7 +141,7 @@ def cfl_dt(grid, params, eta, c=0.5):
     stiffness a sloped surface leaves in the remainder (0 on a flat surface).
     """
     xi_n = grid.nyquist
-    ex = np.real(_grad_fields(eta)[0].values)
+    ex = np.real(_x_derivative(eta).values)
     sigma = 1.0 - (1.0 + float(np.max(ex ** 2))) ** -0.75
     return c / max(xi_n, sigma * math.sqrt(params.kappa) * xi_n ** 1.5)
 
@@ -157,7 +157,7 @@ def energy(state, workspace=None):
     G = np.real(dn_elliptic(state.domain(), state.psi, workspace=workspace).values)
     psi = np.real(state.psi.values)
     eta = np.real(state.eta.values)
-    ex = np.real(_grad_fields(state.eta)[0].values)
+    ex = np.real(_x_derivative(state.eta).values)
     dens = 0.5 * psi * G + 0.5 * p.gravity * eta ** 2 + (np.sqrt(1.0 + ex ** 2) - 1.0)
     return float(np.sum(dens) * grid.spacing)
 
@@ -165,7 +165,7 @@ def energy(state, workspace=None):
 def _flat_dispersion(grid, p):
     """g + kappa xi^2 in FFT order, with the Nyquist entry g: mean_curvature
     takes two odd spectral derivatives, so H(eta) has no Nyquist mode."""
-    disp = p.gravity + p.kappa * grid.frequencies() ** 2
+    disp = p.gravity + p.kappa * grid.axis_frequencies() ** 2
     disp[grid.n // 2] = p.gravity
     return disp
 
@@ -192,8 +192,7 @@ def _flat_flow(g0, disp, tau):
     return flow
 
 
-def integrate(state0, T, dt=None, eps_mollify=1e-6, store_every=None, cfl=0.5,
-              blowup_limit=1e6, track_invariants=True):
+def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=True):
     """Integrating-factor (Lawson) RK4 on zcs_rhs with a post-step mollifier.
 
     zcs_rhs = L u + N(u): L is the flat linear flow of the solver's own
@@ -205,8 +204,10 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, store_every=None, cfl=0.5,
     four zcs_rhs evaluations.  dt defaults to cfl_dt(grid, params, eta0, cfl).
     After every step the exp(-eps dt |xi|^{3/2}) mollifier is applied, so the
     total damping exp(-eps T |xi|^{3/2}) does not depend on the step count,
-    and realness is re-imposed.  Returns a WaveHistory with sampled states
-    and the fixed-point and Krylov iteration totals of the zcs_rhs DN solves.
+    and realness is re-imposed; a non-finite state, or one above 1e6 in max
+    norm, raises BlowUpError.  Returns a WaveHistory with the initial and
+    final states and the fixed-point and Krylov iteration totals of the
+    zcs_rhs DN solves.
     """
     grid = state0.grid
     p = state0.params
@@ -214,14 +215,12 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, store_every=None, cfl=0.5,
         dt = cfl_dt(grid, p, state0.eta, cfl)
     nsteps = max(1, int(math.ceil(abs(T) / dt - 1e-12)))
     dt = T / nsteps
-    if store_every is None:
-        store_every = nsteps
 
     ws = _StripWorkspace(state0.domain())
     g0 = discrete_flat_symbol(grid, p.depth, p.nz)
     disp = _flat_dispersion(grid, p)
     half = _flat_flow(g0, disp, 0.5 * dt)
-    absxi = np.abs(grid.frequencies())
+    absxi = np.abs(grid.axis_frequencies())
     moll = np.exp(-eps_mollify * abs(dt) * absxi ** 1.5) if eps_mollify > 0 else None
     rhs_evals = fp_iters = kr_iters = 0
 
@@ -243,8 +242,7 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, store_every=None, cfl=0.5,
         e = energy(st, workspace=ws) if track_invariants else math.nan
         return st, m, e
 
-    st, m0, e0 = snapshot(state0.t)
-    hist = WaveHistory([state0.t], [st], [m0], [e0], dt, nsteps, 0)
+    st0, m0, e0 = snapshot(state0.t)
     eh, ph = np.fft.fft(eta_v), np.fft.fft(psi_v)
     for k in range(1, nsteps + 1):
         # u_half = E(dt/2) u;  E(dt) = E(dt/2)^2
@@ -263,18 +261,13 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, store_every=None, cfl=0.5,
         eta_v, psi_v = _real_ifft(eh), _real_ifft(ph)
         if not (np.all(np.isfinite(eta_v)) and np.all(np.isfinite(psi_v))):
             raise BlowUpError("non-finite state", t=state0.t + k * dt)
-        if max(np.max(np.abs(eta_v)), np.max(np.abs(psi_v))) > blowup_limit:
+        if max(np.max(np.abs(eta_v)), np.max(np.abs(psi_v))) > 1e6:
             raise BlowUpError("state exceeded blow-up limit", t=state0.t + k * dt)
         eh, ph = np.fft.fft(eta_v), np.fft.fft(psi_v)
-        if k % store_every == 0 or k == nsteps:
-            st, m, e = snapshot(state0.t + k * dt)
-            hist.times.append(state0.t + k * dt)
-            hist.states.append(st)
-            hist.mass.append(m)
-            hist.energy.append(e)
-    hist.rhs_evals = rhs_evals
-    hist.dn_fixed_point_iters, hist.dn_krylov_iters = fp_iters, kr_iters
-    return hist
+    t_end = state0.t + nsteps * dt
+    st1, m1, e1 = snapshot(t_end)
+    return WaveHistory([state0.t, t_end], [st0, st1], [m0, m1], [e0, e1], dt, nsteps,
+                       rhs_evals, fp_iters, kr_iters)
 
 
 def linearized_evolution(state0, T, discrete_symbol=None):
@@ -289,7 +282,7 @@ def linearized_evolution(state0, T, discrete_symbol=None):
     grid = state0.grid
     p = state0.params
     if discrete_symbol is None:
-        absxi = np.abs(grid.frequencies())
+        absxi = np.abs(grid.axis_frequencies())
         g0 = absxi * np.tanh(p.depth * absxi)
     else:
         g0 = discrete_symbol
@@ -303,7 +296,7 @@ def linearized_evolution(state0, T, discrete_symbol=None):
 
 
 def _m2_profile(eta):
-    ex = np.real(_grad_fields(eta)[0].values)
+    ex = np.real(_x_derivative(eta).values)
     exx = np.real(multiplier_apply(eta, lambda xi: -(xi ** 2)).values)
     return ex, exx
 
@@ -372,43 +365,40 @@ def lambda_mu_symbol(eta, mu):
                   separable=[(m2_pow, wxi)], label=f"Lam^{mu}")
 
 
-def good_unknown(state, adm=None, workspace=None):
+def good_unknown(state):
     """omega = psi - T_B eta, the good unknown of Alinhac."""
-    if adm is None:
-        adm = default_admissible_pair()
-    B, _ = b_v_fields(state.domain(), state.psi, workspace=workspace)
+    B, _ = b_v_fields(state.domain(), state.psi)
     TBeta = paradiff_apply(Field(state.grid, np.real(B.values).astype(np.complex128)),
-                           state.eta, adm=adm)
+                           state.eta)
     return Field(state.grid, state.psi.values - TBeta.values)
 
 
-def symmetrized_u(state, mu=0.0, part=None, adm=None, width=None, workspace=None):
-    """u = Lam^mu P_p eta - i Lam^mu P_q omega (dyadic paradifferential)."""
-    if adm is None:
-        adm = default_admissible_pair()
+def symmetrized_u(state, mu=0.0, part=None):
+    """u = Lam^mu P_p eta - i Lam^mu P_q omega (dyadic paradifferential, with
+    the default admissible pair and neighbor width)."""
     if part is None:
         part = make_dyadic_partition(state.grid)
     syms = symmetrizer_symbols(state.eta, state.params.kappa)
     lam = lambda_mu_symbol(state.eta, mu)
-    omega = good_unknown(state, adm=adm, workspace=workspace)
-    Pp_eta = dyadic_paradiff_apply(syms["p12"], state.eta, part, adm, width=width)
-    Pq_om = dyadic_paradiff_apply(syms["q0"], omega, part, adm, width=width)
-    term1 = dyadic_paradiff_apply(lam, Pp_eta, part, adm, width=width)
-    term2 = dyadic_paradiff_apply(lam, Pq_om, part, adm, width=width)
+    omega = good_unknown(state)
+    Pp_eta = dyadic_paradiff_apply(syms["p12"], state.eta, part)
+    Pq_om = dyadic_paradiff_apply(syms["q0"], omega, part)
+    term1 = dyadic_paradiff_apply(lam, Pp_eta, part)
+    term2 = dyadic_paradiff_apply(lam, Pq_om, part)
     return Field(state.grid, term1.values - 1j * term2.values)
 
 
 # -- singularity experiments -------------------------------------------------------
 
 
-def real_scaled_witness(grid, x0, xi0, delta, rho, h_list, amplitude, mu_w=1.0):
+def real_scaled_witness(grid, x0, xi0, delta, rho, h_list, amplitude):
     """Real multi-scale packet family for the surface potential trace.
 
     2 Re of model_eq.scaled_singularity_witness: packet j sits at
-    (h^-delta x0, h^-rho xi0) with weight amplitude h^mu_w, and realness
+    (h^-delta x0, h^-rho xi0) with weight amplitude h^1, and realness
     doubles it with the conjugate family at -xi.  Returns (field, tracks).
     """
-    field, tracks = scaled_singularity_witness(grid, x0, xi0, delta, rho, h_list, mu=mu_w,
+    field, tracks = scaled_singularity_witness(grid, x0, xi0, delta, rho, h_list, mu=1.0,
                                                amplitude=amplitude)
     return Field(grid, 2.0 * np.real(field.values).astype(np.complex128)), tracks
 
@@ -424,7 +414,7 @@ def right_mover_state(grid, params, psi0, tracks):
     eta-hat = i G0 psi-hat / omega selects the branch whose group velocity has
     the sign of xi, so the witness transports one way instead of splitting.
     """
-    xi = grid.frequencies()
+    xi = grid.axis_frequencies()
     g0 = np.abs(xi) * np.tanh(params.depth * np.abs(xi))
     om = np.sqrt((params.gravity + params.kappa * xi ** 2) * g0)
     ratio = np.where(om > 0, g0 / np.where(om > 0, om, 1.0), 0.0)
@@ -441,25 +431,21 @@ def singularity_experiment_infinite(
     t0,
     h_grid,
     amplitude=1e-2,
-    mu_w=1.0,
     mu_probe=0.0,
-    eps_mollify=1e-6,
     cfl=0.5,
-    width=None,
-    min_h=6,
 ):
     """Embed a (1/2,1)-singularity witness in psi, evolve, probe u(t0).
 
-    The witness is paired with the eta of a right-moving linear wave.  The
-    predicted singular point is x0 + (3/2) t0 |xi0|^{-1/2} xi0 under the
-    (1/2,1) scaling; the verdict uses the first 4 controls clean against
-    every rail the real witness can populate (right/left movers at +-xi).
+    The witness, of weights amplitude h^1 on at least 6 shared h values, is
+    paired with the eta of a right-moving linear wave.  The predicted
+    singular point is x0 + (3/2) t0 |xi0|^{-1/2} xi0 under the (1/2,1)
+    scaling; the verdict uses the first 4 controls clean against every rail
+    the real witness can populate (right/left movers at +-xi).
     """
     delta, rho = 0.5, 1.0
     x_pred = x0 + _ww_group_shift(xi0, t0)
-    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi0)], delta, rho, h_grid, min_h)
-    psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_use,
-                                       amplitude, mu_w=mu_w)
+    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi0)], delta, rho, h_grid, 6)
+    psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_use, amplitude)
 
     # rails the data can populate: both chiralities at +-xi (the right-mover
     # pairing empties the left-movers, but keep them in the clean-check)
@@ -485,8 +471,8 @@ def singularity_experiment_infinite(
     )
 
     state0 = right_mover_state(grid, params, psi0, tracks)
-    hist = integrate(state0, t0, eps_mollify=eps_mollify, cfl=cfl, track_invariants=False)
-    u_t = symmetrized_u(hist.final(), mu=mu_probe, width=width)
+    hist = integrate(state0, t0, cfl=cfl, track_invariants=False)
+    u_t = symmetrized_u(hist.final(), mu=mu_probe)
     report = probe_sweep(
         u_t, [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls, hs_use,
         meta={
@@ -495,7 +481,7 @@ def singularity_experiment_infinite(
             "dn_fixed_point_iters": hist.dn_fixed_point_iters,
             "dn_krylov_iters": hist.dn_krylov_iters,
             "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
-            "amplitude": amplitude, "mu_w": mu_w, "mu_probe": mu_probe,
+            "amplitude": amplitude, "mu_w": 1.0, "mu_probe": mu_probe,
             "grid": {"n": grid.n, "length": grid.length},
             "params": {"gravity": params.gravity, "depth": params.depth,
                        "nz": params.nz},
@@ -505,12 +491,12 @@ def singularity_experiment_infinite(
     return report
 
 
-def ramp_surface(grid, amplitude, ramp_width, center=0.0, extent=None):
-    """Smoothed-step surface A tanh((x - c)/w), tapered so it decays at the box edge."""
+def ramp_surface(grid, amplitude, ramp_width, center=0.0):
+    """Smoothed-step surface A tanh((x - c)/w), tapered by exp(-((x - c)/(0.22 L))^8)
+    so it decays at the box edge."""
     x = grid.axis_points()
     prof = amplitude * np.tanh((x - center) / ramp_width)
-    if extent is None:
-        extent = 0.22 * grid.length
+    extent = 0.22 * grid.length
     taper = np.exp(-((x - center) / extent) ** 8)
     return Field(grid, (prof * taper).astype(np.complex128))
 
@@ -553,19 +539,16 @@ def singularity_experiment_smoothing(
     surface_amplitude,
     ramp_width,
     amplitude=1e-2,
-    mu_w=1.0,
     mu_probe=0.0,
-    eps_mollify=1e-6,
     cfl=0.5,
-    width=None,
-    min_h=6,
     s_max=2000.0,
 ):
     """(0,1)-singularity on a rampy initial surface: probe the bent prediction.
 
     xi_inf comes from the co-geodesic flow of the initial surface alone; the
     bent prediction (3/2) t0 |xi_inf|^{-1/2} xi_inf is probed against the
-    unbent control that uses xi0 instead.
+    unbent control that uses xi0 instead, on at least 6 shared h values.
+    The witness weights are amplitude h^1.
     """
     delta, rho = 0.0, 1.0
     eta0 = ramp_surface(grid, surface_amplitude, ramp_width, center=x0)
@@ -581,7 +564,7 @@ def singularity_experiment_smoothing(
     dp, rp = 0.5, 1.0  # (1/2, 1) probing of the evolved field
     x_bent = _ww_group_shift(xi_inf, t0)
     x_unbent = _ww_group_shift(xi0, t0)
-    hs_use = shared_h_grid(grid, [(x_bent, xi_inf), (x_unbent, xi0)], dp, rp, h_grid, min_h)
+    hs_use = shared_h_grid(grid, [(x_bent, xi_inf), (x_unbent, xi0)], dp, rp, h_grid, 6)
     # every control is needed: control_unbent carries the bent margin
     candidates = [
         (x_unbent, xi0, "control_unbent"),
@@ -592,11 +575,10 @@ def singularity_experiment_smoothing(
                              want=len(candidates))
 
     hs_wit = valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
-    psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_wit,
-                                       amplitude, mu_w=mu_w)
+    psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_wit, amplitude)
     state0 = SurfaceState(eta0, psi0, 0.0, params)
-    hist = integrate(state0, t0, eps_mollify=eps_mollify, cfl=cfl, track_invariants=False)
-    u_t = symmetrized_u(hist.final(), mu=mu_probe, width=width)
+    hist = integrate(state0, t0, cfl=cfl, track_invariants=False)
+    u_t = symmetrized_u(hist.final(), mu=mu_probe)
     report = probe_sweep(
         u_t, [ProbeSpec(x_bent, xi_inf, dp, rp, "predicted")] + controls, hs_use,
         meta={
@@ -607,7 +589,7 @@ def singularity_experiment_smoothing(
             "x0": x0, "xi0": xi0, "t0": t0,
             "xi_inf": xi_inf, "x_bent": x_bent, "x_unbent": x_unbent,
             "surface_amplitude": surface_amplitude, "ramp_width": ramp_width,
-            "amplitude": amplitude, "mu_w": mu_w,
+            "amplitude": amplitude, "mu_w": 1.0,
             "flow_increments": flow_info.get("increments", []),
             "grid": {"n": grid.n, "length": grid.length},
             "params": {"gravity": params.gravity, "depth": params.depth,

@@ -200,7 +200,7 @@ def test_elliptic_complex_plane_waves_flat(unit_grid):
     dom = flat_domain(unit_grid)
     sym = discrete_flat_symbol(unit_grid, B_DEPTH, 64)
     x = unit_grid.axis_points()
-    xi = unit_grid.frequencies()
+    xi = unit_grid.axis_frequencies()
     for idx in (1, 3, 17, 60, unit_grid.n - 5, unit_grid.n // 2 + 1):
         psi = Field(unit_grid, np.exp(1j * xi[idx] * x))
         G = dn_elliptic(dom, psi)
@@ -231,7 +231,7 @@ def _strip_equation_residual(dom, v):
     def dx(rows, m):
         return np.real(np.fft.ifft(m * np.fft.fft(rows, axis=1), axis=1))
 
-    xi = dom.grid.frequencies()
+    xi = dom.grid.axis_frequencies()
     ixi = 1j * xi
     ixi[dom.grid.n // 2] = 0.0  # odd multiplier: Nyquist zeroed
     v_zz = np.empty((nz, dom.grid.n))
@@ -427,7 +427,7 @@ def test_high_frequency_paralinearization_structure():
     syms = dn_symbols(surf)
     adm = default_admissible_pair()
     lam_sym = lambda xx, xi: syms["lambda1"](xx, xi) + syms["lambda0"](xx, xi)
-    axi = np.abs(g.frequencies())
+    axi = np.abs(g.axis_frequencies())
     etax = np.real(multiplier_apply(eta, lambda xi: 1j * xi).values)
     errs, ks = [], [8.0, 16.0, 32.0]
     for k in ks:
@@ -451,7 +451,7 @@ def test_high_frequency_paralinearization_structure():
 
 def test_discrete_flat_symbol_convergence():
     g = Grid(256, 20 * np.pi)
-    axi = np.abs(g.frequencies())
+    axi = np.abs(g.axis_frequencies())
     target = axi * np.tanh(B_DEPTH * axi)
     errs = []
     for nz in (32, 64, 128):

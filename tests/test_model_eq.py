@@ -6,7 +6,6 @@ import pytest
 from microloc.errors import ConfigError
 from microloc.grid import Grid, l2_norm, random_field
 from microloc.model_eq import (
-    ModelParams,
     escape_symbol_model,
     escape_symbol_model_fd,
     free_schrodinger_limit,
@@ -26,8 +25,11 @@ def grid():
 
 
 def test_model_params_validation(grid):
+    # the model needs a dispersion exponent gamma >= 1
+    u = random_field(grid, seed=1)
     with pytest.raises(ValueError):
-        ModelParams(0.5, 1.0, grid)
+        propagate_fractional(u, 1.0, 0.5)
+    propagate_fractional(u, 1.0, 1.0)
 
 
 def test_propagate_t0_identity(grid):

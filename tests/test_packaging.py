@@ -1,8 +1,10 @@
 """Packaging metadata: every declared console script and every exported name
-resolves, and no module imports a name it never uses."""
+resolves, no module imports a name it never uses, and every option of a
+library function has a caller that sets it."""
 
 import ast
 import importlib
+import math
 import pkgutil
 import tomllib
 from pathlib import Path
@@ -62,3 +64,89 @@ def test_no_unused_imports():
         if (names := _unused_imports(path.read_text()))
     }
     assert not hits, f"unused imports: {hits}"
+
+
+# Options kept without a caller: cfl (the step-size refinement check),
+# mu_probe (the order shift of Lam^mu) and tol_order (the membership slack).
+OPTION_ALLOWLIST = {"cfl", "mu_probe", "tol_order"}
+
+
+def _callee(node):
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _uncalled_options(defining, calling):
+    """Defaulted parameters of the functions in `defining` that no call in
+    `calling` sets, as "name(param)" strings.
+
+    Both arguments are lists of module sources.  A call sets a parameter by
+    keyword or by position (a method call through an attribute passes self
+    implicitly); a call with **kw sets every parameter and one with *args
+    every positional one.  Functions whose name is defined more than once are
+    skipped: a call by name cannot tell them apart.
+    """
+    defs = {}
+    for src in defining:
+        stack = [(node, False) for node in ast.parse(src).body]
+        while stack:
+            node, in_class = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                stack.extend((child, True) for child in node.body)
+                continue
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            defs.setdefault(node.name, []).append((node, in_class))
+            stack.extend((child, False) for child in ast.walk(node) if child is not node
+                         and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    keywords, positional, star = {}, {}, set()
+    for src in calling:
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Call) or (name := _callee(node)) is None:
+                continue
+            if any(k.arg is None for k in node.keywords):
+                star.add(name)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+            n_pos = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            positional[name] = max(positional.get(name, 0), n_pos)
+    hits = []
+    for name, found in sorted(defs.items()):
+        if len(found) > 1 or name in star:
+            continue
+        node, in_class = found[0]
+        args = node.args.posonlyargs + node.args.args
+        if in_class and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                for d in node.decorator_list):
+            args = args[1:]
+        first_default = len(args) - len(node.args.defaults)
+        params = [(i, a.arg) for i, a in enumerate(args) if i >= first_default]
+        params += [(math.inf, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                   if d is not None]
+        for i, param in params:
+            if param in OPTION_ALLOWLIST or param in keywords.get(name, ()):
+                continue
+            if positional.get(name, 0) > i:
+                continue
+            hits.append(f"{name}({param})")
+    return hits
+
+
+def test_uncalled_options_detector():
+    lib = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "def g(x=0, cfl=0.5):\n    pass\n"
+        "def twice(p=1):\n    pass\n"
+        "class K:\n    def twice(self, q=1):\n        pass\n"
+        "    def m(self, r=1, s=2):\n        def inner(t=0):\n            pass\n        inner(1)\n"
+        "def h(y=1):\n    pass\n"
+    )
+    use = "f(0, 5)\nf(0, d=1)\nK().m(1)\nh(**{})\n"
+    assert _uncalled_options([lib], [lib, use]) == ["f(c)", "g(x)", "m(s)"]
+
+
+def test_every_option_has_a_caller():
+    def sources(*dirs):
+        return [p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+
+    hits = _uncalled_options(sources("src/microloc"), sources("src", "tests", "perfbench"))
+    assert not hits, f"defaulted parameters that no caller sets: {hits}"

@@ -93,17 +93,13 @@ def test_dense_equals_separable_on_random_symbols(grid):
 def _assert_support_restriction_exact(u, window, h, delta, rho):
     """The support-restricted window equals the unrestricted and the dense one."""
     grid = u.grid
-    if grid.dim == 1:
-        x, xi = h ** delta * grid.points(), h ** rho * grid.frequencies()
-    else:
-        x = tuple(h ** delta * c for c in grid.points())
-        xi = tuple(h ** rho * c for c in grid.frequencies())
+    x, xi = h ** delta * grid.axis_points(), h ** rho * grid.axis_frequencies()
     x_in, xi_in = window.support_masks(x, xi)
     assert 0 < x_in.sum() < x_in.size and 0 < xi_in.sum() < xi_in.size
     fast = op_quantize(window, u, h, delta, rho)
     full = op_quantize(dataclasses.replace(window, support=None), u, h, delta, rho)
     dense = op_quantize(window, u, h, delta, rho, force_dense=True)
-    given = op_quantize(window, u, h, delta, rho, u_fft=np.fft.fftn(u.values))
+    given = op_quantize(window, u, h, delta, rho, u_fft=np.fft.fft(u.values))
     scale = np.max(np.abs(full.values))
     assert scale > 1e-6 * np.max(np.abs(u.values))
     assert np.max(np.abs(fast.values - full.values)) <= 1e-13 * scale
@@ -136,16 +132,6 @@ def test_support_restricted_nan_multiplier_raises(grid):
     )
     with pytest.raises(MultiplierError):
         op_quantize(bad, u, 0.3, 0.0, 1.0)
-
-
-def test_dense_equals_separable_2d():
-    g = Grid(16, 8.0, dim=2)
-    u = random_field(g, seed=6)
-    a = window_symbol((0.5, -0.5), (2.0, 1.0), r_x=2.0, r_xi=2.0)
-    fast = op_quantize(a, u, 0.4, 0.5, 1.0)
-    dense = op_quantize(a, u, 0.4, 0.5, 1.0, force_dense=True)
-    assert np.max(np.abs(fast.values - dense.values)) < 1e-10
-    _assert_support_restriction_exact(u, a, 0.4, 0.5, 1.0)
 
 
 def test_weighted_norm_plain_l2(grid):
@@ -190,7 +176,7 @@ def test_partition_ring_support():
 
 
 def test_partition_too_small_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         make_dyadic_partition(Grid(16, 4.0))
 
 

@@ -66,7 +66,7 @@ def test_symmetrizer_symbols_and_symmetrized_u_emit_no_warning():
     x = g.axis_points()
     state = SurfaceState(_field(g, 0.01 * np.exp(-x ** 2)),
                          _field(g, 0.01 * np.sin(x) * np.exp(-x ** 2 / 4)))
-    xi = g.frequencies()
+    xi = g.axis_frequencies()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         syms = symmetrizer_symbols(state.eta)
@@ -108,7 +108,7 @@ def test_integrate_matches_linear_flow_at_small_amplitude():
     x = g.axis_points()
     g0 = discrete_flat_symbol(g, 1.0, 64)
     eps, T = 1e-2, 1.0
-    damp = np.exp(-eps * T * np.abs(g.frequencies()) ** 1.5)
+    damp = np.exp(-eps * T * np.abs(g.axis_frequencies()) ** 1.5)
     errs = []
     for A in (1e-6, 2e-6):
         eta = A * (np.exp(-x ** 2) + 0.1 * np.cos(g.nyquist * x))
