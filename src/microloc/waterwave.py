@@ -411,14 +411,19 @@ def _ww_group_shift(xi, t):
 def right_mover_state(grid, params, psi0, tracks):
     """Pair the psi witness with the eta profile of a right-moving linear wave.
 
-    eta-hat = i G0 psi-hat / omega selects the branch whose group velocity has
-    the sign of xi, so the witness transports one way instead of splitting.
+    eta-hat = i sign(xi) G0 psi-hat / |omega| picks at every xi the branch
+    omega = sign(xi) |omega|, whose group velocity is positive, so both
+    halves (+-xi) of a real witness move right instead of splitting.  The
+    multiplier is odd, so eta is real; the Nyquist entry, which has no sign,
+    is zeroed.  tracks is not read.
     """
     xi = grid.axis_frequencies()
     g0 = np.abs(xi) * np.tanh(params.depth * np.abs(xi))
     om = np.sqrt((params.gravity + params.kappa * xi ** 2) * g0)
     ratio = np.where(om > 0, g0 / np.where(om > 0, om, 1.0), 0.0)
-    eta_hat = 1j * ratio * np.fft.fft(np.real(psi0.values))
+    odd = 1j * np.sign(xi) * ratio
+    odd[grid.n // 2] = 0.0
+    eta_hat = odd * np.fft.fft(np.real(psi0.values))
     eta0 = Field(grid, np.real(np.fft.ifft(eta_hat)).astype(np.complex128))
     return SurfaceState(eta0, psi0, 0.0, params)
 
