@@ -19,7 +19,8 @@ shared_h_grid fixes the h values valid at the prediction and at every other
 point that must share them (the witness's initial point, or the unbent
 control of the water-wave smoothing experiment); pick_controls places the
 controls; the field is evolved; probe_sweep measures mu_hat at the prediction
-and the controls; WavefrontReport.separation() is the verdict.  Control
+and the controls, and meta["boundary_mass"] records boundary_mass_fraction of
+the probed field; WavefrontReport.separation() is the verdict.  Control
 policy: each experiment lists its candidate points in order of preference,
 and pick_controls walks that list, skipping a candidate that repeats an
 earlier one or the prediction (to 9 digits), has fewer than 3 valid h, or
@@ -28,7 +29,8 @@ within 2.5 standard deviations of the scaled window at any of its h;
 _locus_clean: the window misses the dispersive locus).  It keeps the first
 `want` survivors, or all of them, and raises ConfigError when fewer than
 `want`, or none, survive, so a configuration without a verdict fails before
-anything is evolved.
+anything is evolved.  The water-wave experiments also build their dyadic
+partition before evolving, so a box too small for it fails the same way.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, multiplier_apply, wave_packet
+from .grid import Field, boundary_mass_fraction, multiplier_apply, wave_packet
 from .quantize import ProbeSpec, probe_sweep, shared_h_grid, valid_h_grid
 from .symbols import radial_bump, radial_bump_grad, window_radii
 
@@ -247,6 +249,7 @@ def transport_experiment(
             "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
             "witness_mu": mu,
             "grid": {"n": grid.n, "length": grid.length},
+            "boundary_mass": boundary_mass_fraction(u_t),
         },
     )
     report.meta["separation"] = report.separation()
@@ -334,6 +337,7 @@ def smoothing_experiment(
             "source_x": 0.0,
             "delta_width": 2.0 * grid.spacing,
             "grid": {"n": grid.n, "length": grid.length},
+            "boundary_mass": boundary_mass_fraction(u_t),
         },
     )
     report.meta["separation"] = report.separation()

@@ -29,7 +29,7 @@ from .dno import (FluidDomain, _StripWorkspace, _node_sampler, _x_derivative, b_
                   discrete_flat_symbol, dn_elliptic)
 from .errors import BlowUpError, ConfigError
 from .flows import SurfaceMetric, asymptotic_direction
-from .grid import Field, multiplier_apply
+from .grid import Field, boundary_mass_fraction, multiplier_apply
 from .model_eq import (PacketTrack, group_shift, pick_controls, scaled_singularity_witness,
                        track_clean)
 from .paradiff import dyadic_paradiff_apply, paradiff_apply
@@ -475,9 +475,10 @@ def singularity_experiment_infinite(
         want=4,
     )
 
+    part = make_dyadic_partition(grid)  # raises ConfigError before any DN solve
     state0 = right_mover_state(grid, params, psi0, tracks)
     hist = integrate(state0, t0, cfl=cfl, track_invariants=False)
-    u_t = symmetrized_u(hist.final(), mu=mu_probe)
+    u_t = symmetrized_u(hist.final(), mu=mu_probe, part=part)
     report = probe_sweep(
         u_t, [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls, hs_use,
         meta={
@@ -488,6 +489,7 @@ def singularity_experiment_infinite(
             "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
             "amplitude": amplitude, "mu_w": 1.0, "mu_probe": mu_probe,
             "grid": {"n": grid.n, "length": grid.length},
+            "boundary_mass": boundary_mass_fraction(u_t),
             "params": {"gravity": params.gravity, "depth": params.depth,
                        "nz": params.nz},
         },
@@ -581,9 +583,10 @@ def singularity_experiment_smoothing(
 
     hs_wit = valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
     psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_wit, amplitude)
+    part = make_dyadic_partition(grid)  # raises ConfigError before any DN solve
     state0 = SurfaceState(eta0, psi0, 0.0, params)
     hist = integrate(state0, t0, cfl=cfl, track_invariants=False)
-    u_t = symmetrized_u(hist.final(), mu=mu_probe)
+    u_t = symmetrized_u(hist.final(), mu=mu_probe, part=part)
     report = probe_sweep(
         u_t, [ProbeSpec(x_bent, xi_inf, dp, rp, "predicted")] + controls, hs_use,
         meta={
@@ -597,6 +600,7 @@ def singularity_experiment_smoothing(
             "amplitude": amplitude, "mu_w": 1.0,
             "flow_increments": flow_info.get("increments", []),
             "grid": {"n": grid.n, "length": grid.length},
+            "boundary_mass": boundary_mass_fraction(u_t),
             "params": {"gravity": params.gravity, "depth": params.depth,
                        "nz": params.nz},
         },

@@ -95,6 +95,7 @@ def test_transport_gamma2_separation():
     sep = rep.meta["separation"]
     assert sep >= 2.0
     assert rep.mu("predicted") < 0.5
+    assert rep.meta["boundary_mass"] < 1e-10
 
 
 def test_transport_gamma1_speed_one():
@@ -103,6 +104,7 @@ def test_transport_gamma1_speed_one():
     rep = transport_experiment(g, **GAMMA1)
     assert rep.meta["x_pred"] == pytest.approx(GAMMA1["x0"] + GAMMA1["t0"])
     assert rep.meta["separation"] >= 2.0
+    assert rep.meta["boundary_mass"] < 1e-10
 
 
 def test_transport_t0_zero_identity():
@@ -187,6 +189,8 @@ def test_smoothing_gamma2_on_vs_off():
     mu_on = rep.mu("predicted")
     assert rep.meta["separation"] >= 2.0
     assert rep.mu("control_double_xi") > mu_on + 2.0
+    # the near-delta data disperses over the whole box: 2.3e-4 near its edges
+    assert 0.0 < rep.meta["boundary_mass"] < 1e-3
 
 
 def test_smoothing_gamma32_locus():

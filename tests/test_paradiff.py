@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from microloc.errors import SpectrumUnresolvedError
+from microloc.errors import GridMismatchError, SpectrumUnresolvedError
 from microloc.grid import Field, Grid, l2_norm, multiplier_apply, random_field, spectrum, wave_packet
 from microloc.paradiff import (
     AdmissiblePair,
@@ -159,6 +159,13 @@ def test_dyadic_constant_collapses_to_cutoff(dyadic_setup):
     dev = np.max(np.abs(dflt.values - oracle.values)) / np.max(np.abs(oracle.values))
     print(f"default-width ring leakage: {dev:.3e}")
     assert dev < 1e-2
+
+
+def test_dyadic_partition_from_another_grid_rejected(dyadic_setup):
+    _, part = dyadic_setup
+    g = Grid(512, 200.0)
+    with pytest.raises(GridMismatchError):
+        dyadic_paradiff_apply(Field(g, np.ones(g.n, dtype=complex)), random_field(g), part)
 
 
 def test_dyadic_homogeneous_multiplier_bounded(dyadic_setup):

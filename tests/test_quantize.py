@@ -219,6 +219,15 @@ def test_decay_order_disjoint_probe_dense_oracle():
     assert fit.mu_hat >= 8.0
 
 
+def test_decay_order_needs_three_h():
+    # at (1.5, 2) with delta = rho = 1 only h = 1/2 and 1/4 stay below Nyquist
+    g = Grid(256, 40.0)
+    hs = [0.5, 0.25, 0.125, 0.0625]
+    assert valid_h_grid(g, 1.5, 2.0, 1.0, 1.0, hs) == hs[:2]
+    with pytest.raises(ConfigError):
+        estimate_decay_order(random_field(g, seed=1), 1.5, 2.0, 1.0, 1.0, h_grid=hs)
+
+
 def test_decay_order_floor_sentinel():
     g = Grid(256, 240.0)
     u = wave_packet(g, -20.0, 1.5, 4.0, normalize=True)

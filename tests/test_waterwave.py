@@ -27,6 +27,7 @@ from microloc.waterwave import (
     singularity_experiment_smoothing,
     symmetrized_u,
     symmetrizer_symbols,
+    zcs_rhs,
 )
 
 
@@ -126,6 +127,27 @@ def test_integrate_matches_linear_flow_at_small_amplitude():
     assert 3.0 <= errs[1] / errs[0] <= 5.0
 
 
+def test_zcs_rhs_minus_flat_linear_flow_is_quadratic():
+    # L u = (g0 psi, -(g + kappa xi^2) eta) is the flat linear flow of the
+    # solver's own operators; zcs_rhs(A u) - L(A u) is O(A^2), so its L2 norm
+    # grows 4x each time A doubles (4.01x, then 4.02x)
+    g, params = Grid(128, 16.0), WaveParams()
+    x = g.axis_points()
+    eta = np.exp(-x ** 2 / 4) * np.cos(x)
+    psi = np.exp(-(x - 1) ** 2 / 3) * np.sin(2 * x)
+    g0 = discrete_flat_symbol(g, params.depth, params.nz)
+    disp = waterwave._flat_dispersion(g, params)
+    norms = []
+    for A in (0.01, 0.02, 0.04):
+        de, dp = zcs_rhs(SurfaceState(_field(g, A * eta), _field(g, A * psi), 0.0, params))
+        le = np.fft.ifft(g0 * np.fft.fft(A * psi))
+        lp = -np.fft.ifft(disp * np.fft.fft(A * eta))
+        norms.append(math.sqrt((np.sum(np.abs(de.values - le) ** 2)
+                                + np.sum(np.abs(dp.values - lp) ** 2)) * g.spacing))
+    for small, large in zip(norms, norms[1:]):
+        assert 3.6 <= large / small <= 4.4
+
+
 def _ramp_state(g):
     psi = 2.0 * np.real(1e-2 * wave_packet(g, 0.0, 2.0, 1.0).values)
     return SurfaceState(ramp_surface(g, 0.5, 1.0), _field(g, psi))
@@ -215,6 +237,8 @@ def test_smoothing_experiment_reports_step_counts():
     assert rep.meta["rhs_evals"] == 4 * rep.meta["steps"]
     assert rep.meta["dn_fixed_point_iters"] == 0
     assert 0 < rep.meta["dn_krylov_iters"] <= 260
+    # T_a high-passes the ramp: u(t0) keeps 1.3e-3 of its mass near the edges
+    assert 0.0 < rep.meta["boundary_mass"] < 1e-2
 
 
 def _no_integrate(*args, **kwargs):
@@ -234,6 +258,7 @@ def test_infinite_experiment_flat_verdict():
     assert (rep.meta["steps"], rep.meta["rhs_evals"]) == (26, 104)
     # near-flat surface (a varies 1.015x): every DN solve ends in the fixed point
     assert rep.meta["dn_fixed_point_iters"] > 0 and rep.meta["dn_krylov_iters"] == 0
+    assert 0.0 < rep.meta["boundary_mass"] < 1e-4  # 5.1e-6
 
 
 def test_infinite_experiment_without_clean_controls_raises_before_stepping(monkeypatch):
@@ -242,6 +267,17 @@ def test_infinite_experiment_without_clean_controls_raises_before_stepping(monke
     with pytest.raises(ConfigError):
         singularity_experiment_infinite(Grid(256, 64.0), WaveParams(), x0=1.0, xi0=0.5,
                                         t0=1.0, h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14))
+
+
+def test_smoothing_experiment_on_small_box_raises_before_stepping(monkeypatch):
+    # the pinned ramp configuration on L = 8: the box is too small for a
+    # dyadic partition of 3 rings, which must fail before any DN solve
+    monkeypatch.setattr(waterwave, "integrate", _no_integrate)
+    with pytest.raises(ConfigError, match="dyadic partition"):
+        singularity_experiment_smoothing(
+            Grid(256, 8.0), WaveParams(), x0=0.0, xi0=1.0, t0=0.125,
+            h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
+            surface_amplitude=0.5, ramp_width=1.0, s_max=150.0)
 
 
 def test_smoothing_experiment_on_flat_surface_raises_before_stepping(monkeypatch):
