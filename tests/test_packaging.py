@@ -88,17 +88,11 @@ def _uncalled_options(defining, calling):
     """
     defs = {}
     for src in defining:
-        stack = [(node, False) for node in ast.parse(src).body]
-        while stack:
-            node, in_class = stack.pop()
-            if isinstance(node, ast.ClassDef):
-                stack.extend((child, True) for child in node.body)
-                continue
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defs.setdefault(node.name, []).append((node, in_class))
-            stack.extend((child, False) for child in ast.walk(node) if child is not node
-                         and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        tree = ast.parse(src)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append((node, id(node) in methods))
     keywords, positional, star = {}, {}, set()
     for src in calling:
         for node in ast.walk(ast.parse(src)):
@@ -122,12 +116,9 @@ def _uncalled_options(defining, calling):
         params = [(i, a.arg) for i, a in enumerate(args) if i >= first_default]
         params += [(math.inf, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
                    if d is not None]
-        for i, param in params:
-            if param in OPTION_ALLOWLIST or param in keywords.get(name, ()):
-                continue
-            if positional.get(name, 0) > i:
-                continue
-            hits.append(f"{name}({param})")
+        hits += [f"{name}({param})" for i, param in params
+                 if param not in OPTION_ALLOWLIST and param not in keywords.get(name, ())
+                 and positional.get(name, 0) <= i]
     return hits
 
 
@@ -137,7 +128,8 @@ def test_uncalled_options_detector():
         "def g(x=0, cfl=0.5):\n    pass\n"
         "def twice(p=1):\n    pass\n"
         "class K:\n    def twice(self, q=1):\n        pass\n"
-        "    def m(self, r=1, s=2):\n        def inner(t=0):\n            pass\n        inner(1)\n"
+        "    def m(self, r=1, s=2):\n        def inner(t=0):\n            def deep(v=0):\n"
+        "                pass\n            deep(v=1)\n        inner(1)\n"
         "def h(y=1):\n    pass\n"
     )
     use = "f(0, 5)\nf(0, d=1)\nK().m(1)\nh(**{})\n"
