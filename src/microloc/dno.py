@@ -86,6 +86,13 @@ def _x_derivative(f):
     return multiplier_apply(f, lambda xi: 1j * xi)
 
 
+def _slopes(eta):
+    """eta' and eta'' of a surface Field, real parts of spectral derivatives."""
+    etap = np.real(_x_derivative(eta).values)
+    etapp = np.real(multiplier_apply(eta, lambda xi: -(xi ** 2)).values)
+    return etap, etapp
+
+
 def dn_taylor(dom, psi, M=4):
     """Taylor expansion sum_{k<=M} G_k(eta) psi about the flat surface.
 
@@ -236,8 +243,7 @@ class _StripWorkspace:
         self._eta_ref = dom.eta.values
         b = self.b
         eta = np.real(dom.eta.values)
-        etap = np.real(_x_derivative(dom.eta).values)
-        etapp = np.real(multiplier_apply(dom.eta, lambda xi: -(xi ** 2)).values)
+        etap, etapp = _slopes(dom.eta)
         self.etap = etap
         J = 1.0 + eta / b  # dy/dz, independent of z
         self.J = J
@@ -480,8 +486,7 @@ def surface_from_field(eta):
     """Spectral-derivative adapter: eta', eta'' evaluated at arbitrary x by
     sampling the nearest grid node."""
     grid = eta.grid
-    etap = np.real(_x_derivative(eta).values)
-    etapp = np.real(multiplier_apply(eta, lambda xi: -(xi ** 2)).values)
+    etap, etapp = _slopes(eta)
     return SurfaceDerivatives(_node_sampler(etap, grid), _node_sampler(etapp, grid))
 
 

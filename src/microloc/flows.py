@@ -1,16 +1,16 @@
-"""Hamiltonian and geodesic flows on graph surfaces y = eta(x).
+"""Hamiltonian and geodesic flows on graph surfaces y = eta(x) over the line.
 
-The co-metric of the graph surface is G(x, xi) = |xi|^2 - (grad eta . xi)^2 /
-(1 + |grad eta|^2); the dispersive flow uses H = G^{3/4}, whose trajectories
-are the geodesics of G up to the reparametrization phi_s = (3/4) int
-G(Phi_sigma)^{-1/4} d sigma.  Non-trapping is diagnosed through the growth of
-x . xi along trajectories, and escaping trajectories carry an asymptotic
-direction xi_inf = lim xi_s.
+The phase space is z = (x, xi).  The co-metric of the graph surface is
+G(x, xi) = xi^2 / (1 + eta'(x)^2); the dispersive flow uses H = G^{3/4},
+whose trajectories are the geodesics of G up to the reparametrization
+phi_s = (3/4) int G(Phi_sigma)^{-1/4} d sigma.  Non-trapping is diagnosed
+through the growth of x xi along trajectories, and escaping trajectories
+carry an asymptotic direction xi_inf = lim xi_s.  Metric callables work
+elementwise on scalars or arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -37,78 +37,60 @@ __all__ = [
 
 @dataclass
 class SurfaceMetric:
-    """Graph surface y = eta(x) with analytic gradient and Hessian.
-
-    eta, grad_eta, hess_eta take an (d,) point and return scalar, (d,), (d,d).
-    """
+    """Graph surface y = eta(x): eta, grad_eta and hess_eta return eta, eta'
+    and eta'' elementwise."""
 
     eta: callable
     grad_eta: callable
     hess_eta: callable
-    dim: int = 1
 
     def G(self, x, xi):
-        g = np.atleast_1d(self.grad_eta(x))
-        xi = np.atleast_1d(xi)
-        gxi = float(g @ xi)
-        return float(xi @ xi) - gxi ** 2 / (1.0 + float(g @ g))
+        return xi ** 2 / (1.0 + self.grad_eta(x) ** 2)
 
     def H(self, x, xi):
         return self.G(x, xi) ** 0.75
 
     def grad_G(self, x, xi):
-        """(d_x G, d_xi G) at a single phase point."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        g = np.atleast_1d(self.grad_eta(x))
-        Hs = np.atleast_2d(self.hess_eta(x))
-        m2 = 1.0 + float(g @ g)
-        gxi = float(g @ xi)
-        dxi = 2.0 * xi - 2.0 * gxi * g / m2
-        dx = -2.0 * gxi * (Hs @ xi) / m2 + 2.0 * gxi ** 2 * (Hs @ g) / m2 ** 2
-        return dx, dxi
+        """(d_x G, d_xi G), elementwise."""
+        g = self.grad_eta(x)
+        m2 = 1.0 + g ** 2
+        return -2.0 * g * self.hess_eta(x) * xi ** 2 / m2 ** 2, 2.0 * xi / m2
 
     def hamilton_rhs_G(self, z):
-        d = self.dim
-        dx, dxi = self.grad_G(z[:d], z[d:])
-        return np.concatenate([dxi, -dx])
+        dx, dxi = self.grad_G(z[0], z[1])
+        return np.array([dxi, -dx])
 
     def hamilton_rhs_H(self, z):
-        d = self.dim
-        x, xi = z[:d], z[d:]
+        x, xi = z[0], z[1]
         G = self.G(x, xi)
         if G <= 0.0:
             raise FlowSingularityError(f"G <= 0 at x={x}, xi={xi}")
         dx, dxi = self.grad_G(x, xi)
         fac = 0.75 * G ** (-0.25)
-        return np.concatenate([fac * dxi, -fac * dx])
+        return np.array([fac * dxi, -fac * dx])
 
 
 def flat_metric():
-    return SurfaceMetric(
-        eta=lambda x: 0.0,
-        grad_eta=lambda x: np.zeros(1),
-        hess_eta=lambda x: np.zeros((1, 1)),
-        dim=1,
-    )
+    zero = lambda x: np.zeros_like(x, dtype=float)
+    return SurfaceMetric(eta=zero, grad_eta=zero, hess_eta=zero)
 
 
 def gaussian_bump_metric(amplitude, width=1.0):
-    """eta(x) = A exp(-x^2 / 2 w^2) in one dimension."""
+    """eta(x) = A exp(-x^2 / 2 w^2)."""
 
     def eta(x):
-        t = float(np.atleast_1d(x)[0]) / width
-        return amplitude * math.exp(-0.5 * t * t)
+        t = x / width
+        return amplitude * np.exp(-0.5 * t * t)
 
     def grad(x):
-        t = float(np.atleast_1d(x)[0]) / width
-        return np.array([-amplitude * t / width * math.exp(-0.5 * t * t)])
+        t = x / width
+        return -amplitude * t / width * np.exp(-0.5 * t * t)
 
     def hess(x):
-        t = float(np.atleast_1d(x)[0]) / width
-        return np.array([[amplitude * (t * t - 1.0) / width ** 2 * math.exp(-0.5 * t * t)]])
+        t = x / width
+        return amplitude * (t * t - 1.0) / width ** 2 * np.exp(-0.5 * t * t)
 
-    return SurfaceMetric(eta, grad, hess, dim=1)
+    return SurfaceMetric(eta, grad, hess)
 
 
 def metric_from_samples(field):
@@ -127,13 +109,12 @@ def metric_from_samples(field):
     L = grid.length
 
     def wrap(x):
-        return (float(np.atleast_1d(x)[0]) + 0.5 * L) % L - 0.5 * L
+        return (x + 0.5 * L) % L - 0.5 * L
 
     return SurfaceMetric(
-        eta=lambda x: float(spl(wrap(x))),
-        grad_eta=lambda x: np.array([float(d1(wrap(x)))]),
-        hess_eta=lambda x: np.array([[float(d2(wrap(x)))]]),
-        dim=1,
+        eta=lambda x: spl(wrap(x)),
+        grad_eta=lambda x: d1(wrap(x)),
+        hess_eta=lambda x: d2(wrap(x)),
     )
 
 
@@ -144,23 +125,16 @@ class Trajectory:
     metric: SurfaceMetric
     symbol: str  # "H" (G^{3/4}) or "G"
     s: np.ndarray
-    states: np.ndarray  # (len(s), 2d)
-    sol: object = dc_field(repr=False, default=None)
-    tol: float = 1e-10
-    nfev: int = 0
-
-    @property
-    def dim(self):
-        return self.states.shape[1] // 2
+    sol: object = dc_field(repr=False)
 
     def state(self, s):
         return self.sol(s)
 
     def x(self, s):
-        return self.sol(s)[: self.dim]
+        return self.sol(s)[0]
 
     def xi(self, s):
-        return self.sol(s)[self.dim:]
+        return self.sol(s)[1]
 
     def velocity(self, s):
         z = self.sol(s)
@@ -170,8 +144,7 @@ class Trajectory:
 
     def energy(self, s):
         z = self.sol(s)
-        d = self.dim
-        val = self.metric.G(z[:d], z[d:])
+        val = self.metric.G(z[0], z[1])
         return val ** 0.75 if self.symbol == "H" else val
 
     def energy_drift(self):
@@ -180,24 +153,21 @@ class Trajectory:
 
 
 def _integrate(metric, z0, s_span, tol, symbol, extra_rhs=None, extra0=None, events=None):
-    d = metric.dim
     rhs_core = metric.hamilton_rhs_H if symbol == "H" else metric.hamilton_rhs_G
-    n_extra = 0 if extra0 is None else len(extra0)
 
     def rhs(s, y):
-        dz = rhs_core(y[: 2 * d])
+        dz = rhs_core(y[:2])
         if extra_rhs is None:
             return dz
-        return np.concatenate([dz, extra_rhs(s, y[: 2 * d])])
+        return np.concatenate([dz, extra_rhs(s, y[:2])])
 
     y0 = np.asarray(z0, dtype=float)
+    xi_floor = 1e-10 * max(1.0, abs(float(y0[1])))
     if extra0 is not None:
         y0 = np.concatenate([y0, extra0])
 
-    xi_floor = 1e-10 * max(1.0, float(np.linalg.norm(np.atleast_1d(z0)[d:])))
-
     def xi_vanishes(s, y):
-        return float(np.linalg.norm(y[d: 2 * d])) - xi_floor
+        return abs(y[1]) - xi_floor
 
     xi_vanishes.terminal = True
     ev = [xi_vanishes] + (events or [])
@@ -208,34 +178,31 @@ def _integrate(metric, z0, s_span, tol, symbol, extra_rhs=None, extra0=None, eve
         raise FlowSingularityError(f"integration failed: {res.message}")
     if len(res.t_events[0]):
         raise FlowSingularityError(
-            f"xi -> 0 at s = {res.t_events[0][0]:.6g}, x = {res.sol(res.t_events[0][0])[:d]}"
+            f"xi -> 0 at s = {res.t_events[0][0]:.6g}, x = {res.sol(res.t_events[0][0])[0]}"
         )
-    return res, n_extra
+    return res
 
 
 def integrate_hamiltonian(metric, z0, s_end, tol=1e-10, symbol="H"):
     """Adaptive RK45 solution of dz/ds = X_H(z) (or X_G with symbol="G")."""
-    res, _ = _integrate(metric, z0, (0.0, s_end), tol, symbol)
-    states = res.y.T[:, : 2 * metric.dim]
-    return Trajectory(metric, symbol, res.t, states, sol=res.sol, tol=tol, nfev=res.nfev)
+    res = _integrate(metric, z0, (0.0, s_end), tol, symbol)
+    return Trajectory(metric, symbol, res.t, res.sol)
 
 
 def reparam_check(metric, z0, s_end, tol=1e-10):
     """Max |Phi_s - Geo_{phi_s}| over 200 samples of s, with
     phi_s = (3/4) int G(Phi_sigma)^{-1/4} dsigma."""
-    d = metric.dim
 
     def phi_rate(s, z):
-        return np.array([0.75 * metric.G(z[:d], z[d:]) ** (-0.25)])
+        return np.array([0.75 * metric.G(z[0], z[1]) ** (-0.25)])
 
-    res, _ = _integrate(metric, z0, (0.0, s_end), tol, "H",
-                        extra_rhs=phi_rate, extra0=np.zeros(1))
+    res = _integrate(metric, z0, (0.0, s_end), tol, "H", extra_rhs=phi_rate, extra0=np.zeros(1))
     phi_end = res.y[-1, -1]
     geo = integrate_hamiltonian(metric, z0, phi_end, tol=tol, symbol="G")
     dev = 0.0
     for s in np.linspace(0.0, s_end, 200):
         y = res.sol(s)
-        dev = max(dev, float(np.max(np.abs(y[: 2 * d] - geo.state(y[-1])))))
+        dev = max(dev, float(np.max(np.abs(y[:2] - geo.state(y[-1])))))
     return dev
 
 
@@ -244,70 +211,61 @@ def asymptotic_direction(metric, z0, s_max=1.0e3, escape_radius=None, cauchy_tol
 
     z_s = x_s - x_0 - (3/2) int |xi|^{-1/2} xi converges together with xi_s on
     non-trapping surfaces with decaying curvature; the flow is integrated to
-    tolerance 1e-10.  Returns (xi_inf, z_inf, trapped, info); trapped=True
-    when |x| never exceeds the escape radius.
+    tolerance 1e-10.  Returns (xi_inf, z_inf, trapped, info), xi_inf and z_inf
+    floats; trapped=True when |x| never exceeds the escape radius.
     """
     tol = 1e-10
-    d = metric.dim
     z0 = np.asarray(z0, dtype=float)
-    x0 = z0[:d]
     if escape_radius is None:
-        escape_radius = 50.0 * float(np.linalg.norm(x0)) + 100.0
+        escape_radius = 50.0 * abs(float(z0[0])) + 100.0
 
     def z_rate(s, z):
-        x, xi = z[:d], z[d:]
-        vel = metric.hamilton_rhs_H(z)[:d]
-        return vel - 1.5 * float(np.linalg.norm(xi)) ** (-0.5) * xi
+        return np.array([metric.hamilton_rhs_H(z)[0] - 1.5 * abs(z[1]) ** (-0.5) * z[1]])
 
     def escaped(s, y):
-        return float(np.linalg.norm(y[:d])) - escape_radius
+        return abs(y[0]) - escape_radius
 
     escaped.terminal = True
-    res, _ = _integrate(metric, z0, (0.0, s_max), tol, "H",
-                        extra_rhs=z_rate, extra0=np.zeros(d), events=[escaped])
+    res = _integrate(metric, z0, (0.0, s_max), tol, "H",
+                     extra_rhs=z_rate, extra0=np.zeros(1), events=[escaped])
     if not len(res.t_events[1]):
         return None, None, True, {"message": "no escape before s_max", "s_max": s_max}
     s_esc = float(res.t_events[1][0])
 
     checkpoints = [s_esc]
-    prev = res.sol(s_esc)
-    state = res.sol(s_esc)[: 2 * d]
-    zq = res.sol(s_esc)[2 * d:]
+    y = res.sol(s_esc)
     increments = []
     s_cur = s_esc
-    xi_prev = prev[d: 2 * d]
+    xi_prev = y[1]
     while s_cur < s_max:
         s_next = min(2.0 * s_cur, s_max)
-        res2, _ = _integrate(
-            metric, state, (s_cur, s_next), tol, "H", extra_rhs=z_rate, extra0=zq
-        )
+        res2 = _integrate(metric, y[:2], (s_cur, s_next), tol, "H",
+                          extra_rhs=z_rate, extra0=y[2:])
         y = res2.sol(s_next)
-        state, zq = y[: 2 * d], y[2 * d:]
-        inc = float(np.linalg.norm(state[d:] - xi_prev))
+        inc = abs(float(y[1] - xi_prev))
         increments.append(inc)
         checkpoints.append(s_next)
-        xi_prev = state[d:]
+        xi_prev = y[1]
         s_cur = s_next
         if inc < cauchy_tol:
             info = {"s_escape": s_esc, "checkpoints": checkpoints, "increments": increments}
-            return state[d:].copy(), zq.copy(), False, info
+            return float(y[1]), float(y[2]), False, info
     info = {"s_escape": s_esc, "checkpoints": checkpoints, "increments": increments,
             "message": "Cauchy tolerance not reached before s_max"}
-    return state[d:].copy(), zq.copy(), False, info
+    return float(y[1]), float(y[2]), False, info
 
 
 def nontrapping_diagnostic(metric, z0, s_end):
-    """Minimum of d/ds (x . xi) over 2000 samples of the trajectory, and a
+    """Minimum of d/ds (x xi) over 2000 samples of the trajectory, and a
     positivity flag."""
     n_samples = 2000
     traj = integrate_hamiltonian(metric, z0, s_end)
     ss = np.linspace(0.0, s_end, n_samples)
-    d = metric.dim
     vals = np.empty(n_samples)
     for i, s in enumerate(ss):
         z = traj.state(s)
         v = traj.velocity(s)
-        vals[i] = float(z[:d] @ v[d:]) + float(v[:d] @ z[d:])
+        vals[i] = z[0] * v[1] + v[0] * z[1]
     min_slope = float(np.min(vals))
     return min_slope, min_slope > 0.0
 
@@ -319,13 +277,10 @@ def escape_symbol_surface(s, x, xi, traj, lam, delta, nu, sign=+1, plateau=0.5):
     """chi^pm = phi((x - x_s)/(lam delta s)) phi((xi -/+ xi_s)/(delta - s^-nu)).
 
     Returns (value, transport = d_s chi +/- {H, chi}); requires s > 0 with
-    delta > s^-nu.  x and xi may be arrays (d=1) for support sampling.
+    delta > s^-nu.  x and xi may be arrays for support sampling.
     """
     if s <= 0.0 or delta - s ** (-nu) <= 0.0:
         raise ValueError("need s > 0 and delta > s^-nu")
-    d = traj.dim
-    if d != 1:
-        raise NotImplementedError("escape symbol sampling is one-dimensional")
     z = traj.state(s)
     v = traj.velocity(s)
     xs, xis = z[0], z[1]
@@ -348,21 +303,12 @@ def escape_symbol_surface(s, x, xi, traj, lam, delta, nu, sign=+1, plateau=0.5):
     du2_ds = -sgn * xidot / D - u2 * nu * s ** (-nu - 1.0) / D
     ds_chi = g1 * du1_ds * p2 + p1 * g2 * du2_ds
 
-    # {H, chi} pointwise with analytic metric derivatives
-    shape = np.broadcast(x, xi).shape
-    dH_dxi = np.empty(shape)
-    dH_dx = np.empty(shape)
-    xb = np.broadcast_to(x, shape)
-    xib = np.broadcast_to(xi, shape)
-    it = np.nditer(xb, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        px, pxi = float(xb[idx]), float(xib[idx])
-        G = traj.metric.G(np.array([px]), np.array([pxi]))
-        dxg, dxig = traj.metric.grad_G(np.array([px]), np.array([pxi]))
-        fac = 0.75 * G ** (-0.25)
-        dH_dx[idx] = fac * dxg[0]
-        dH_dxi[idx] = fac * dxig[0]
+    # {H, chi} with analytic metric derivatives
+    G = traj.metric.G(x, xi)
+    dxg, dxig = traj.metric.grad_G(x, xi)
+    fac = 0.75 * G ** (-0.25)
+    dH_dx = fac * dxg
+    dH_dxi = fac * dxig
     poisson = dH_dxi * g1 / (lam * delta * s) * p2 - dH_dx * p1 * g2 / D
     transport = ds_chi + sgn * poisson
     return value, transport
@@ -385,19 +331,9 @@ def escape_symbol_surface_fd(s, x, xi, traj, lam, delta, nu, plateau=0.5):
     dchi_dx = (chi(s, x + step, xi) - chi(s, x - step, xi)) / (2.0 * step)
     dchi_dxi = (chi(s, x, xi + step) - chi(s, x, xi - step)) / (2.0 * step)
 
-    shape = np.broadcast(x, xi).shape
-    dH_dx = np.empty(shape)
-    dH_dxi = np.empty(shape)
-    xb = np.broadcast_to(x, shape)
-    xib = np.broadcast_to(xi, shape)
-    it = np.nditer(xb, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        px, pxi = float(xb[idx]), float(xib[idx])
-        dH_dx[idx] = (traj.metric.H(np.array([px + step]), np.array([pxi]))
-                      - traj.metric.H(np.array([px - step]), np.array([pxi]))) / (2 * step)
-        dH_dxi[idx] = (traj.metric.H(np.array([px]), np.array([pxi + step]))
-                       - traj.metric.H(np.array([px]), np.array([pxi - step]))) / (2 * step)
+    H = traj.metric.H
+    dH_dx = (H(x + step, xi) - H(x - step, xi)) / (2 * step)
+    dH_dxi = (H(x, xi + step) - H(x, xi - step)) / (2 * step)
     return ds + (dH_dxi * dchi_dx - dH_dx * dchi_dxi)
 
 

@@ -144,36 +144,31 @@ def paradiff_apply(a, u, adm=None, x_window=None):
         # forward transform of an x-profile, in sorted-theta order
         return np.fft.fftshift(grid.spacing * phase * np.fft.fft(col_vals))
 
+    # (coefficient lookup at (theta, eta) indices, eta weight) per term
     if dense is not None:
         if x_window is not None:
             dense = x_window[:, None] * dense
         Ahat = np.fft.fftshift(
             grid.spacing * phase[:, None] * np.fft.fft(dense, axis=0), axes=0
         )
+        gathers = [(lambda T, J: Ahat[T, J], w_base)]
+    else:
+        gathers = []
+        for (cx_vals, m_vals) in terms:
+            if x_window is not None:
+                cx_vals = x_window * cx_vals
+            chat = fwd_x(cx_vals)
+            gathers.append((lambda T, J, chat=chat: chat[T], w_base * m_vals))
+    for coef, w in gathers:
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             J = np.arange(lo, hi)[None, :]
             TI = I - J + c
             mask = (TI >= 0) & (TI < n)
             TIc = np.clip(TI, 0, n - 1)
-            contrib = CHI[TIc, J] * Ahat[TIc, J] * w_base[None, lo:hi]
+            contrib = CHI[TIc, J] * coef(TIc, J) * w[None, lo:hi]
             contrib[~mask] = 0.0
             out_hat += contrib.sum(axis=1)
-    else:
-        for (cx_vals, m_vals) in terms:
-            if x_window is not None:
-                cx_vals = x_window * cx_vals
-            chat = fwd_x(cx_vals)
-            w = w_base * m_vals
-            for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
-                J = np.arange(lo, hi)[None, :]
-                TI = I - J + c
-                mask = (TI >= 0) & (TI < n)
-                TIc = np.clip(TI, 0, n - 1)
-                contrib = CHI[TIc, J] * chat[TIc] * w[None, lo:hi]
-                contrib[~mask] = 0.0
-                out_hat += contrib.sum(axis=1)
     return _field_from_sorted_spectrum(grid, out_hat)
 
 

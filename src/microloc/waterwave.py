@@ -25,11 +25,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dno import (FluidDomain, _StripWorkspace, _node_sampler, _x_derivative, b_v_fields,
-                  discrete_flat_symbol, dn_elliptic)
+from .dno import (FluidDomain, _StripWorkspace, _node_sampler, _slopes, _x_derivative,
+                  b_v_fields, discrete_flat_symbol, dn_elliptic)
 from .errors import BlowUpError, ConfigError
 from .flows import SurfaceMetric, asymptotic_direction
-from .grid import Field, boundary_mass_fraction, multiplier_apply
+from .grid import Field, boundary_mass_fraction
 from .model_eq import (PacketTrack, group_shift, pick_controls, scaled_singularity_witness,
                        track_clean)
 from .paradiff import dyadic_paradiff_apply, paradiff_apply
@@ -295,12 +295,6 @@ def linearized_evolution(state0, T, discrete_symbol=None):
 # -- symmetrizer symbols ---------------------------------------------------------
 
 
-def _m2_profile(eta):
-    ex = np.real(_x_derivative(eta).values)
-    exx = np.real(multiplier_apply(eta, lambda xi: -(xi ** 2)).values)
-    return ex, exx
-
-
 def symmetrizer_symbols(eta, kappa=1.0):
     """Symbols l^(2), l^(1), gamma^(3/2), p^(1/2), q^(0), zeta^(-1/2).
 
@@ -310,7 +304,7 @@ def symmetrizer_symbols(eta, kappa=1.0):
     if kappa != 1.0:
         raise ConfigError("symmetrizer symbols assume unit surface tension")
     grid = eta.grid
-    ex, exx = _m2_profile(eta)
+    ex, exx = _slopes(eta)
     m2 = 1.0 + ex ** 2
     m2_m14 = _node_sampler(m2 ** -0.25, grid)
     m2_m12 = _node_sampler(m2 ** -0.5, grid)
@@ -353,7 +347,7 @@ def lambda_mu_symbol(eta, mu):
     returns to 1, inside the region the pi-cutoffs kill anyway.
     """
     grid = eta.grid
-    ex, _ = _m2_profile(eta)
+    ex, _ = _slopes(eta)
     m2_pow = _node_sampler((1.0 + ex ** 2) ** (-mu / 6.0), grid)
 
     def wxi(xi):
@@ -499,41 +493,36 @@ def singularity_experiment_infinite(
 
 
 def ramp_surface(grid, amplitude, ramp_width, center=0.0):
-    """Smoothed-step surface A tanh((x - c)/w), tapered by exp(-((x - c)/(0.22 L))^8)
-    so it decays at the box edge."""
-    x = grid.axis_points()
-    prof = amplitude * np.tanh((x - center) / ramp_width)
-    extent = 0.22 * grid.length
-    taper = np.exp(-((x - center) / extent) ** 8)
-    return Field(grid, (prof * taper).astype(np.complex128))
+    """The ramp_metric surface sampled on the grid, tapered at 0.22 L so it
+    decays at the box edge."""
+    eta = ramp_metric(amplitude, ramp_width, center, 0.22 * grid.length).eta
+    return Field(grid, eta(grid.axis_points()).astype(np.complex128))
 
 
 def ramp_metric(amplitude, ramp_width, center=0.0, extent=50.0):
-    """Analytic SurfaceMetric for the ramp surface (for the ray tracer)."""
+    """SurfaceMetric of the smoothed step A tanh((x - c)/w), tapered by
+    exp(-((x - c)/extent)^8); eta' is analytic, eta'' a central difference."""
 
     def eta(x):
-        t = float(np.atleast_1d(x)[0])
-        return amplitude * math.tanh((t - center) / ramp_width) * math.exp(
-            -((t - center) / extent) ** 8
+        return amplitude * np.tanh((x - center) / ramp_width) * np.exp(
+            -((x - center) / extent) ** 8
         )
 
     def grad(x):
-        t = float(np.atleast_1d(x)[0])
-        u = (t - center) / ramp_width
-        v = (t - center) / extent
-        tap = math.exp(-(v ** 8))
-        e = math.exp(-2.0 * abs(u))
+        u = (x - center) / ramp_width
+        v = (x - center) / extent
+        tap = np.exp(-(v ** 8))
+        e = np.exp(-2.0 * np.abs(u))
         sech2 = 4.0 * e / (1.0 + e) ** 2  # 1/cosh(u)^2 without overflow
         core = amplitude / ramp_width * sech2 * tap
-        edge = amplitude * math.tanh(u) * tap * (-8.0 * v ** 7 / extent)
-        return np.array([core + edge])
+        edge = amplitude * np.tanh(u) * tap * (-8.0 * v ** 7 / extent)
+        return core + edge
 
     def hess(x):
         step = 1e-5
-        return np.array([[(grad(np.atleast_1d(x) + step)[0]
-                           - grad(np.atleast_1d(x) - step)[0]) / (2 * step)]])
+        return (grad(x + step) - grad(x - step)) / (2 * step)
 
-    return SurfaceMetric(eta, grad, hess, dim=1)
+    return SurfaceMetric(eta, grad, hess)
 
 
 def singularity_experiment_smoothing(
@@ -561,12 +550,11 @@ def singularity_experiment_smoothing(
     eta0 = ramp_surface(grid, surface_amplitude, ramp_width, center=x0)
     metric = ramp_metric(surface_amplitude, ramp_width, center=x0,
                          extent=0.22 * grid.length)
-    xi_inf_vec, _, trapped, flow_info = asymptotic_direction(
+    xi_inf, _, trapped, flow_info = asymptotic_direction(
         metric, np.array([x0, xi0]), s_max=s_max
     )
     if trapped:
         raise ConfigError("initial co-geodesic is trapped; no asymptotic direction")
-    xi_inf = float(xi_inf_vec[0])
 
     dp, rp = 0.5, 1.0  # (1/2, 1) probing of the evolved field
     x_bent = _ww_group_shift(xi_inf, t0)

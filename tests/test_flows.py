@@ -23,18 +23,15 @@ def slow_decay_metric(a=0.3):
     """eta = a (1+x^2)^{-1/4}: slow curvature decay, still non-trapping."""
 
     def eta(x):
-        t = float(np.atleast_1d(x)[0])
-        return a * (1 + t * t) ** -0.25
+        return a * (1 + x * x) ** -0.25
 
     def grad(x):
-        t = float(np.atleast_1d(x)[0])
-        return np.array([-0.5 * a * t * (1 + t * t) ** -1.25])
+        return -0.5 * a * x * (1 + x * x) ** -1.25
 
     def hess(x):
-        t = float(np.atleast_1d(x)[0])
-        return np.array([[-0.5 * a * ((1 + t * t) ** -1.25 - 2.5 * t * t * (1 + t * t) ** -2.25)]])
+        return -0.5 * a * ((1 + x * x) ** -1.25 - 2.5 * x * x * (1 + x * x) ** -2.25)
 
-    return SurfaceMetric(eta, grad, hess, dim=1)
+    return SurfaceMetric(eta, grad, hess)
 
 
 def test_free_flow_straight_rays():
@@ -42,8 +39,8 @@ def test_free_flow_straight_rays():
     traj = integrate_hamiltonian(m, np.array([1.0, 2.0]), 10.0)
     for s in [0.0, 3.3, 10.0]:
         x_exp = 1.0 + s * 1.5 * 2.0 ** -0.5 * 2.0
-        assert traj.x(s)[0] == pytest.approx(x_exp, abs=1e-9)
-        assert traj.xi(s)[0] == pytest.approx(2.0, abs=1e-12)
+        assert traj.x(s) == pytest.approx(x_exp, abs=1e-9)
+        assert traj.xi(s) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_energy_conservation():
@@ -111,8 +108,8 @@ def test_asymptotic_direction_free():
     m = flat_metric()
     xi_inf, z_inf, trapped, _ = asymptotic_direction(m, np.array([1.0, 2.0]), s_max=200.0)
     assert not trapped
-    assert xi_inf[0] == pytest.approx(2.0, abs=1e-10)
-    assert abs(z_inf[0]) < 1e-10
+    assert xi_inf == pytest.approx(2.0, abs=1e-10)
+    assert abs(z_inf) < 1e-10
 
 
 def test_asymptotic_direction_cauchy_decreasing():
@@ -133,8 +130,8 @@ def test_asymptotic_direction_energy_identity():
     z0 = np.array([-0.8, 1.3])
     xi_inf, _, trapped, _ = asymptotic_direction(m, z0, s_max=2000.0)
     assert not trapped
-    H0 = m.H(z0[:1], z0[1:])
-    assert abs(abs(xi_inf[0]) ** 1.5 - H0) < 1e-6
+    H0 = m.H(z0[0], z0[1])
+    assert abs(abs(xi_inf) ** 1.5 - H0) < 1e-6
 
 
 def test_asymptotic_direction_translation_consistent():
@@ -143,7 +140,7 @@ def test_asymptotic_direction_translation_consistent():
     traj = integrate_hamiltonian(m, z0, 5.0)
     xi_a, _, _, _ = asymptotic_direction(m, z0, s_max=2000.0)
     xi_b, _, _, _ = asymptotic_direction(m, traj.state(5.0), s_max=2000.0)
-    assert abs(xi_a[0] - xi_b[0]) < 1e-6
+    assert abs(xi_a - xi_b) < 1e-6
 
 
 def test_nontrapping_free_constant_slope():
@@ -192,9 +189,8 @@ def test_sampled_metric_adapter():
     m = metric_from_samples(f)
     ana = gaussian_bump_metric(0.3, np.sqrt(0.5))
     for pt in [-1.0, 0.0, 0.7]:
-        assert m.eta(np.array([pt])) == pytest.approx(ana.eta(np.array([pt])), abs=1e-6)
-        assert m.grad_eta(np.array([pt]))[0] == pytest.approx(
-            ana.grad_eta(np.array([pt]))[0], abs=1e-4)
+        assert m.eta(pt) == pytest.approx(ana.eta(pt), abs=1e-6)
+        assert m.grad_eta(pt) == pytest.approx(ana.grad_eta(pt), abs=1e-4)
     traj = integrate_hamiltonian(m, np.array([-5.0, 1.0]), 8.0, tol=1e-9)
     # spline knots limit conservation to ~1e-6 regardless of integrator tol
     assert traj.energy_drift() < 1e-5

@@ -82,9 +82,10 @@ def _uncalled_options(defining, calling):
 
     Both arguments are lists of module sources.  A call sets a parameter by
     keyword or by position (a method call through an attribute passes self
-    implicitly); a call with **kw sets every parameter and one with *args
-    every positional one.  Functions whose name is defined more than once are
-    skipped: a call by name cannot tell them apart.
+    implicitly); a call with *args sets every positional one, and a call with
+    **name the keyword names of the dict(...) calls and the string keys of the
+    {...} displays in its own module.  Functions whose name is defined more
+    than once are skipped: a call by name cannot tell them apart.
     """
     defs = {}
     for src in defining:
@@ -93,19 +94,24 @@ def _uncalled_options(defining, calling):
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs.setdefault(node.name, []).append((node, id(node) in methods))
-    keywords, positional, star = {}, {}, set()
+    keywords, positional = {}, {}
     for src in calling:
-        for node in ast.walk(ast.parse(src)):
+        nodes = list(ast.walk(ast.parse(src)))
+        dict_keys = {k.arg for n in nodes if isinstance(n, ast.Call) and _callee(n) == "dict"
+                     for k in n.keywords if k.arg}
+        dict_keys |= {k.value for n in nodes if isinstance(n, ast.Dict) for k in n.keys
+                      if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+        for node in nodes:
             if not isinstance(node, ast.Call) or (name := _callee(node)) is None:
                 continue
-            if any(k.arg is None for k in node.keywords):
-                star.add(name)
             keywords.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+            if any(k.arg is None for k in node.keywords):
+                keywords[name] |= dict_keys
             n_pos = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
             positional[name] = max(positional.get(name, 0), n_pos)
     hits = []
     for name, found in sorted(defs.items()):
-        if len(found) > 1 or name in star:
+        if len(found) > 1:
             continue
         node, in_class = found[0]
         args = node.args.posonlyargs + node.args.args
@@ -131,9 +137,11 @@ def test_uncalled_options_detector():
         "    def m(self, r=1, s=2):\n        def inner(t=0):\n            def deep(v=0):\n"
         "                pass\n            deep(v=1)\n        inner(1)\n"
         "def h(y=1):\n    pass\n"
+        "def p(u=1, w=2):\n    pass\n"
+        "def q(v=1, k=2):\n    pass\n"
     )
-    use = "f(0, 5)\nf(0, d=1)\nK().m(1)\nh(**{})\n"
-    assert _uncalled_options([lib], [lib, use]) == ["f(c)", "g(x)", "m(s)"]
+    use = "f(0, 5)\nf(0, d=1)\nK().m(1)\nh(**{})\nkw = dict(u=3)\np(**kw)\nq(**{'v': 1})\n"
+    assert _uncalled_options([lib], [lib, use]) == ["f(c)", "g(x)", "h(y)", "m(s)", "p(w)", "q(k)"]
 
 
 def test_every_option_has_a_caller():

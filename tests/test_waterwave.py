@@ -9,6 +9,7 @@ import pytest
 
 from microloc.dno import discrete_flat_symbol
 from microloc.errors import ConfigError
+from microloc.flows import asymptotic_direction
 from microloc.grid import Field, Grid, wave_packet
 from microloc.model_eq import geometric_h_grid
 from microloc.quantize import estimate_decay_order, shared_h_grid
@@ -56,12 +57,23 @@ def test_ramp_metric_grad_far_from_ramp():
     # cosh(u)^2 overflows near |u| = 355; the far field is flat, not an error
     amp, width, center = 0.5, 1.0, 3.0
     metric = ramp_metric(amp, width, center=center)
-    far = metric.grad_eta(np.array([center + 1000.0 * width]))
-    assert np.all(np.isfinite(far)) and abs(far[0]) < 1e-12
+    far = metric.grad_eta(center + 1000.0 * width)
+    assert np.isfinite(far) and abs(far) < 1e-12
     # near the ramp it is still A sech^2(u) / w (taper ~ 1 there)
     u = 0.7
-    near = metric.grad_eta(np.array([center + u * width]))[0]
+    near = metric.grad_eta(center + u * width)
     assert near == pytest.approx(amp / width / math.cosh(u) ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("amp, width, s_max", [(0.5, 1.0, 150.0), (0.75, 0.5, 150.0),
+                                                (1.5, 1.0, 2000.0)])
+def test_ramp_asymptotic_direction_conserves_G(amp, width, s_max):
+    # G = xi^2 / (1 + eta'^2) is conserved and eta' -> 0 at infinity, so a ray
+    # leaving the ramp's centre with xi0 = 1 ends at xi_inf = 1 / sqrt(1 + (A/w)^2)
+    metric = ramp_metric(amp, width, center=0.0, extent=0.22 * 64.0)
+    xi_inf, _, trapped, _ = asymptotic_direction(metric, np.array([0.0, 1.0]), s_max=s_max)
+    assert not trapped
+    assert abs(xi_inf - 1.0 / math.sqrt(1.0 + (amp / width) ** 2)) < 1e-8
 
 
 def test_symmetrizer_symbols_and_symmetrized_u_emit_no_warning():
@@ -237,6 +249,7 @@ def test_smoothing_experiment_reports_step_counts():
     assert rep.meta["rhs_evals"] == 4 * rep.meta["steps"]
     assert rep.meta["dn_fixed_point_iters"] == 0
     assert 0 < rep.meta["dn_krylov_iters"] <= 260
+    assert abs(rep.meta["xi_inf"] - 1.0 / math.sqrt(1.25)) < 1e-8  # G conserved
     # T_a high-passes the ramp: u(t0) keeps 1.3e-3 of its mass near the edges
     assert 0.0 < rep.meta["boundary_mass"] < 1e-2
 
