@@ -153,13 +153,15 @@ class Trajectory:
 
 
 def _integrate(metric, z0, s_span, tol, symbol, extra_rhs=None, extra0=None, events=None):
+    # extra_rhs(s, z, dz) gives the rates of the components after z; dz is the
+    # flow's rate at z, evaluated once per stage for both
     rhs_core = metric.hamilton_rhs_H if symbol == "H" else metric.hamilton_rhs_G
 
     def rhs(s, y):
         dz = rhs_core(y[:2])
         if extra_rhs is None:
             return dz
-        return np.concatenate([dz, extra_rhs(s, y[:2])])
+        return np.concatenate([dz, extra_rhs(s, y[:2], dz)])
 
     y0 = np.asarray(z0, dtype=float)
     xi_floor = 1e-10 * max(1.0, abs(float(y0[1])))
@@ -193,7 +195,7 @@ def reparam_check(metric, z0, s_end, tol=1e-10):
     """Max |Phi_s - Geo_{phi_s}| over 200 samples of s, with
     phi_s = (3/4) int G(Phi_sigma)^{-1/4} dsigma."""
 
-    def phi_rate(s, z):
+    def phi_rate(s, z, dz):
         return np.array([0.75 * metric.G(z[0], z[1]) ** (-0.25)])
 
     res = _integrate(metric, z0, (0.0, s_end), tol, "H", extra_rhs=phi_rate, extra0=np.zeros(1))
@@ -219,8 +221,8 @@ def asymptotic_direction(metric, z0, s_max=1.0e3, escape_radius=None, cauchy_tol
     if escape_radius is None:
         escape_radius = 50.0 * abs(float(z0[0])) + 100.0
 
-    def z_rate(s, z):
-        return np.array([metric.hamilton_rhs_H(z)[0] - 1.5 * abs(z[1]) ** (-0.5) * z[1]])
+    def z_rate(s, z, dz):
+        return np.array([dz[0] - 1.5 * abs(z[1]) ** (-0.5) * z[1]])
 
     def escaped(s, y):
         return abs(y[0]) - escape_radius

@@ -175,32 +175,34 @@ def multiplier_apply(f, m, nyquist_even=True):
 _EXP_UNDERFLOW = 750.0
 
 
-def _box_gap(c, half):
-    """Distance from c to the interval [-half, half]."""
-    return max(-half - c, 0.0, c - half)
-
-
 def wave_packet(grid, x0, xi0, width, normalize=False):
     """Gaussian wave packet exp(i xi0 x) exp(-|x-x0|^2 / 2 w^2), periodized.
 
-    Sums the images x0 + m L, |m| <= 3.  An image whose squared distance to
-    the box, over 2 w^2, exceeds _EXP_UNDERFLOW is skipped: its exp is 0.0 at
-    every grid point.
+    Sums the images x0 + m L, |m| <= 3.  Each image's Gaussian is evaluated
+    only on the index slice, rounded outward, where its exponent is at least
+    -_EXP_UNDERFLOW: its exp is 0.0 at every other grid point.  The carrier
+    is evaluated only where the envelope is nonzero.
     """
     if width < 2.0 * grid.spacing:
         raise UnderResolvedError(
             f"packet width {width} below 2*dx = {2.0 * grid.spacing}"
         )
     L = grid.length
-    half = 0.5 * L
-    cut = _EXP_UNDERFLOW * 2.0 * width ** 2
-    x = grid.axis_points()
-    env = np.zeros_like(x)
+    dx = grid.spacing
+    reach = np.sqrt(_EXP_UNDERFLOW * 2.0 * width ** 2)
+    env = np.zeros(grid.n)
     for mshift in range(-3, 4):
-        if _box_gap(x0 + mshift * L, half) ** 2 > cut:
+        c = x0 + mshift * L
+        lo = max(int(np.floor((c - reach + 0.5 * L) / dx)), 0)
+        hi = min(int(np.ceil((c + reach + 0.5 * L) / dx)) + 1, grid.n)
+        if lo >= hi:
             continue
-        env = env + np.exp(-((x - x0 - mshift * L) ** 2) / (2.0 * width ** 2))
-    out = Field(grid, np.exp(1j * xi0 * x) * env)
+        x = -0.5 * L + dx * np.arange(lo, hi)  # grid.axis_points()[lo:hi]
+        env[lo:hi] = env[lo:hi] + np.exp(-((x - x0 - mshift * L) ** 2) / (2.0 * width ** 2))
+    on = np.flatnonzero(env)
+    vals = np.zeros(grid.n, dtype=np.complex128)
+    vals[on] = np.exp(1j * xi0 * (-0.5 * L + dx * on)) * env[on]
+    out = Field(grid, vals)
     if normalize:
         out.values /= l2_norm(out)
     return out

@@ -9,8 +9,11 @@ a window symbol elliptic at the probe point, and regressing log L2-norm
 against log h: decay O(h^mu) shows up as slope mu.
 
 Probe-loop cost: estimate_decay_order takes one forward FFT of u per
-estimate and op_quantize one inverse FFT per h; the window's factors are
-evaluated only on the lattice points inside its support balls.
+estimate.  For each h, op_quantize evaluates the window's factors only on
+the index runs that its support balls cover (nk frequencies, nm points) and
+takes them from frequency to space with one chirp-z zoom, a circular
+convolution of power-of-two length >= nk + nm - 1, in place of an inverse
+FFT over the whole lattice.
 """
 
 from __future__ import annotations
@@ -67,16 +70,67 @@ def _dense_apply(a, u, h, delta, rho):
     return Field(grid, out)
 
 
+def _chirp(r, n):
+    """exp(i pi r / n) for integer r, reduced mod 2n first so that the phase
+    stays exact for large r."""
+    return np.exp(1j * np.pi / n * (r % (2 * n)))
+
+
+def _zoom_ifft(c, k0, j0, nm, n):
+    """np.fft.ifft(full)[(j0 + arange(nm)) % n], where full has length n, is
+    c[p] at index (k0 + p) % n and zero elsewhere.
+
+    Chirp-z (Bluestein) form: with 2 q p = q^2 + p^2 - (q - p)^2 the sum
+    over p becomes one circular convolution of length >= nk + nm - 1, taken
+    at the next power of two.  Phase arguments are integers mod 2n.
+    """
+    nk = len(c)
+    p = np.arange(nk)
+    q = np.arange(nm)
+    d = np.arange(1 - nk, nm)
+    size = 1 << (nk + nm - 2).bit_length()
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[d % size] = _chirp(-d * d, n)
+    conv = np.fft.ifft(np.fft.fft(c * _chirp(p * p + 2 * j0 * p, n), size) * np.fft.fft(kernel))
+    return conv[:nm] * _chirp(q * q + 2 * k0 * q + 2 * j0 * k0, n) / n
+
+
+def _ball_run(center, radius, step, origin, lo, hi):
+    """Indices i in [lo, hi] of the points origin + step i in the open ball
+    |. - center| < radius, widened by one index at each end: every point
+    strictly inside lies in the run, and each end lies at or beyond the ball's
+    edge (or is the end of [lo, hi]).  Returns (first index, length >= 1)."""
+    first = min(max(math.ceil((center - radius - origin) / step) - 1, lo), hi)
+    last = min(max(math.floor((center + radius - origin) / step) + 1, lo), hi)
+    return first, last - first + 1
+
+
+def _support_runs(a, grid, hx, hxi):
+    """((j0, nm), (k0, nk)): the run of point indices j0 .. j0 + nm - 1 and the
+    run of signed mode numbers k0 .. k0 + nk - 1 on which a's factors, at
+    scales hx in x and hxi in xi, can be nonzero.  All of each axis without a
+    support hint."""
+    n = grid.n
+    if a.support is None:
+        return (0, n), (-n // 2, n)
+    (x0, r_x), (xi0, r_xi) = a.support
+    return (
+        _ball_run(x0, r_x, hx * grid.spacing, -0.5 * hx * grid.length, 0, n - 1),
+        _ball_run(xi0, r_xi, hxi * grid.freq_spacing, 0.0, -n // 2, n // 2 - 1),
+    )
+
+
 def op_quantize(a, u, h, delta=0.0, rho=0.0, force_dense=False, *, u_fft=None):
     """Apply op_h^{delta,rho}(a) to u.
 
     Separable symbols take the fast path sum_m c_m(h^delta x) m_m(h^rho xi):
-    each m_m is evaluated only on the lattice points inside a.support's xi
-    ball and multiplied into fft(u), one inverse FFT follows, and c_m is
-    evaluated only inside the x ball (everywhere without a support hint).
-    Otherwise a dense sweep over the phase-space lattice is used.  Both paths
-    agree to ~1e-10.  u_fft, if given, must be np.fft.fft(u.values); the
-    separable path then skips its forward transform.
+    each m_m is evaluated only on the run of modes that a.support's xi ball
+    covers and multiplied into fft(u) there; one chirp-z zoom per term takes
+    those nk values to the nm points of the x ball's run, where c_m is
+    evaluated (both runs are whole axes without a support hint).  The output
+    is zero off the x run.  Otherwise a dense sweep over the phase-space
+    lattice is used.  Both paths agree to ~1e-10.  u_fft, if given, must be
+    np.fft.fft(u.values); the separable path then skips its forward transform.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -85,21 +139,25 @@ def op_quantize(a, u, h, delta=0.0, rho=0.0, force_dense=False, *, u_fft=None):
     grid = u.grid
     if force_dense or not getattr(a, "separable", None):
         return _dense_apply(a, u, h, delta, rho)
-    x = h ** delta * grid.axis_points()
-    xi = h ** rho * grid.axis_frequencies()
-    x_in, xi_in = a.support_masks(x, xi)
-    x, xi = x[x_in], xi[xi_in]
+    n = grid.n
+    hx, hxi = h ** delta, h ** rho
+    (j0, nm), (k0, nk) = _support_runs(a, grid, hx, hxi)
+    # sample points and frequencies rounded as Grid.axis_points and
+    # Grid.axis_frequencies (np.fft.fftfreq) round them
+    x = hx * (-0.5 * grid.length + grid.spacing * np.arange(j0, j0 + nm))
+    modes = np.arange(k0, k0 + nk)
+    xi = hxi * (2.0 * np.pi * (modes * (1.0 / (n * grid.spacing))))
     if u_fft is None:
         u_fft = np.fft.fft(u.values)
-    u_fft_in = u_fft[xi_in]
-    out = np.zeros_like(u_fft)
+    u_fft_run = u_fft[modes]  # a negative mode k sits at index n + k
+    acc = np.zeros(nm, dtype=np.complex128)
     for (cx, mxi) in a.separable:
         m = np.asarray(mxi(xi), dtype=np.complex128)
         if not np.all(np.isfinite(m)):
             raise MultiplierError("multiplier is not finite on the dual lattice")
-        prod = np.zeros_like(u_fft)
-        prod[xi_in] = m * u_fft_in
-        out[x_in] += np.asarray(cx(x), dtype=np.complex128) * np.fft.ifft(prod)[x_in]
+        acc += np.asarray(cx(x), dtype=np.complex128) * _zoom_ifft(m * u_fft_run, k0 % n, j0, nm, n)
+    out = np.zeros(n, dtype=np.complex128)
+    out[j0:j0 + nm] = acc
     return Field(grid, out)
 
 
@@ -246,11 +304,12 @@ def estimate_decay_order(u, x0, xi0, delta, rho, h_grid=None, force_dense=False)
     """Fit log ||op_h(window) u||_L2 against log h; slope = decay order mu_hat.
 
     The window is window_symbol(x0, xi0).  u is transformed once; every h
-    then costs op_quantize one inverse FFT.  Returns a DecayFit of the h
-    values whose norm clears the numerical floor and their norms; when fewer
-    than 3 clear it, mu_hat = +inf (rapid decay beyond measurability) and the
-    fit lists every valid h with its measured norm.  Raises ConfigError when
-    fewer than 3 h values fit the box and Nyquist budget.
+    then costs op_quantize one chirp-z zoom over the window's index runs.
+    Returns a DecayFit of the h values whose norm clears the numerical floor
+    and their norms; when fewer than 3 clear it, mu_hat = +inf (rapid decay
+    beyond measurability) and the fit lists every valid h with its measured
+    norm.  Raises ConfigError when fewer than 3 h values fit the box and
+    Nyquist budget.
     """
     grid = u.grid
     window = window_symbol(x0, xi0)

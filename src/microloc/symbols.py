@@ -91,23 +91,14 @@ class Symbol:
     order: Tuple[float, float] = (0.0, 0.0)  # (mu, k): <xi>^mu, <x>^k growth
     separable: Optional[Sequence[Tuple[Callable, Callable]]] = None
     # Support hint ((x0, r_x), (xi0, r_xi)): centre/radius pairs such that every
-    # separable term's x-factor vanishes where |x - x0| >= r_x and its xi-factor
-    # where |xi - xi0| >= r_xi.  op_quantize evaluates the factors only inside.
+    # separable term's x-factor is exactly 0 where |x - x0| >= r_x and its
+    # xi-factor where |xi - xi0| >= r_xi.  On a lattice each ball is one index
+    # run per axis; op_quantize evaluates the factors only on those runs.
     support: Optional[tuple] = None
     label: str = ""
 
     def __call__(self, x, xi):
         return self.func(x, xi)
-
-    def support_masks(self, x, xi):
-        """Boolean masks of the x and xi points inside the support balls.
-
-        All true without a support hint.
-        """
-        if self.support is None:
-            return np.ones(np.shape(x), bool), np.ones(np.shape(xi), bool)
-        (x0, r_x), (xi0, r_xi) = self.support
-        return _dist(x, x0) < r_x, _dist(xi, xi0) < r_xi
 
     @property
     def mu(self):

@@ -8,7 +8,10 @@ import pytest
 
 from microloc.errors import ConfigError, MultiplierError
 from microloc.grid import Field, Grid, l2_norm, multiplier_apply, random_field, transform, wave_packet
+from microloc.model_eq import geometric_h_grid, scaled_singularity_witness
 from microloc.quantize import (
+    _support_runs,
+    _zoom_ifft,
     dyadic_norm,
     estimate_decay_order,
     is_singular_at_order,
@@ -94,7 +97,8 @@ def _assert_support_restriction_exact(u, window, h, delta, rho):
     """The support-restricted window equals the unrestricted and the dense one."""
     grid = u.grid
     x, xi = h ** delta * grid.axis_points(), h ** rho * grid.axis_frequencies()
-    x_in, xi_in = window.support_masks(x, xi)
+    (x0, r_x), (xi0, r_xi) = window.support
+    x_in, xi_in = np.abs(x - x0) < r_x, np.abs(xi - xi0) < r_xi
     assert 0 < x_in.sum() < x_in.size and 0 < xi_in.sum() < xi_in.size
     fast = op_quantize(window, u, h, delta, rho)
     full = op_quantize(dataclasses.replace(window, support=None), u, h, delta, rho)
@@ -132,6 +136,100 @@ def test_support_restricted_nan_multiplier_raises(grid):
     )
     with pytest.raises(MultiplierError):
         op_quantize(bad, u, 0.3, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "n, nk, k0, nm, j0",
+    [
+        (64, 10, 60, 7, 62),  # both runs wrap past index n - 1
+        (64, 40, 50, 30, 0),
+        (256, 256, 128, 1, 17),  # nk = n, nm = 1
+        (256, 1, 200, 256, 0),  # nk = 1
+        (256, 1, 3, 1, 250),
+        (65536, 11524, 60000, 491, 30000),  # model_probe's largest runs
+    ],
+)
+def test_zoom_ifft_equals_ifft_slice(n, nk, k0, nm, j0):
+    rng = np.random.default_rng(nk + nm)
+    c = rng.standard_normal(nk) + 1j * rng.standard_normal(nk)
+    full = np.zeros(n, dtype=complex)
+    full[(k0 + np.arange(nk)) % n] = c
+    oracle = np.fft.ifft(full)[(j0 + np.arange(nm)) % n]
+    zoom = _zoom_ifft(c, k0, j0, nm, n)
+    assert zoom.shape == (nm,)
+    assert np.max(np.abs(zoom - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_support_runs_cover_the_balls():
+    # each ball is one index run per axis: every lattice point strictly inside
+    # the ball is in it, and each end is at or beyond the ball's edge unless
+    # it is the end of the axis
+    rng = np.random.default_rng(3)
+    g = Grid(256, 40.0)
+    n = g.n
+    x_all, modes = g.axis_points(), np.arange(-n // 2, n // 2)
+    for _ in range(200):
+        x0, xi0 = rng.uniform(-30.0, 30.0), rng.uniform(-60.0, 60.0)
+        window = window_symbol(x0, xi0, r_x=rng.uniform(0.01, 30.0), r_xi=rng.uniform(0.01, 60.0))
+        (_, r_x), (_, r_xi) = window.support
+        h = float(rng.uniform(0.05, 1.0))
+        hx, hxi = h ** float(rng.uniform(0, 1)), h ** float(rng.uniform(0, 1))
+        (j0, nm), (k0, nk) = _support_runs(window, g, hx, hxi)
+        x_run = hx * x_all[j0:j0 + nm]
+        xi_run = hxi * g.freq_spacing * np.arange(k0, k0 + nk)
+        assert 0 <= j0 and j0 + nm <= n and -n // 2 <= k0 and k0 + nk <= n // 2
+        for pts, run, first, last, c, r in (
+            (hx * x_all, x_run, j0 == 0, j0 + nm == n, x0, r_x),
+            (hxi * g.freq_spacing * modes, xi_run, k0 == -n // 2, k0 + nk == n // 2, xi0, r_xi),
+        ):
+            assert np.sum(np.abs(pts - c) < r) == np.sum(np.abs(run - c) < r)
+            assert first or abs(run[0] - c) >= r
+            assert last or abs(run[-1] - c) >= r
+
+
+def test_support_runs_without_hint_are_whole_axes(grid):
+    assert _support_runs(constant_symbol(1.0), grid, 0.5, 0.5) == ((0, 256), (-128, 256))
+
+
+def _gamma32_window_and_witness():
+    grid = Grid(65536, 3200.0)
+    x0, xi0, delta, rho = -2.0, 0.5, 0.5, 1.0
+    hs = geometric_h_grid(2.0 ** -3.5, 2.0 ** -0.5, 7)
+    u, _ = scaled_singularity_witness(grid, x0, xi0, delta, rho, hs)
+    return grid, window_symbol(x0, xi0), u, hs, (delta, rho)
+
+
+def test_op_quantize_gamma32_window_equals_full_lattice_ifft():
+    grid, window, u, hs, (delta, rho) = _gamma32_window_and_witness()
+    (bx, bxi), = window.separable
+    u_fft = np.fft.fft(u.values)
+    for h in hs:
+        full = bxi(h ** rho * grid.axis_frequencies()) * u_fft
+        oracle = bx(h ** delta * grid.axis_points()) * np.fft.ifft(full)
+        out = op_quantize(window, u, h, delta, rho, u_fft=u_fft).values
+        assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_decay_estimate_takes_one_full_lattice_transform(monkeypatch):
+    # the only length-n transform of an estimate is the forward FFT of u; each
+    # h costs a zoom whose transforms are shorter than the lattice
+    grid, window, u, hs, (delta, rho) = _gamma32_window_and_witness()
+    lengths = []
+
+    def recording(fn):
+        def wrapped(a, n=None, *args, **kw):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return fn(a, n, *args, **kw)
+        return wrapped
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    (x0, _), (xi0, _) = window.support
+    fit = estimate_decay_order(u, x0, xi0, delta, rho, h_grid=hs)
+    assert math.isfinite(fit.mu_hat) and len(fit.h_used) >= 3
+    assert lengths.count(grid.n) == 1
+    assert len(lengths) == 1 + 3 * len(valid_h_grid(grid, x0, xi0, delta, rho, hs))
+    assert max(n for n in lengths if n != grid.n) < grid.n // 2
 
 
 def test_weighted_norm_plain_l2(grid):

@@ -76,6 +76,25 @@ def test_ramp_asymptotic_direction_conserves_G(amp, width, s_max):
     assert abs(xi_inf - 1.0 / math.sqrt(1.0 + (amp / width) ** 2)) < 1e-8
 
 
+def test_asymptotic_direction_evaluates_the_flow_once_per_stage():
+    # z_rate reads the flow's own dx/ds: one hamilton_rhs_H call per RK stage
+    # (544 on the ww_ramp ramp, 1,088 when z_rate evaluated it again), and the
+    # same bits of xi_inf and z_inf as with the second evaluation
+    metric = ramp_metric(0.5, 1.0, center=0.0, extent=0.22 * 64.0)
+    calls = []
+    flow = metric.hamilton_rhs_H
+
+    def counted(z):
+        calls.append(1)
+        return flow(z)
+
+    metric.hamilton_rhs_H = counted
+    xi_inf, z_inf, trapped, _ = asymptotic_direction(metric, np.array([0.0, 1.0]), s_max=150.0)
+    assert not trapped
+    assert len(calls) == 544
+    assert (xi_inf, z_inf) == (0.8944271908841225, -0.15018788094283086)
+
+
 def test_symmetrizer_symbols_and_symmetrized_u_emit_no_warning():
     # zeta^(-1/2) is 0 at xi = 0; evaluating |xi|^-1/2 there used to warn
     g = Grid(128, 32.0)
