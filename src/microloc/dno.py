@@ -22,15 +22,15 @@ there is one solve path, on real data, in two stages:
 A complex psi is solved as its real and imaginary parts.  The surface flux
 is (1+eta'^2)/J v_z - eta' v_x at z = 0.
 
-dn_symbols builds the boundary symbols lambda^(1), lambda^(0) and the
-a_+/a_- factorization of the flattened Laplacian, with the downward
-recursion for lower orders.
+dn_symbols gives the boundary symbols lambda^(1), lambda^(0) and the
+a_+/a_- factorization of the flattened Laplacian in their one-dimensional
+closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -38,7 +38,6 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import DomainError, EllipticSolveError, TaylorDivergenceError
 from .grid import Field, Grid, l2_norm, multiplier_apply
-from .symbols import Symbol
 
 __all__ = [
     "FluidDomain",
@@ -155,20 +154,15 @@ def dn_taylor(dom, psi, M=4):
 class StripSolveStats:
     """What the last dn_elliptic call on a workspace did.
 
-    stages lists the stages that ran, in order ("fixed_point", "krylov");
-    the iteration counts add over the real solves of the call (two for a
-    complex psi); nodes is m, the node count of the frozen-depth
+    The iteration counts add over the real solves of the call (two for a
+    complex psi); the fixed point runs only when nodes is 1, and before the
+    Krylov stage.  nodes is m, the node count of the frozen-depth
     preconditioner of the surface.
     """
 
     nodes: int
-    stages: list = field(default_factory=list)
     fixed_point_iters: int = 0
     krylov_iters: int = 0
-
-    def ran(self, stage):
-        if stage not in self.stages:
-            self.stages.append(stage)
 
 
 class _StripWorkspace:
@@ -361,11 +355,12 @@ def dn_elliptic(dom, psi, tol=1e-10, workspace=None, return_solution=False):
     parts.  The workspace's stats record what ran.  Raises
     EllipticSolveError if neither stage converges.
 
-    tol bounds, for the fixed point, its relative max-norm update; for the
-    Krylov stage, the L2 residual of the flattened strip equations relative
-    to that of the flat harmonic extension of psi.  The fixed point's test is
-    on the flat-preconditioned problem, so the strip residual of its answer
-    can be larger than tol.
+    tol bounds, for the fixed point, its max-norm update relative to
+    max |v - mean psi| (G ignores the mean of psi); for the Krylov stage,
+    the L2 residual of the flattened strip equations relative to that of the
+    flat harmonic extension of psi.  The fixed point's test is on the
+    flat-preconditioned problem, so the strip residual of its answer can be
+    larger than tol.
     """
     ws = workspace if workspace is not None else _StripWorkspace(dom)
     if workspace is not None:
@@ -394,8 +389,7 @@ def _strip_solve(ws, psi, tol):
 
     converged = False
     if len(ws.nodes) == 1:
-        ws.stats.ran("fixed_point")
-        scale = max(float(np.max(np.abs(v))), 1e-300)
+        scale = max(float(np.max(np.abs(v - np.mean(psi)))), 1e-300)
         prev_delta = None
         for it in range(50):
             v_new = ws.flat_solve(-ws.strip_op(v, flat=False), psi_half)
@@ -408,7 +402,6 @@ def _strip_solve(ws, psi, tol):
             prev_delta = delta
 
     if not converged:
-        ws.stats.ran("krylov")
         v = _krylov_solve(ws, v_lift, v, tol)
     ws.warm = v
     return ws.flux(v), v
@@ -490,126 +483,59 @@ def surface_from_field(eta):
     return SurfaceDerivatives(_node_sampler(etap, grid), _node_sampler(etapp, grid))
 
 
-def dn_symbols(surface, J=2):
-    """Boundary symbols of G(eta): lambda^(1), lambda^(0), a_pm^(1), a_pm^(0), ...
+def dn_symbols(surface):
+    """Boundary symbols of G(eta) in one dimension, as callables a(x, xi).
 
-    `surface` provides vectorized eta', eta'' (d = 1).  Orders below 0 follow
-    the downward recursion with finite-difference symbol derivatives and are
-    approximate.  Returns a dict of Symbols.
+    With c = 1/(1+eta'^2), a_pm^(1) = c (i eta' xi +- |xi|) are the roots of
+    (1+eta'^2) a^2 - 2 i eta' xi a - xi^2, the principal symbol of the
+    flattened Laplacian, and lambda^(1) = |xi|.  a_pm^(0) and lambda^(0) are
+    the order-0 terms of the factorization.  `surface` provides vectorized
+    eta', eta''.  Returns {"lambda1", "lambda0", "a_plus", "a_minus"}, the
+    last two dicts {1: a^(1), 0: a^(0)}.
     """
     etap, etapp = surface.etap, surface.etapp
-
-    def lam1(x, xi):
-        gp = etap(x)
-        return np.sqrt((1.0 + gp ** 2) * xi ** 2 - (gp * xi) ** 2)
 
     def a1(sign):
         def f(x, xi):
             gp = etap(x)
-            c = 1.0 / (1.0 + gp ** 2)
-            root = np.sqrt(c * xi ** 2 - (c * gp * xi) ** 2)
-            return 1j * c * gp * xi + sign * root
+            return (1j * gp * xi + sign * np.abs(xi)) / (1.0 + gp ** 2)
 
         return f
 
     a1p, a1m = a1(+1.0), a1(-1.0)
 
-    def d_xi_a1m(x, xi):
-        gp = etap(x)
-        c = 1.0 / (1.0 + gp ** 2)
-        # d/dxi sqrt(c xi^2 (1 - c gp^2)) = sqrt(c^2) sign(xi); 1 - c gp^2 = c
-        return 1j * c * gp - c * np.sign(xi)
-
     def d_x_a1p(x, xi):
         gp, gpp = etap(x), etapp(x)
         c = 1.0 / (1.0 + gp ** 2)
-        c_x = -2.0 * gp * gpp * c ** 2
-        # a1p = i c gp xi + c |xi| in one dimension
-        return 1j * (c_x * gp + c * gpp) * xi + c_x * np.abs(xi)
+        return 1j * c * gpp * xi - 2.0 * gp * gpp * c * a1p(x, xi)
 
     def a0(sign):
+        # -+(i d_xi a_-^(1) d_x a_+^(1) - c eta'' a_pm^(1)) / (a_+^(1) - a_-^(1))
         def f(x, xi):
             gp, gpp = etap(x), etapp(x)
             c = 1.0 / (1.0 + gp ** 2)
-            num = 1j * d_xi_a1m(x, xi) * d_x_a1p(x, xi) - c * gpp * (
-                a1m(x, xi) if sign < 0 else a1p(x, xi)
-            )
-            den = (a1p(x, xi) - a1m(x, xi)) * (1.0 if sign < 0 else -1.0)
-            return num / den
+            d_xi_a1m = c * (1j * gp - np.sign(xi))
+            num = 1j * d_xi_a1m * d_x_a1p(x, xi) - c * gpp * (a1p if sign > 0 else a1m)(x, xi)
+            return -sign * num / (2.0 * c * np.abs(xi))
 
         return f
 
-    a0p, a0m = a0(+1.0), a0(-1.0)
-
     def lam0(x, xi):
-        # (1+|eta'|^2)/(2 lam1) { div(alpha1 grad eta) + i d_xi lam1 . grad alpha1 }
+        # (1+eta'^2)/(2 |xi|) { d_x(a_+^(1) eta') + i sign(xi) d_x a_+^(1) }, 0 at xi = 0
         gp, gpp = etap(x), etapp(x)
-        m2 = 1.0 + gp ** 2
-        l1 = lam1(x, xi)
-        alpha = (l1 + 1j * gp * xi) / m2
-        # x-derivatives: in 1D lam1 = |xi| so d_x lam1 = 0
-        alpha_x = (1j * gpp * xi) / m2 + (l1 + 1j * gp * xi) * (-2.0 * gp * gpp / m2 ** 2)
-        div_term = alpha_x * gp + alpha * gpp
-        dxi_l1 = np.sign(xi)  # lam1 = |xi| in one dimension
-        safe = np.where(l1 > 0.0, l1, 1.0)
-        return np.where(l1 > 0.0, m2 / (2.0 * safe) * (div_term + 1j * dxi_l1 * alpha_x), 0.0)
+        ax = d_x_a1p(x, xi)
+        a = np.abs(xi)
+        safe = np.where(a > 0.0, a, 1.0)
+        div_term = ax * gp + a1p(x, xi) * gpp
+        lam = (1.0 + gp ** 2) / (2.0 * safe) * (div_term + 1j * np.sign(xi) * ax)
+        return np.where(a > 0.0, lam, 0.0)
 
-    symbols = {
-        "lambda1": Symbol(lam1, order=(1.0, 0.0), label="lambda^(1)"),
-        "lambda0": Symbol(lam0, order=(0.0, 0.0), label="lambda^(0)"),
-        "a_plus": {1: Symbol(a1p, order=(1.0, 0.0), label="a_+^(1)"),
-                   0: Symbol(a0p, order=(0.0, 0.0), label="a_+^(0)")},
-        "a_minus": {1: Symbol(a1m, order=(1.0, 0.0), label="a_-^(1)"),
-                    0: Symbol(a0m, order=(0.0, 0.0), label="a_-^(0)")},
+    return {
+        "lambda1": lambda x, xi: np.broadcast_to(np.abs(xi), np.broadcast(x, xi).shape),
+        "lambda0": lam0,
+        "a_plus": {1: a1p, 0: a0(+1.0)},
+        "a_minus": {1: a1m, 0: a0(-1.0)},
     }
-
-    # downward recursion for orders <= -1 (finite-difference symbol derivatives)
-    if J > 2:
-        for target in range(-1, 1 - J - 1, -1):
-            m = target + 1  # defines a^{(m-1)}
-            symbols["a_minus"][target] = _recursion_symbol(symbols, m, etap)
-            neg = symbols["a_minus"][target]
-            symbols["a_plus"][target] = Symbol(
-                lambda x, xi, neg=neg: -neg(x, xi), order=(target, 0.0),
-                label=f"a_+^({target})",
-            )
-    return symbols
-
-
-def _recursion_symbol(symbols, m, etap):
-    """a_-^{(m-1)} = (a_-^1 - a_+^1)^-1 sum_{k,l} sum_{|alpha|=k+l-m}
-    (1/alpha!) d_xi^alpha a_-^k D_x^alpha a_+^l, with centered differences
-    of step 1e-5 in x and xi."""
-    step_x = step_xi = 1e-5
-    aM = symbols["a_minus"]
-    aP = symbols["a_plus"]
-
-    def d_xi(f, order):
-        if order == 0:
-            return f
-        return lambda x, xi, f=f: (
-            d_xi(f, order - 1)(x, xi + step_xi) - d_xi(f, order - 1)(x, xi - step_xi)
-        ) / (2 * step_xi)
-
-    def D_x(f, order):
-        if order == 0:
-            return f
-        return lambda x, xi, f=f: -1j * (
-            D_x(f, order - 1)(x + step_x, xi) - D_x(f, order - 1)(x - step_x, xi)
-        ) / (2 * step_x)
-
-    def f(x, xi):
-        total = np.zeros(np.broadcast(np.asarray(x), np.asarray(xi)).shape, dtype=complex)
-        for k in range(m, 2):
-            for l in range(m, 2):
-                alpha = k + l - m
-                if alpha < 0 or k not in aM or l not in aP:
-                    continue
-                term = d_xi(aM[k], alpha)(x, xi) * D_x(aP[l], alpha)(x, xi)
-                total = total + term / math.factorial(alpha)
-        return total / (aM[1](x, xi) - aP[1](x, xi))
-
-    return Symbol(f, order=(m - 1, 0.0), label=f"a_-^({m - 1})")
 
 
 # -- derived fields ---------------------------------------------------------------

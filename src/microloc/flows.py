@@ -31,6 +31,7 @@ __all__ = [
     "asymptotic_direction",
     "nontrapping_diagnostic",
     "escape_symbol_surface",
+    "escape_symbol_surface_fd",
     "escape_symbol_surface_min_transport",
 ]
 

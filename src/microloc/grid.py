@@ -23,6 +23,7 @@ __all__ = [
     "Grid",
     "Field",
     "transform",
+    "spectrum",
     "multiplier_apply",
     "wave_packet",
     "l2_norm",

@@ -59,6 +59,7 @@ __all__ = [
     "escape_symbol_model",
     "escape_symbol_model_fd",
     "geometric_h_grid",
+    "group_shift",
 ]
 
 

@@ -11,8 +11,8 @@ homogeneous-degree-zero cutoff with chi = 1 on |theta| <= eps1 |eta| and
 chi = 0 on |theta| >= eps2 |eta|.  P_a = sum_j psi~_j T_{psi_j a} psi~_j
 localizes T on spatial dyadic rings so polynomial weights act ring by ring.
 
-The symbol transform ahat is taken per frequency column (dense path) or once
-per separable term.
+The symbol transform ahat is taken per frequency column (dense path, for a
+plain callable a(x, eta)) or once per term of a Symbol.
 """
 
 from __future__ import annotations
@@ -101,16 +101,9 @@ def _as_terms(a, grid):
         return [(a.values.astype(np.complex128), np.ones(grid.n))], None
     if isinstance(a, np.ndarray):
         return [(a.astype(np.complex128), np.ones(grid.n))], None
-    if isinstance(a, Symbol) and a.separable is not None:
-        terms = []
-        for (cx, mxi) in a.separable:
-            terms.append(
-                (
-                    np.asarray(cx(x), dtype=np.complex128),
-                    np.asarray(mxi(eta), dtype=np.complex128),
-                )
-            )
-        return terms, None
+    if isinstance(a, Symbol):
+        return [(np.asarray(cx(x), dtype=np.complex128),
+                 np.asarray(mxi(eta), dtype=np.complex128)) for (cx, mxi) in a.separable], None
     if callable(a):
         dense = np.asarray(a(x[:, None], eta[None, :]), dtype=np.complex128)
         return None, dense
@@ -120,7 +113,7 @@ def _as_terms(a, grid):
 def paradiff_apply(a, u, adm=None, x_window=None):
     """Apply the paradifferential operator T_a to u.
 
-    a may be a Symbol (fast path when separable), a Field/array of x-samples
+    a may be a Symbol (applied term by term), a Field/array of x-samples
     (purely x-dependent symbol, e.g. T_B), or a callable a(x, eta).  x_window,
     when given, multiplies the symbol by a spatial window (used by P_a).  The
     (theta, eta) sum is gathered 512 frequency columns at a time.
@@ -199,7 +192,7 @@ def dyadic_paradiff_apply(a, u, part, adm=None, width=None):
 # -- remainder diagnostics -------------------------------------------------------
 
 
-def check_resolved(f):
+def _check_resolved(f):
     """Raise unless the top eighth of the spectrum, at either end, is below
     1e-10 times its peak."""
     spec = np.abs(_sorted_spectrum(f))
@@ -231,8 +224,8 @@ def paraproduct_remainder(a, b, adm=None, strict=True):
     if adm is None:
         adm = default_admissible_pair()
     if strict:
-        check_resolved(a)
-        check_resolved(b)
+        _check_resolved(a)
+        _check_resolved(b)
     prod = Field(a.grid, a.values * b.values)
     tab = paradiff_apply(a, b, adm=adm)
     tba = paradiff_apply(b, a, adm=adm)
@@ -246,7 +239,7 @@ def paralinearization_remainder(F, Fprime, u, adm=None, strict=True):
     if adm is None:
         adm = default_admissible_pair()
     if strict:
-        check_resolved(u)
+        _check_resolved(u)
     uvals = np.real(u.values)
     Fu = Field(u.grid, np.asarray(F(uvals), dtype=np.complex128))
     coeff = Field(u.grid, np.asarray(Fprime(uvals), dtype=np.complex128))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError, MultiplierError
 from .grid import Field, Grid, l2_norm, multiplier_apply, spectrum
-from .symbols import plateau_bump, window_radii, window_symbol
+from .symbols import Symbol, plateau_bump, window_radii, window_symbol
 
 __all__ = [
     "op_quantize",
@@ -120,24 +120,25 @@ def _support_runs(a, grid, hx, hxi):
     )
 
 
-def op_quantize(a, u, h, delta=0.0, rho=0.0, force_dense=False, *, u_fft=None):
+def op_quantize(a, u, h, delta=0.0, rho=0.0, *, u_fft=None):
     """Apply op_h^{delta,rho}(a) to u.
 
-    Separable symbols take the fast path sum_m c_m(h^delta x) m_m(h^rho xi):
-    each m_m is evaluated only on the run of modes that a.support's xi ball
-    covers and multiplied into fft(u) there; one chirp-z zoom per term takes
-    those nk values to the nm points of the x ball's run, where c_m is
-    evaluated (both runs are whole axes without a support hint).  The output
-    is zero off the x run.  Otherwise a dense sweep over the phase-space
-    lattice is used.  Both paths agree to ~1e-10.  u_fft, if given, must be
-    np.fft.fft(u.values); the separable path then skips its forward transform.
+    A Symbol takes the fast path sum_m c_m(h^delta x) m_m(h^rho xi): each
+    m_m is evaluated only on the run of modes that a.support's xi ball covers
+    and multiplied into fft(u) there; one chirp-z zoom per term takes those
+    nk values to the nm points of the x ball's run, where c_m is evaluated
+    (both runs are whole axes without a support hint).  The output is zero
+    off the x run.  Any other callable a(x, xi) is swept densely over the
+    phase-space lattice, so lambda x, xi: a(x, xi) gives the dense reference
+    for a Symbol a.  u_fft, if given, must be np.fft.fft(u.values); the
+    Symbol path then skips its forward transform.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     if delta < 0 or rho < 0:
         raise ValueError("delta and rho must be nonnegative")
     grid = u.grid
-    if force_dense or not getattr(a, "separable", None):
+    if not isinstance(a, Symbol):
         return _dense_apply(a, u, h, delta, rho)
     n = grid.n
     hx, hxi = h ** delta, h ** rho
@@ -300,7 +301,7 @@ def _fit_loglog(hs, norms):
     return float(coef[0]), r2
 
 
-def estimate_decay_order(u, x0, xi0, delta, rho, h_grid=None, force_dense=False):
+def estimate_decay_order(u, x0, xi0, delta, rho, h_grid=None):
     """Fit log ||op_h(window) u||_L2 against log h; slope = decay order mu_hat.
 
     The window is window_symbol(x0, xi0).  u is transformed once; every h
@@ -320,10 +321,7 @@ def estimate_decay_order(u, x0, xi0, delta, rho, h_grid=None, force_dense=False)
         raise ConfigError("fewer than 3 usable h values after box/Nyquist truncation")
     floor = NORM_FLOOR * max(l2_norm(u), 1e-300)
     u_fft = np.fft.fft(u.values)
-    measured = [
-        l2_norm(op_quantize(window, u, h, delta, rho, force_dense=force_dense, u_fft=u_fft))
-        for h in h_grid
-    ]
+    measured = [l2_norm(op_quantize(window, u, h, delta, rho, u_fft=u_fft)) for h in h_grid]
     hs = [h for h, val in zip(h_grid, measured) if val > floor]
     norms = [val for val in measured if val > floor]
     if len(hs) < 3:

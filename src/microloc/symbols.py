@@ -1,9 +1,9 @@
 """Phase-space symbols a(x, xi) and the bump-function library.
 
-A Symbol is a pointwise-evaluable function on phase space with declared
-growth orders (mu, k), i.e. |a(x, xi)| <= C <x>^k <xi>^mu.  Separable symbols
-additionally carry a term list a = sum_m c_m(x) m_m(xi), which quantization
-and paradifferential routines exploit.  The x and xi arguments are arrays.
+A Symbol is its term list: a(x, xi) = sum_m c_m(x) m_m(xi), which
+quantization and paradifferential routines apply term by term.  A symbol
+that is not a finite sum of products is a plain callable a(x, xi), applied
+by the dense lattice sweeps.  The x and xi arguments are arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "plateau_bump",
     "plateau_bump_prime",
     "radial_bump",
+    "radial_bump_grad",
     "window_radii",
     "window_symbol",
     "constant_symbol",
@@ -85,55 +86,29 @@ def radial_bump_grad(x, r_plateau=0.5, r_support=1.0):
 
 @dataclass
 class Symbol:
-    """Phase-space symbol with declared growth orders."""
+    """Separable symbol a(x, xi) = sum_m c_m(x) m_m(xi), given by its terms."""
 
-    func: Callable
-    order: Tuple[float, float] = (0.0, 0.0)  # (mu, k): <xi>^mu, <x>^k growth
-    separable: Optional[Sequence[Tuple[Callable, Callable]]] = None
+    separable: Sequence[Tuple[Callable, Callable]]
     # Support hint ((x0, r_x), (xi0, r_xi)): centre/radius pairs such that every
-    # separable term's x-factor is exactly 0 where |x - x0| >= r_x and its
-    # xi-factor where |xi - xi0| >= r_xi.  On a lattice each ball is one index
-    # run per axis; op_quantize evaluates the factors only on those runs.
+    # term's x-factor is exactly 0 where |x - x0| >= r_x and its xi-factor
+    # where |xi - xi0| >= r_xi.  On a lattice each ball is one index run per
+    # axis; op_quantize evaluates the factors only on those runs.
     support: Optional[tuple] = None
-    label: str = ""
 
     def __call__(self, x, xi):
-        return self.func(x, xi)
-
-    @property
-    def mu(self):
-        return self.order[0]
-
-    @property
-    def k(self):
-        return self.order[1]
+        return sum(np.asarray(c(x)) * np.asarray(m(xi)) for c, m in self.separable)
 
 
 def constant_symbol(c):
-    return Symbol(
-        lambda x, xi: c * np.ones(np.broadcast(x, xi).shape),
-        order=(0.0, 0.0),
-        separable=[(lambda x: c * np.ones_like(x), lambda xi: np.ones_like(xi))],
-        label=f"const({c})",
-    )
+    return Symbol([(lambda x: c * np.ones_like(x), lambda xi: np.ones_like(xi))])
 
 
-def multiplier_symbol(m, mu=0.0):
-    return Symbol(
-        lambda x, xi: np.broadcast_to(np.asarray(m(xi)), np.broadcast(x, np.asarray(m(xi))).shape),
-        order=(mu, 0.0),
-        separable=[(lambda x: np.ones_like(x), m)],
-        label="multiplier",
-    )
+def multiplier_symbol(m):
+    return Symbol([(lambda x: np.ones_like(x), m)])
 
 
-def x_function_symbol(c, k=0.0):
-    return Symbol(
-        lambda x, xi: np.broadcast_to(np.asarray(c(x)), np.broadcast(np.asarray(c(x)), xi).shape),
-        order=(0.0, k),
-        separable=[(c, lambda xi: np.ones_like(xi))],
-        label="x-function",
-    )
+def x_function_symbol(c):
+    return Symbol([(c, lambda xi: np.ones_like(xi))])
 
 
 def _dist(z, z0):
@@ -165,10 +140,4 @@ def window_symbol(x0, xi0, r_x=None, r_xi=None):
     def bxi(xi):
         return plateau_bump(_dist(xi, xi0) / r_xi)
 
-    return Symbol(
-        lambda x, xi: bx(x) * bxi(xi),
-        order=(0.0, 0.0),
-        separable=[(bx, bxi)],
-        support=((x0, r_x), (xi0, r_xi)),
-        label=f"window@({x0},{xi0})",
-    )
+    return Symbol([(bx, bxi)], support=((x0, r_x), (xi0, r_xi)))

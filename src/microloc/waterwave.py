@@ -10,12 +10,11 @@ stepped by integrating-factor (Lawson) RK4: the flat linear flow, whose
 capillary dispersion |xi|^{3/2} makes explicit stepping stiff, is integrated
 exactly per mode and RK4 steps only the remainder, under the step rule of
 cfl_dt; an optional exp(-eps dt |xi|^{3/2}) mollifier follows each step.
-The symmetrizer symbols (l, gamma, p, q, zeta), the good unknown
-omega = psi - T_B eta, and the symmetrized variable
-u = Lam^mu P_p eta - i Lam^mu P_q omega feed the wavefront experiments:
-transport of (1/2,1)-singularities at spatial infinity, and the microlocal
-smoothing experiment whose prediction uses the asymptotic direction of the
-initial surface's co-geodesic flow.
+The symmetrizer symbols p and q, the good unknown omega = psi - T_B eta,
+and the symmetrized variable u = Lam^mu P_p eta - i Lam^mu P_q omega feed
+the wavefront experiments: transport of (1/2,1)-singularities at spatial
+infinity, and the microlocal smoothing experiment whose prediction uses the
+asymptotic direction of the initial surface's co-geodesic flow.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ __all__ = [
     "real_scaled_witness",
     "right_mover_state",
     "ramp_surface",
+    "ramp_metric",
     "singularity_experiment_infinite",
     "singularity_experiment_smoothing",
 ]
@@ -296,48 +296,20 @@ def linearized_evolution(state0, T, discrete_symbol=None):
 
 
 def symmetrizer_symbols(eta, kappa=1.0):
-    """Symbols l^(2), l^(1), gamma^(3/2), p^(1/2), q^(0), zeta^(-1/2).
+    """Symbols p^(1/2) = (1+eta'^2)^{-1/2} |xi|^{1/2} and
+    q^(0) = (1+eta'^2)^{1/4} of the symmetrizer, the two symmetrized_u applies.
 
-    One-dimensional closed forms on top of lambda^(1) = |xi|: every symbol is
-    separable, which the dyadic paradifferential applications exploit.
+    One-dimensional closed forms on top of lambda^(1) = |xi|, each one term
+    of a Symbol, which the dyadic paradifferential applications exploit.
     """
     if kappa != 1.0:
         raise ConfigError("symmetrizer symbols assume unit surface tension")
-    grid = eta.grid
-    ex, exx = _slopes(eta)
+    ex, _ = _slopes(eta)
     m2 = 1.0 + ex ** 2
-    m2_m14 = _node_sampler(m2 ** -0.25, grid)
-    m2_m12 = _node_sampler(m2 ** -0.5, grid)
-    m2_p14 = _node_sampler(m2 ** 0.25, grid)
-    m2_m32full = _node_sampler(-ex * exx * m2 ** -1.5, grid)  # d_x(m2^{-1/2})
-    m2_p34 = _node_sampler(m2 ** 0.75, grid)
-
-    def absxi(xi):
-        return np.abs(xi)
-
-    def inv_sqrt_xi(xi):
-        a = np.abs(xi)
-        return np.where(a > 0, np.where(a > 0, a, 1.0) ** -0.5, 0.0)
-
-    sym = {}
-    sym["l2"] = Symbol(lambda x, xi: m2_m12(x) * xi ** 2, order=(2.0, 0.0),
-                       separable=[(m2_m12, lambda xi: xi ** 2)], label="l^(2)")
-    # l^(1) = (1/2) d_xi D_x l^(2) = -i xi d_x(m2^{-1/2})
-    sym["l1"] = Symbol(lambda x, xi: -1j * xi * m2_m32full(x), order=(1.0, 0.0),
-                       separable=[(lambda x: -1j * m2_m32full(x), lambda xi: xi)],
-                       label="l^(1)")
-    sym["gamma32"] = Symbol(lambda x, xi: m2_m14(x) * absxi(xi) ** 1.5, order=(1.5, 0.0),
-                            separable=[(m2_m14, lambda xi: np.abs(xi) ** 1.5)],
-                            label="gamma^(3/2)")
-    sym["p12"] = Symbol(lambda x, xi: m2_m12(x) * absxi(xi) ** 0.5, order=(0.5, 0.0),
-                        separable=[(m2_m12, lambda xi: np.abs(xi) ** 0.5)],
-                        label="p^(1/2)")
-    sym["q0"] = Symbol(lambda x, xi: m2_p14(x) * np.ones_like(np.abs(xi)), order=(0.0, 0.0),
-                       separable=[(m2_p14, lambda xi: np.ones_like(np.abs(xi)))],
-                       label="q^(0)")
-    sym["zeta"] = Symbol(lambda x, xi: m2_p34(x) * inv_sqrt_xi(xi), order=(-0.5, 0.0),
-                         separable=[(m2_p34, inv_sqrt_xi)], label="zeta^(-1/2)")
-    return sym
+    return {
+        "p12": Symbol([(_node_sampler(m2 ** -0.5, eta.grid), lambda xi: np.abs(xi) ** 0.5)]),
+        "q0": Symbol([(_node_sampler(m2 ** 0.25, eta.grid), lambda xi: np.ones_like(xi))]),
+    }
 
 
 def lambda_mu_symbol(eta, mu):
@@ -355,8 +327,7 @@ def lambda_mu_symbol(eta, mu):
         blend = smoothstep(a - 1.0)
         return (blend * a ** 1.5 + (1.0 - blend)) ** (2.0 * mu / 3.0)
 
-    return Symbol(lambda x, xi: m2_pow(x) * wxi(xi), order=(1.5 * mu, 0.0),
-                  separable=[(m2_pow, wxi)], label=f"Lam^{mu}")
+    return Symbol([(m2_pow, wxi)])
 
 
 def good_unknown(state):

@@ -121,7 +121,8 @@ def test_elliptic_constant_psi(unit_grid):
     ws = dno._StripWorkspace(ramp)
     dn_elliptic(ramp, random_field(g, seed=2, decay=3.0, real=True), workspace=ws)
     G = dn_elliptic(ramp, Field(g, np.full(g.n, 2.0, dtype=complex)), workspace=ws)
-    assert ws.stats.stages == ["krylov"] and l2_norm(G) < 1e-10
+    assert ws.stats.fixed_point_iters == 0 and ws.stats.krylov_iters > 0
+    assert l2_norm(G) < 1e-10
 
 
 def test_cross_method_agreement(unit_grid):
@@ -253,7 +254,7 @@ def test_elliptic_stalled_fixed_point_solves_strip_equations():
     psi = random_field(g, seed=2, decay=3.0, real=True)
     ws = dno._StripWorkspace(dom)
     G, v = dn_elliptic(dom, psi, return_solution=True, workspace=ws)
-    assert ws.stats.stages == ["krylov"] and ws.stats.nodes == 3
+    assert ws.stats.nodes == 3
     assert ws.stats.fixed_point_iters == 0 and ws.stats.krylov_iters > 0
     assert np.isrealobj(v) and v.shape == (65, g.n)
     assert np.max(np.abs(v[-1] - np.real(psi.values))) < 1e-12
@@ -268,20 +269,18 @@ def test_elliptic_slope_one_and_a_half_ramp():
     psi = random_field(g, seed=2, decay=3.0, real=True)
     ws = dno._StripWorkspace(dom)
     G, v = dn_elliptic(dom, psi, return_solution=True, workspace=ws)
-    assert ws.stats.stages == ["krylov"] and ws.stats.nodes == 5
+    assert ws.stats.nodes == 5 and ws.stats.fixed_point_iters == 0
     assert _strip_equation_residual(dom, v) <= 1e-8
-    assert ws.stats.krylov_iters <= 45
+    assert 0 < ws.stats.krylov_iters <= 45
 
 
 def test_elliptic_constant_elevation_is_the_deeper_flat_strip(unit_grid):
     # eta = 0.3 stretches z uniformly: the scheme is the flat scheme of depth
-    # b + 0.3 on its uniform nz grid, so its discrete symbol is the oracle.
-    # The fixed point's update test is relative to max |v|, which this psi's
-    # mean dominates; tol = 1e-12 keeps the solver error below the bound
+    # b + 0.3 on its uniform nz grid, so its discrete symbol is the oracle
     nz = 64
     dom = FluidDomain(unit_grid, Field(unit_grid, np.full(unit_grid.n, 0.3 + 0j)), B_DEPTH, nz)
     psi = random_field(unit_grid, seed=3, decay=3.0, real=True)
-    G = dn_elliptic(dom, psi, tol=1e-12)
+    G = dn_elliptic(dom, psi)
     sym = discrete_flat_symbol(unit_grid, B_DEPTH + 0.3, nz)
     oracle = np.fft.ifft(sym * np.fft.fft(psi.values))
     assert np.linalg.norm(G.values - oracle) <= 1e-9 * np.linalg.norm(oracle)
@@ -400,16 +399,22 @@ def test_symbols_identities():
     assert np.max(np.abs(lam0 - (1.0 + gp ** 2) * syms["a_plus"][0](X, XI))) < 1e-10
 
 
-def test_symbols_recursion_orders():
-    g = Grid(256, 2 * np.pi)
-    x = g.axis_points()
-    eta = Field(g, (0.1 * np.cos(x)).astype(complex))
-    syms = dn_symbols(surface_from_field(eta), J=3)
-    val = syms["a_minus"][-1](np.array([0.4]), np.array([6.0]))
-    assert np.all(np.isfinite(val))
-    # a_+^{(m)} = -a_-^{(m)} below the base orders
-    vp = syms["a_plus"][-1](np.array([0.4]), np.array([6.0]))
-    assert np.allclose(vp, -val)
+def test_a_pm_are_the_roots_of_the_principal_symbol():
+    # a_pm^(1) solve (1+eta'^2) a^2 - 2 i eta' xi a - xi^2 = 0, the principal
+    # symbol of the flattened Laplacian, as its two distinct roots (Vieta:
+    # product -xi^2/(1+eta'^2)), at off-grid (x, xi) where eta' != 0
+    surf = dno.SurfaceDerivatives(lambda x: 0.4 * np.cos(1.3 * x) + 0.6,
+                                  lambda x: -0.52 * np.sin(1.3 * x))
+    syms = dn_symbols(surf)
+    rng = np.random.default_rng(4)
+    x, xi = rng.uniform(-5.0, 5.0, 200), rng.uniform(-40.0, 40.0, 200)
+    gp = surf.etap(x)
+    assert np.min(np.abs(gp)) >= 0.2
+    a_p, a_m = syms["a_plus"][1](x, xi), syms["a_minus"][1](x, xi)
+    for a in (a_p, a_m):
+        residual = (1.0 + gp ** 2) * a ** 2 - 2j * gp * xi * a - xi ** 2
+        assert np.max(np.abs(residual) / xi ** 2) <= 1e-12
+    assert np.max(np.abs(a_p * a_m * (1.0 + gp ** 2) / xi ** 2 + 1.0)) <= 1e-12
 
 
 def test_high_frequency_paralinearization_structure():

@@ -1,6 +1,7 @@
 """Packaging metadata: every declared console script and every exported name
-resolves, no module imports a name it never uses, and every option of a
-library function has a caller that sets it."""
+resolves, every public top-level name is exported, no module imports a name
+it never uses, and every option of a library function has a caller that
+sets it."""
 
 import ast
 import importlib
@@ -32,6 +33,44 @@ def test_module_exports_resolve():
         assert not missing, f"microloc.{info.name}.__all__ names missing objects: {missing}"
 
 
+def _exported(tree):
+    """The names a module's __all__ lists; None without an __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def _unexported(source):
+    """Public top-level functions and classes of a module missing from its
+    __all__ (a module without one exports every public name)."""
+    tree = ast.parse(source)
+    exported = _exported(tree)
+    if exported is None:
+        return []
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    return sorted(public - exported)
+
+
+def test_unexported_detector():
+    src = "__all__ = ['f']\ndef f():\n    pass\ndef g():\n    pass\n"
+    src += "def _h():\n    pass\nclass K:\n    def m(self):\n        pass\n"
+    assert _unexported(src) == ["K", "g"]
+    assert _unexported("def g():\n    pass\n") == []
+
+
+def test_public_names_are_exported():
+    hits = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "microloc").glob("*.py"))
+        if (names := _unexported(path.read_text()))
+    }
+    assert not hits, f"public names missing from __all__: {hits}"
+
+
 def _unused_imports(source):
     """Names a module imports but neither uses nor lists in __all__."""
     tree = ast.parse(source)
@@ -42,13 +81,7 @@ def _unused_imports(source):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
-    return sorted(imported - used - exported)
+    return sorted(imported - used - (_exported(tree) or set()))
 
 
 def test_unused_imports_detector():

@@ -41,7 +41,7 @@ def test_op_identity(grid):
 
 def test_op_position_symbol(grid):
     u = random_field(grid, seed=2)
-    a = x_function_symbol(lambda x: x, k=1.0)
+    a = x_function_symbol(lambda x: x)
     out = op_quantize(a, u, h=0.5, delta=1.0, rho=0.0)
     expected = 0.5 * grid.axis_points() * u.values
     assert np.max(np.abs(out.values - expected)) < 1e-12 * max(1.0, np.max(np.abs(expected)))
@@ -49,7 +49,7 @@ def test_op_position_symbol(grid):
 
 def test_op_frequency_symbol_multiplier_oracle(grid):
     u = random_field(grid, seed=3)
-    a = multiplier_symbol(lambda xi: xi, mu=1.0)
+    a = multiplier_symbol(lambda xi: xi)
     h = 0.37
     out = op_quantize(a, u, h=h, delta=0.0, rho=1.0)
     oracle = multiplier_apply(u, lambda xi: xi, nyquist_even=False)
@@ -79,16 +79,12 @@ def test_dense_equals_separable_on_random_symbols(grid):
                     lambda xi, fc=fc, fw=fw: np.exp(-((xi - fc) ** 2) / (2 * fw ** 2)),
                 )
             )
-
-        def func(x, xi, terms=terms):
-            return sum(np.asarray(c(x)) * np.asarray(m(xi)) for c, m in terms)
-
-        a = Symbol(func, separable=terms)
+        a = Symbol(terms)
         h = float(rng.uniform(0.1, 0.9))
         delta = float(rng.uniform(0.0, 1.0))
         rho = float(rng.uniform(0.0, 1.0))
         fast = op_quantize(a, u, h, delta, rho)
-        dense = op_quantize(a, u, h, delta, rho, force_dense=True)
+        dense = op_quantize(lambda x, xi: a(x, xi), u, h, delta, rho)
         scale = max(np.max(np.abs(dense.values)), 1e-30)
         assert np.max(np.abs(fast.values - dense.values)) < 1e-10 * scale
 
@@ -102,7 +98,7 @@ def _assert_support_restriction_exact(u, window, h, delta, rho):
     assert 0 < x_in.sum() < x_in.size and 0 < xi_in.sum() < xi_in.size
     fast = op_quantize(window, u, h, delta, rho)
     full = op_quantize(dataclasses.replace(window, support=None), u, h, delta, rho)
-    dense = op_quantize(window, u, h, delta, rho, force_dense=True)
+    dense = op_quantize(lambda x, xi: window(x, xi), u, h, delta, rho)
     given = op_quantize(window, u, h, delta, rho, u_fft=np.fft.fft(u.values))
     scale = np.max(np.abs(full.values))
     assert scale > 1e-6 * np.max(np.abs(u.values))
@@ -309,12 +305,17 @@ def test_dyadic_norm_homogeneous():
 
 
 def test_decay_order_disjoint_probe_dense_oracle():
-    # packet far (in scaled phase space) from the probe: rapid decay
+    # packet far (in scaled phase space) from the probe: rapid decay, with
+    # every norm of the fit matched by the dense sweep of the same window
     g = Grid(512, 240.0)
     u = wave_packet(g, 0.0, 2.0, 1.0, normalize=True)
     hs = [2.0 ** (-1 - 0.5 * j) for j in range(5)]
-    fit = estimate_decay_order(u, 3.0, -0.5, 1.0, 1.0, h_grid=hs, force_dense=True)
+    fit = estimate_decay_order(u, 3.0, -0.5, 1.0, 1.0, h_grid=hs)
     assert fit.mu_hat >= 8.0
+    window = window_symbol(3.0, -0.5)
+    for h, norm in zip(fit.h_used, fit.norms):
+        dense = op_quantize(lambda x, xi: window(x, xi), u, h, 1.0, 1.0)
+        assert abs(l2_norm(dense) - norm) <= 1e-10 * norm
 
 
 def test_decay_order_needs_three_h():
@@ -425,22 +426,16 @@ def test_composition_first_order_correction():
 
     ca, cap, ma, map_ = make(0.5, 3.0, 0.8, 2.0)
     cb, cbp, mb, mbp = make(-0.3, 2.5, -0.5, 2.5)
-    a = Symbol(lambda x, xi: ca(x) * ma(xi), separable=[(ca, ma)])
-    b = Symbol(lambda x, xi: cb(x) * mb(xi), separable=[(cb, mb)])
+    a = Symbol([(ca, ma)])
+    b = Symbol([(cb, mb)])
 
     hs = np.array([2.0 ** (-j) for j in range(2, 7)])
     errs = []
     for h in hs:
         lhs = op_quantize(a, op_quantize(b, u, h, delta, rho), h, delta, rho)
         # product symbol and first-order correction d_xi a * D_x b (D = -i d)
-        prod = Symbol(
-            lambda x, xi: ca(x) * ma(xi) * cb(x) * mb(xi),
-            separable=[(lambda x: ca(x) * cb(x), lambda xi: ma(xi) * mb(xi))],
-        )
-        corr = Symbol(
-            lambda x, xi: ca(x) * map_(xi) * (-1j) * cbp(x) * mb(xi),
-            separable=[(lambda x: -1j * ca(x) * cbp(x), lambda xi: map_(xi) * mb(xi))],
-        )
+        prod = Symbol([(lambda x: ca(x) * cb(x), lambda xi: ma(xi) * mb(xi))])
+        corr = Symbol([(lambda x: -1j * ca(x) * cbp(x), lambda xi: map_(xi) * mb(xi))])
         rhs = op_quantize(prod, u, h, delta, rho).values \
             + h ** (delta + rho) * op_quantize(corr, u, h, delta, rho).values
         errs.append(np.max(np.abs(lhs.values - rhs)))
