@@ -510,13 +510,15 @@ def dn_symbols(surface):
         return 1j * c * gpp * xi - 2.0 * gp * gpp * c * a1p(x, xi)
 
     def a0(sign):
-        # -+(i d_xi a_-^(1) d_x a_+^(1) - c eta'' a_pm^(1)) / (a_+^(1) - a_-^(1))
+        # -+(i d_xi a_-^(1) d_x a_+^(1) - c eta'' a_pm^(1)) / (a_+^(1) - a_-^(1)), 0 at xi = 0
         def f(x, xi):
             gp, gpp = etap(x), etapp(x)
             c = 1.0 / (1.0 + gp ** 2)
             d_xi_a1m = c * (1j * gp - np.sign(xi))
             num = 1j * d_xi_a1m * d_x_a1p(x, xi) - c * gpp * (a1p if sign > 0 else a1m)(x, xi)
-            return -sign * num / (2.0 * c * np.abs(xi))
+            a = np.abs(xi)
+            safe = np.where(a > 0.0, a, 1.0)
+            return np.where(a > 0.0, -sign * num / (2.0 * c * safe), 0.0)
 
         return f
 

@@ -1,11 +1,10 @@
-"""Hamiltonian and geodesic flows on graph surfaces y = eta(x) over the line.
+"""Hamiltonian flow on graph surfaces y = eta(x) over the line.
 
 The phase space is z = (x, xi).  The co-metric of the graph surface is
 G(x, xi) = xi^2 / (1 + eta'(x)^2); the dispersive flow uses H = G^{3/4},
 whose trajectories are the geodesics of G up to the reparametrization
-phi_s = (3/4) int G(Phi_sigma)^{-1/4} d sigma.  Non-trapping is diagnosed
-through the growth of x xi along trajectories, and escaping trajectories
-carry an asymptotic direction xi_inf = lim xi_s.  Metric callables work
+phi_s = (3/4) int G(Phi_sigma)^{-1/4} d sigma.  Escaping trajectories carry
+an asymptotic direction xi_inf = lim xi_s.  Metric callables work
 elementwise on scalars or arrays.
 """
 
@@ -15,24 +14,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import FlowSingularityError
-from .symbols import radial_bump, radial_bump_grad
 
 __all__ = [
     "SurfaceMetric",
     "flat_metric",
     "gaussian_bump_metric",
-    "metric_from_samples",
     "Trajectory",
     "integrate_hamiltonian",
-    "reparam_check",
     "asymptotic_direction",
-    "nontrapping_diagnostic",
-    "escape_symbol_surface",
-    "escape_symbol_surface_fd",
-    "escape_symbol_surface_min_transport",
 ]
 
 
@@ -56,10 +47,6 @@ class SurfaceMetric:
         g = self.grad_eta(x)
         m2 = 1.0 + g ** 2
         return -2.0 * g * self.hess_eta(x) * xi ** 2 / m2 ** 2, 2.0 * xi / m2
-
-    def hamilton_rhs_G(self, z):
-        dx, dxi = self.grad_G(z[0], z[1])
-        return np.array([dxi, -dx])
 
     def hamilton_rhs_H(self, z):
         x, xi = z[0], z[1]
@@ -94,37 +81,11 @@ def gaussian_bump_metric(amplitude, width=1.0):
     return SurfaceMetric(eta, grad, hess)
 
 
-def metric_from_samples(field):
-    """Spline adapter for a sampled surface: periodic cubic interpolation of eta.
-
-    Used to couple water-wave surface snapshots to the ray tracer; flows need
-    smooth off-grid derivatives the grid samples cannot provide directly.
-    """
-    grid = field.grid
-    xs = np.append(grid.axis_points(), 0.5 * grid.length)
-    vals = np.real(field.values)
-    vals = np.append(vals, vals[0])
-    spl = CubicSpline(xs, vals, bc_type="periodic")
-    d1 = spl.derivative(1)
-    d2 = spl.derivative(2)
-    L = grid.length
-
-    def wrap(x):
-        return (x + 0.5 * L) % L - 0.5 * L
-
-    return SurfaceMetric(
-        eta=lambda x: spl(wrap(x)),
-        grad_eta=lambda x: d1(wrap(x)),
-        hess_eta=lambda x: d2(wrap(x)),
-    )
-
-
 @dataclass
 class Trajectory:
-    """Dense solution of a Hamiltonian flow, with conserved-energy bookkeeping."""
+    """Dense solution of the H flow, with conserved-energy bookkeeping."""
 
     metric: SurfaceMetric
-    symbol: str  # "H" (G^{3/4}) or "G"
     s: np.ndarray
     sol: object = dc_field(repr=False)
 
@@ -137,29 +98,20 @@ class Trajectory:
     def xi(self, s):
         return self.sol(s)[1]
 
-    def velocity(self, s):
-        z = self.sol(s)
-        if self.symbol == "H":
-            return self.metric.hamilton_rhs_H(z)
-        return self.metric.hamilton_rhs_G(z)
-
     def energy(self, s):
         z = self.sol(s)
-        val = self.metric.G(z[0], z[1])
-        return val ** 0.75 if self.symbol == "H" else val
+        return self.metric.H(z[0], z[1])
 
     def energy_drift(self):
         e = np.array([self.energy(s) for s in self.s])
         return float(np.max(np.abs(e - e[0])) / abs(e[0]))
 
 
-def _integrate(metric, z0, s_span, tol, symbol, extra_rhs=None, extra0=None, events=None):
+def _integrate(metric, z0, s_span, tol, extra_rhs=None, extra0=None, events=None):
     # extra_rhs(s, z, dz) gives the rates of the components after z; dz is the
     # flow's rate at z, evaluated once per stage for both
-    rhs_core = metric.hamilton_rhs_H if symbol == "H" else metric.hamilton_rhs_G
-
     def rhs(s, y):
-        dz = rhs_core(y[:2])
+        dz = metric.hamilton_rhs_H(y[:2])
         if extra_rhs is None:
             return dz
         return np.concatenate([dz, extra_rhs(s, y[:2], dz)])
@@ -186,27 +138,10 @@ def _integrate(metric, z0, s_span, tol, symbol, extra_rhs=None, extra0=None, eve
     return res
 
 
-def integrate_hamiltonian(metric, z0, s_end, tol=1e-10, symbol="H"):
-    """Adaptive RK45 solution of dz/ds = X_H(z) (or X_G with symbol="G")."""
-    res = _integrate(metric, z0, (0.0, s_end), tol, symbol)
-    return Trajectory(metric, symbol, res.t, res.sol)
-
-
-def reparam_check(metric, z0, s_end, tol=1e-10):
-    """Max |Phi_s - Geo_{phi_s}| over 200 samples of s, with
-    phi_s = (3/4) int G(Phi_sigma)^{-1/4} dsigma."""
-
-    def phi_rate(s, z, dz):
-        return np.array([0.75 * metric.G(z[0], z[1]) ** (-0.25)])
-
-    res = _integrate(metric, z0, (0.0, s_end), tol, "H", extra_rhs=phi_rate, extra0=np.zeros(1))
-    phi_end = res.y[-1, -1]
-    geo = integrate_hamiltonian(metric, z0, phi_end, tol=tol, symbol="G")
-    dev = 0.0
-    for s in np.linspace(0.0, s_end, 200):
-        y = res.sol(s)
-        dev = max(dev, float(np.max(np.abs(y[:2] - geo.state(y[-1])))))
-    return dev
+def integrate_hamiltonian(metric, z0, s_end, tol=1e-10):
+    """Adaptive RK45 solution of dz/ds = X_H(z)."""
+    res = _integrate(metric, z0, (0.0, s_end), tol)
+    return Trajectory(metric, res.t, res.sol)
 
 
 def asymptotic_direction(metric, z0, s_max=1.0e3, escape_radius=None, cauchy_tol=1e-6):
@@ -229,7 +164,7 @@ def asymptotic_direction(metric, z0, s_max=1.0e3, escape_radius=None, cauchy_tol
         return abs(y[0]) - escape_radius
 
     escaped.terminal = True
-    res = _integrate(metric, z0, (0.0, s_max), tol, "H",
+    res = _integrate(metric, z0, (0.0, s_max), tol,
                      extra_rhs=z_rate, extra0=np.zeros(1), events=[escaped])
     if not len(res.t_events[1]):
         return None, None, True, {"message": "no escape before s_max", "s_max": s_max}
@@ -242,7 +177,7 @@ def asymptotic_direction(metric, z0, s_max=1.0e3, escape_radius=None, cauchy_tol
     xi_prev = y[1]
     while s_cur < s_max:
         s_next = min(2.0 * s_cur, s_max)
-        res2 = _integrate(metric, y[:2], (s_cur, s_next), tol, "H",
+        res2 = _integrate(metric, y[:2], (s_cur, s_next), tol,
                           extra_rhs=z_rate, extra0=y[2:])
         y = res2.sol(s_next)
         inc = abs(float(y[1] - xi_prev))
@@ -256,102 +191,3 @@ def asymptotic_direction(metric, z0, s_max=1.0e3, escape_radius=None, cauchy_tol
     info = {"s_escape": s_esc, "checkpoints": checkpoints, "increments": increments,
             "message": "Cauchy tolerance not reached before s_max"}
     return float(y[1]), float(y[2]), False, info
-
-
-def nontrapping_diagnostic(metric, z0, s_end):
-    """Minimum of d/ds (x xi) over 2000 samples of the trajectory, and a
-    positivity flag."""
-    n_samples = 2000
-    traj = integrate_hamiltonian(metric, z0, s_end)
-    ss = np.linspace(0.0, s_end, n_samples)
-    vals = np.empty(n_samples)
-    for i, s in enumerate(ss):
-        z = traj.state(s)
-        v = traj.velocity(s)
-        vals[i] = z[0] * v[1] + v[0] * z[1]
-    min_slope = float(np.min(vals))
-    return min_slope, min_slope > 0.0
-
-
-# -- escape symbols along a trajectory ------------------------------------------
-
-
-def escape_symbol_surface(s, x, xi, traj, lam, delta, nu, sign=+1, plateau=0.5):
-    """chi^pm = phi((x - x_s)/(lam delta s)) phi((xi -/+ xi_s)/(delta - s^-nu)).
-
-    Returns (value, transport = d_s chi +/- {H, chi}); requires s > 0 with
-    delta > s^-nu.  x and xi may be arrays for support sampling.
-    """
-    if s <= 0.0 or delta - s ** (-nu) <= 0.0:
-        raise ValueError("need s > 0 and delta > s^-nu")
-    z = traj.state(s)
-    v = traj.velocity(s)
-    xs, xis = z[0], z[1]
-    xdot, xidot = v[0], v[1]
-    D = delta - s ** (-nu)
-    sgn = 1.0 if sign >= 0 else -1.0
-
-    phi = lambda t: radial_bump(t, plateau, 1.0)
-    dphi = lambda t: radial_bump_grad(t, plateau, 1.0)
-
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    u1 = (x - xs) / (lam * delta * s)
-    u2 = (xi - sgn * xis) / D
-    p1, p2 = phi(u1), phi(u2)
-    g1, g2 = dphi(u1), dphi(u2)
-    value = p1 * p2
-
-    du1_ds = -xdot / (lam * delta * s) - u1 / s
-    du2_ds = -sgn * xidot / D - u2 * nu * s ** (-nu - 1.0) / D
-    ds_chi = g1 * du1_ds * p2 + p1 * g2 * du2_ds
-
-    # {H, chi} with analytic metric derivatives
-    G = traj.metric.G(x, xi)
-    dxg, dxig = traj.metric.grad_G(x, xi)
-    fac = 0.75 * G ** (-0.25)
-    dH_dx = fac * dxg
-    dH_dxi = fac * dxig
-    poisson = dH_dxi * g1 / (lam * delta * s) * p2 - dH_dx * p1 * g2 / D
-    transport = ds_chi + sgn * poisson
-    return value, transport
-
-
-def escape_symbol_surface_fd(s, x, xi, traj, lam, delta, nu, plateau=0.5):
-    """Finite-difference transport derivative of chi^+, step 1e-4 (oracle for
-    the analytic one)."""
-    step = 1e-4
-
-    def chi(ss, xx, xxi):
-        z = traj.state(ss)
-        D = delta - ss ** (-nu)
-        return (radial_bump((xx - z[0]) / (lam * delta * ss), plateau, 1.0)
-                * radial_bump((xxi - z[1]) / D, plateau, 1.0))
-
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    ds = (chi(s + step, x, xi) - chi(s - step, x, xi)) / (2.0 * step)
-    dchi_dx = (chi(s, x + step, xi) - chi(s, x - step, xi)) / (2.0 * step)
-    dchi_dxi = (chi(s, x, xi + step) - chi(s, x, xi - step)) / (2.0 * step)
-
-    H = traj.metric.H
-    dH_dx = (H(x + step, xi) - H(x - step, xi)) / (2 * step)
-    dH_dxi = (H(x, xi + step) - H(x, xi - step)) / (2 * step)
-    return ds + (dH_dxi * dchi_dx - dH_dx * dchi_dxi)
-
-
-def escape_symbol_surface_min_transport(traj, s, lam, delta, nu, sign=+1):
-    """Minimum of the transport derivative over a 40 x 40 sample of supp chi^pm."""
-    nx = nxi = 40
-    z = traj.state(s)
-    xs, xis = z[0], z[1]
-    D = delta - s ** (-nu)
-    sgn = 1.0 if sign >= 0 else -1.0
-    xr = np.linspace(xs - lam * delta * s, xs + lam * delta * s, nx)
-    xir = np.linspace(sgn * xis - D, sgn * xis + D, nxi)
-    X, XI = np.meshgrid(xr, xir)
-    val, tr = escape_symbol_surface(s, X, XI, traj, lam, delta, nu, sign)
-    mask = val > 0
-    if not np.any(mask):
-        return 0.0
-    return float(np.min(tr[mask]))

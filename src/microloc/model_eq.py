@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Field, boundary_mass_fraction, multiplier_apply, wave_packet
 from .quantize import ProbeSpec, probe_sweep, shared_h_grid, valid_h_grid
-from .symbols import radial_bump, radial_bump_grad, window_radii
+from .symbols import window_radii
 
 __all__ = [
     "propagate_fractional",
@@ -54,10 +54,7 @@ __all__ = [
     "pick_controls",
     "transport_experiment",
     "smoothing_experiment",
-    "free_schrodinger_limit",
     "gaussian_free_evolution",
-    "escape_symbol_model",
-    "escape_symbol_model_fd",
     "geometric_h_grid",
     "group_shift",
 ]
@@ -359,68 +356,3 @@ def gaussian_free_evolution(grid, sigma, t_schrodinger):
     a = sigma ** 2 + 1j * t_schrodinger
     vals = np.exp(-(x ** 2) / (2.0 * a)) / np.sqrt(2.0 * np.pi * a)
     return Field(grid, vals)
-
-
-def free_schrodinger_limit(grid, widths, t_schrodinger):
-    """Evolve mass-one Gaussians of decreasing width under exp(i t Delta / 2).
-
-    Returns rows (width, max over |x| <= 1.4 of the relative deviation of
-    the modulus from (2 pi t)^{-1/2}, closed-form agreement over the box).
-    As width -> 2dx the modulus approaches the delta-kernel constant on the
-    observation window; the residual envelope exp(-x^2 w^2 / 2 t^2) caps how
-    far out the flat plateau extends.
-    """
-    target = (2.0 * np.pi * t_schrodinger) ** (-0.5)
-    mask = np.abs(grid.axis_points()) <= 1.4
-    rows = []
-    for w in widths:
-        u0 = near_delta_field(grid, width=w)
-        u_t = propagate_fractional(u0, 0.5 * t_schrodinger, 2.0)
-        exact = gaussian_free_evolution(grid, w, t_schrodinger)
-        closed_form_err = float(
-            np.max(np.abs(u_t.values - exact.values)) / np.max(np.abs(exact.values))
-        )
-        flatness = float(np.max(np.abs(np.abs(u_t.values[mask]) - target)) / target)
-        rows.append({"width": w, "modulus_deviation": flatness,
-                     "closed_form_error": closed_form_err})
-    return rows
-
-
-# -- escape symbol (transport to infinity) -------------------------------------
-
-
-def escape_symbol_model(s, x, xi, x0, xi0, gamma, eps, plateau=0.5):
-    """Escape symbol chi = phi((x - s g(xi) - x0)/(1+s)) phi((xi - xi0)/eps).
-
-    phi is the radial bump with the given plateau.  Returns (value, transport
-    derivative d_s chi + {|xi|^gamma, chi}) using the closed form of the
-    transport derivative, which is pointwise >= 0 for radial decreasing phi.
-    """
-    phi = lambda z: radial_bump(z, plateau, 1.0)
-    phi_grad = lambda z: radial_bump_grad(z, plateau, 1.0)
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    gxi = gamma * np.abs(xi) ** (gamma - 2.0) * xi
-    A = x - s * gxi - x0
-    arg1 = A / (1.0 + s)
-    arg2 = (xi - xi0) / eps
-    value = phi(arg1) * phi(arg2)
-    transport = -phi_grad(arg1) * phi(arg2) * A / (1.0 + s) ** 2
-    return value, transport
-
-
-def escape_symbol_model_fd(s, x, xi, x0, xi0, gamma, eps, plateau=0.5):
-    """Centered finite-difference transport derivative, step 1e-4 (oracle for
-    the closed form)."""
-    step = 1e-4
-
-    def chi(ss, xx, xxi):
-        gxi = gamma * np.abs(xxi) ** (gamma - 2.0) * xxi
-        return (radial_bump((xx - ss * gxi - x0) / (1.0 + ss), plateau, 1.0)
-                * radial_bump((xxi - xi0) / eps, plateau, 1.0))
-
-    ds = (chi(s + step, x, xi) - chi(s - step, x, xi)) / (2.0 * step)
-    dx = (chi(s, x + step, xi) - chi(s, x - step, xi)) / (2.0 * step)
-    gxi = gamma * np.abs(xi) ** (gamma - 2.0) * xi
-    # {|xi|^gamma, chi} = d_xi(|xi|^gamma) . d_x chi (the symbol has no explicit x-dependence)
-    return ds + gxi * dx

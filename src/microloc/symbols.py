@@ -16,11 +16,7 @@ import numpy as np
 __all__ = [
     "Symbol",
     "smoothstep",
-    "smoothstep_prime",
     "plateau_bump",
-    "plateau_bump_prime",
-    "radial_bump",
-    "radial_bump_grad",
     "window_radii",
     "window_symbol",
     "constant_symbol",
@@ -38,50 +34,10 @@ def smoothstep(t):
     return fa / (fa + fb)
 
 
-def smoothstep_prime(t):
-    """Derivative of smoothstep (analytic)."""
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    out = np.zeros_like(t)
-    ti = t[inside]
-    fa = np.exp(-1.0 / ti)
-    fb = np.exp(-1.0 / (1.0 - ti))
-    dfa = fa / ti ** 2
-    dfb = -fb / (1.0 - ti) ** 2
-    denom = fa + fb
-    out[inside] = (dfa * denom - fa * (dfa + dfb)) / denom ** 2
-    return out
-
-
 def plateau_bump(r, r_plateau=0.5, r_support=1.0):
     """Radial profile: 1 for r <= r_plateau, 0 for r >= r_support, smooth, decreasing."""
     r = np.abs(np.asarray(r, dtype=float))
     return smoothstep((r_support - r) / (r_support - r_plateau))
-
-
-def plateau_bump_prime(r, r_plateau=0.5, r_support=1.0):
-    r = np.asarray(r, dtype=float)
-    sgn = np.sign(r)
-    return (
-        -sgn
-        * smoothstep_prime((r_support - np.abs(r)) / (r_support - r_plateau))
-        / (r_support - r_plateau)
-    )
-
-
-def radial_bump(x, r_plateau=0.5, r_support=1.0):
-    """|x|-radial plateau bump of scalars or arrays.
-
-    Radial and decreasing, so x . grad phi <= 0 as the escape-symbol lemmas
-    require.
-    """
-    return plateau_bump(np.abs(np.asarray(x, dtype=float)), r_plateau, r_support)
-
-
-def radial_bump_grad(x, r_plateau=0.5, r_support=1.0):
-    """Derivative of radial_bump."""
-    x = np.asarray(x, dtype=float)
-    return plateau_bump_prime(np.abs(x), r_plateau, r_support) * np.sign(x)
 
 
 @dataclass

@@ -383,7 +383,7 @@ def test_symbols_identities():
     surf = surface_from_field(eta)
     syms = dn_symbols(surf)
     xs = np.linspace(-3, 3, 13)
-    xis = np.array([-8.0, -2.0, 1.5, 4.0, 16.0])
+    xis = np.array([-8.0, -2.0, 0.0, 1.5, 4.0, 16.0])
     X, XI = np.meshgrid(xs, xis)
     a1p = syms["a_plus"][1](X, XI)
     a1m = syms["a_minus"][1](X, XI)

@@ -6,9 +6,6 @@ import pytest
 from microloc.errors import ConfigError
 from microloc.grid import Grid, l2_norm, random_field
 from microloc.model_eq import (
-    escape_symbol_model,
-    escape_symbol_model_fd,
-    free_schrodinger_limit,
     gaussian_free_evolution,
     geometric_h_grid,
     near_delta_field,
@@ -60,16 +57,6 @@ def test_gaussian_closed_form():
     exact = gaussian_free_evolution(g, sigma, t)
     scale = np.max(np.abs(exact.values))
     assert np.max(np.abs(out.values - exact.values)) < 1e-9 * scale
-
-
-def test_free_schrodinger_modulus_limit():
-    # modulus tends to (2 pi t)^{-1/2} on the observation window as width -> 2dx
-    g = Grid(4096, 200.0)
-    rows = free_schrodinger_limit(g, [8 * g.spacing, 4 * g.spacing, 2 * g.spacing], 1.0)
-    devs = [r["modulus_deviation"] for r in rows]
-    assert devs[-1] < 0.01
-    assert devs[0] > devs[1] > devs[2]
-    assert all(r["closed_form_error"] < 1e-8 for r in rows)
 
 
 # -- transport -----------------------------------------------------------------
@@ -213,37 +200,3 @@ def test_smoothing_time_reversal_mirror():
     rep_m = smoothing_experiment(g, 1.6, **cfg)
     assert rep_m.meta["x_pred"] == pytest.approx(-rep_p.meta["x_pred"])
     assert rep_m.meta["separation"] >= 2.0
-
-
-# -- escape symbol -------------------------------------------------------------
-
-
-def test_escape_symbol_center_value():
-    x0, xi0, gam, eps = 1.0, 2.0, 1.5, 0.3
-    for s in [0.0, 1.0, 5.0, 20.0]:
-        xc = x0 + s * gam * abs(xi0) ** (gam - 2) * xi0
-        v, _ = escape_symbol_model(s, xc, xi0, x0, xi0, gam, eps)
-        assert v == pytest.approx(1.0)
-
-
-def test_escape_symbol_transport_nonnegative():
-    x0, xi0, gam, eps = 1.0, 2.0, 1.5, 0.3
-    for s in [0.0, 1.0, 5.0, 20.0]:
-        xc = x0 + s * gam * abs(xi0) ** (gam - 2) * xi0
-        xs = np.linspace(xc - 1.2 * (1 + s), xc + 1.2 * (1 + s), 50)
-        xis = np.linspace(xi0 - 1.2 * eps, xi0 + 1.2 * eps, 50)
-        X, XI = np.meshgrid(xs, xis)
-        val, tr = escape_symbol_model(s, X, XI, x0, xi0, gam, eps)
-        assert np.min(tr[val > 0]) >= -1e-12
-
-
-def test_escape_symbol_fd_agreement():
-    x0, xi0, gam, eps = 1.0, 2.0, 1.5, 1.0
-    s = 2.0
-    xc = x0 + s * gam * abs(xi0) ** (gam - 2) * xi0
-    xs = np.linspace(xc - 1.2 * (1 + s), xc + 1.2 * (1 + s), 40)
-    xis = np.linspace(xi0 - 1.2 * eps, xi0 + 1.2 * eps, 40)
-    X, XI = np.meshgrid(xs, xis)
-    _, tr = escape_symbol_model(s, X, XI, x0, xi0, gam, eps, plateau=0.35)
-    fd = escape_symbol_model_fd(s, X, XI, x0, xi0, gam, eps, plateau=0.35)
-    assert np.max(np.abs(tr - fd)) < 1e-6 * max(np.max(np.abs(tr)), 1e-12)

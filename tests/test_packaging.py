@@ -91,9 +91,10 @@ def test_unused_imports_detector():
 
 
 def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "microloc").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     hits = {
-        path.name: names
-        for path in sorted((ROOT / "src" / "microloc").glob("*.py"))
+        str(path.relative_to(ROOT)): names
+        for path in paths
         if (names := _unused_imports(path.read_text()))
     }
     assert not hits, f"unused imports: {hits}"

@@ -312,6 +312,17 @@ def test_smoothing_experiment_on_small_box_raises_before_stepping(monkeypatch):
             surface_amplitude=0.5, ramp_width=1.0, s_max=150.0)
 
 
+def test_smoothing_experiment_with_trapped_flow_raises_before_stepping(monkeypatch):
+    # the pinned ramp configuration with s_max = 1: the co-geodesic from x0 = 0
+    # does not reach the escape radius, so there is no xi_inf to predict with
+    monkeypatch.setattr(waterwave, "integrate", _no_integrate)
+    with pytest.raises(ConfigError, match="trapped"):
+        singularity_experiment_smoothing(
+            Grid(256, 64.0), WaveParams(nz=64), x0=0.0, xi0=1.0, t0=0.125,
+            h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
+            surface_amplitude=0.5, ramp_width=1.0, s_max=1.0)
+
+
 def test_smoothing_experiment_on_flat_surface_raises_before_stepping(monkeypatch):
     # xi_inf = xi0: the unbent control is the prediction, so no bent margin exists
     monkeypatch.setattr(waterwave, "integrate", _no_integrate)
