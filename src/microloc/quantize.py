@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError, MultiplierError
 from .grid import Field, Grid, l2_norm, multiplier_apply, spectrum
-from .symbols import Symbol, plateau_bump, window_radii, window_symbol
+from .symbols import Symbol, dyadic_pieces, window_radii, window_symbol
 
 __all__ = [
     "op_quantize",
@@ -216,16 +216,7 @@ def make_dyadic_partition(grid, C=2.0):
             f"grid too small for a dyadic partition: needs >= 3 rings, box gives J={J}"
         )
 
-    def theta(rr):
-        return plateau_bump(rr, 1.0, C)
-
-    pieces = []
-    prev = None
-    for j in range(J + 1):
-        cur = theta(r / 2.0 ** j)
-        pieces.append(cur if prev is None else cur - prev)
-        prev = cur
-    return DyadicPartition(grid, pieces, C)
+    return DyadicPartition(grid, dyadic_pieces(r, J, C), C)
 
 
 def dyadic_norm(u, nu, k, part):

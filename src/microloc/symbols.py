@@ -17,6 +17,7 @@ __all__ = [
     "Symbol",
     "smoothstep",
     "plateau_bump",
+    "dyadic_pieces",
     "window_radii",
     "window_symbol",
     "constant_symbol",
@@ -38,6 +39,19 @@ def plateau_bump(r, r_plateau=0.5, r_support=1.0):
     """Radial profile: 1 for r <= r_plateau, 0 for r >= r_support, smooth, decreasing."""
     r = np.abs(np.asarray(r, dtype=float))
     return smoothstep((r_support - r) / (r_support - r_plateau))
+
+
+def dyadic_pieces(r, J, C=2.0):
+    """Telescoped dyadic partition [theta_0, theta_1 - theta_0, ..., theta_J - theta_{J-1}]
+    of the samples r, with theta_j = plateau_bump(r / 2^j, 1, C); the pieces sum to
+    theta_J, which is 1 wherever |r| <= 2^J."""
+    pieces = []
+    prev = None
+    for j in range(J + 1):
+        cur = plateau_bump(np.asarray(r) / 2.0 ** j, 1.0, C)
+        pieces.append(cur if prev is None else cur - prev)
+        prev = cur
+    return pieces
 
 
 @dataclass

@@ -339,18 +339,17 @@ def good_unknown(state):
 
 
 def symmetrized_u(state, mu=0.0, part=None):
-    """u = Lam^mu P_p eta - i Lam^mu P_q omega (dyadic paradifferential, with
-    the default admissible pair and neighbor width)."""
+    """u = Lam^mu (P_p eta - i P_q omega) (dyadic paradifferential, with the
+    Littlewood-Paley pair and the default neighbor width); P_lam is linear,
+    so Lam^mu is applied once."""
     if part is None:
         part = make_dyadic_partition(state.grid)
     syms = symmetrizer_symbols(state.eta, state.params.kappa)
-    lam = lambda_mu_symbol(state.eta, mu)
     omega = good_unknown(state)
     Pp_eta = dyadic_paradiff_apply(syms["p12"], state.eta, part)
     Pq_om = dyadic_paradiff_apply(syms["q0"], omega, part)
-    term1 = dyadic_paradiff_apply(lam, Pp_eta, part)
-    term2 = dyadic_paradiff_apply(lam, Pq_om, part)
-    return Field(state.grid, term1.values - 1j * term2.values)
+    return dyadic_paradiff_apply(lambda_mu_symbol(state.eta, mu),
+                                 Field(state.grid, Pp_eta.values - 1j * Pq_om.values), part)
 
 
 # -- singularity experiments -------------------------------------------------------

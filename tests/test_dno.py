@@ -16,7 +16,7 @@ from microloc.dno import (
     surface_from_field,
 )
 from microloc.grid import Field, Grid, inner, l2_norm, multiplier_apply, random_field, wave_packet
-from microloc.paradiff import default_admissible_pair, paradiff_apply, rough_field_family
+from microloc.paradiff import paradiff_apply, rough_field_family
 from microloc.quantize import weighted_norm
 from microloc.waterwave import ramp_surface
 
@@ -430,7 +430,6 @@ def test_high_frequency_paralinearization_structure():
     eta = Field(g, (0.1 * prof / np.max(np.abs(prof))).astype(complex))
     surf = surface_from_field(eta)
     syms = dn_symbols(surf)
-    adm = default_admissible_pair()
     lam_sym = lambda xx, xi: syms["lambda1"](xx, xi) + syms["lambda0"](xx, xi)
     axi = np.abs(g.axis_frequencies())
     etax = np.real(multiplier_apply(eta, lambda xi: 1j * xi).values)
@@ -443,9 +442,9 @@ def test_high_frequency_paralinearization_structure():
         psi = Field(g, np.real(psi.values).astype(complex))
         Gp = dn_elliptic(dom, psi)
         B, V = b_v_fields(dom, psi)
-        good = Field(g, psi.values - paradiff_apply(B, eta, adm).values)
-        Tlam = paradiff_apply(lam_sym, good, adm)
-        TV = paradiff_apply(V, Field(g, etax.astype(complex)), adm)
+        good = Field(g, psi.values - paradiff_apply(B, eta).values)
+        Tlam = paradiff_apply(lam_sym, good)
+        TV = paradiff_apply(V, Field(g, etax.astype(complex)))
         corr = multiplier_apply(psi, lambda xi, defect=defect: defect, nyquist_even=False)
         r = Field(g, Gp.values - (Tlam.values - TV.values) - corr.values)
         errs.append(l2_norm(r) / weighted_norm(psi, 1.0, 0.0))

@@ -1,7 +1,7 @@
 """Packaging metadata: every declared console script and every exported name
 resolves, every public top-level name is exported, no module imports a name
-it never uses, and every option of a library function has a caller that
-sets it."""
+it never uses, no module binds mutable state at top level, and every option
+of a library function has a caller that sets it."""
 
 import ast
 import importlib
@@ -98,6 +98,33 @@ def test_no_unused_imports():
         if (names := _unused_imports(path.read_text()))
     }
     assert not hits, f"unused imports: {hits}"
+
+
+def _mutable_bindings(source):
+    """Top-level assignments, other than __all__, whose value is not a constant."""
+    hits = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names = [ast.unparse(t) for t in targets]
+        if names != ["__all__"] and not isinstance(node.value, ast.Constant):
+            hits += names
+    return hits
+
+
+def test_no_module_level_mutable_state():
+    src = "__all__ = ['f']\nA = 0.5\n_CACHE = {}\nB: list = []\nC = f(1)\ndef f(x):\n    y = {}\n"
+    assert _mutable_bindings(src) == ["_CACHE", "B", "C"]
+    hits = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "microloc").glob("*.py"))
+        if (names := _mutable_bindings(path.read_text()))
+    }
+    assert not hits, f"module-level bindings that are not constants: {hits}"
 
 
 # Options kept without a caller: cfl (the step-size refinement check),

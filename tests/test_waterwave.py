@@ -269,7 +269,7 @@ def test_smoothing_experiment_reports_step_counts():
     assert rep.meta["dn_fixed_point_iters"] == 0
     assert 0 < rep.meta["dn_krylov_iters"] <= 260
     assert abs(rep.meta["xi_inf"] - 1.0 / math.sqrt(1.25)) < 1e-8  # G conserved
-    # T_a high-passes the ramp: u(t0) keeps 1.3e-3 of its mass near the edges
+    # T_a high-passes the ramp: u(t0) keeps 3.5e-3 of its mass near the edges
     assert 0.0 < rep.meta["boundary_mass"] < 1e-2
 
 
@@ -286,11 +286,11 @@ def test_infinite_experiment_flat_verdict():
     assert [p.label for p in rep.probes] == [
         "predicted", "control_reflected", "control_mirror_initial",
         "control_reflected_near_x", "control_reflected_neg_xi"]
-    assert rep.meta["separation"] == rep.separation() >= 2.0  # 2.3811
+    assert rep.meta["separation"] == rep.separation() >= 2.0  # 2.1074
     assert (rep.meta["steps"], rep.meta["rhs_evals"]) == (26, 104)
     # near-flat surface (a varies 1.015x): every DN solve ends in the fixed point
     assert rep.meta["dn_fixed_point_iters"] > 0 and rep.meta["dn_krylov_iters"] == 0
-    assert 0.0 < rep.meta["boundary_mass"] < 1e-4  # 5.1e-6
+    assert 0.0 < rep.meta["boundary_mass"] < 1e-4  # 5.2e-6
 
 
 def test_infinite_experiment_without_clean_controls_raises_before_stepping(monkeypatch):
