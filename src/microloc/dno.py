@@ -8,16 +8,20 @@ dn_elliptic flattens the fluid domain with the full-strip map
 y = z + (1 + z/b) eta(x), z in [-b, 0] (flat image bottom), and discretizes
 spectrally in x and with second-order differences in z.  With J = 1 + eta/b,
 the Jacobian of the vertical stretch, the flattened v_zz coefficient is
-a(x) + (1 + z/b)^2 eta'^2/J^2 with a = 1/J^2.  G(eta) is real-linear, so
-there is one solve path, on real data, in two stages:
+a(x) + (1 + z/b)^2 eta'^2/J^2 with a = 1/J^2.  G(eta) is real-linear and
+ignores the mean of psi, so there is one solve path, on real data with the
+mean removed, in two stages:
 
 - a fixed point on the non-flat terms, each sweep an exact flat-strip solve
   on rfft half spectra.  It runs only where a varies by at most 3x
   (near-flat surfaces), where it converges in a few sweeps;
-- right-preconditioned GMRES on the strip equations, when the fixed point
-  stalls or is skipped (sloped surfaces).  Its frozen-depth preconditioner
-  inverts a_j d_zz + d_xx exactly at a few depth nodes a_j and blends the
-  results in x; it stops on the residual of the strip equations.
+- restarted GMRES (_gmres, numpy) on the strip equations, right-
+  preconditioned, when the fixed point stalls or is skipped (sloped
+  surfaces).  Its frozen-depth preconditioner inverts a_j d_zz + d_xx
+  exactly at a few depth nodes a_j and blends the results in x; it stops on
+  the residual of the strip equations.  The Krylov operator and the Arnoldi
+  basis work in buffers held on the workspace, so an iteration allocates no
+  array of the strip's size.
 
 A complex psi is solved as its real and imaginary parts.  The surface flux
 is (1+eta'^2)/J v_z - eta' v_x at z = 0.
@@ -33,8 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import DomainError, EllipticSolveError, TaylorDivergenceError
 from .grid import Field, Grid, l2_norm, multiplier_apply
@@ -50,7 +52,13 @@ __all__ = [
     "dn_symbols",
     "b_v_fields",
     "shape_derivative_check",
+    "RESTART",
+    "MAXITER",
 ]
+
+# GMRES of the Krylov stage: Arnoldi steps per restart cycle, and in all.
+RESTART = 50
+MAXITER = 400
 
 
 @dataclass
@@ -157,12 +165,15 @@ class StripSolveStats:
     The iteration counts add over the real solves of the call (two for a
     complex psi); the fixed point runs only when nodes is 1, and before the
     Krylov stage.  nodes is m, the node count of the frozen-depth
-    preconditioner of the surface.
+    preconditioner of the surface.  residual is the Krylov stage's final
+    strip residual ||L v||_2 / ||L v_lift||_2, recomputed at its exit (the
+    largest over the real solves); None when that stage did not run.
     """
 
     nodes: int
     fixed_point_iters: int = 0
     krylov_iters: int = 0
+    residual: float | None = None
 
 
 class _StripWorkspace:
@@ -184,6 +195,13 @@ class _StripWorkspace:
     geometric mean, when max a / min a <= 3), and blends the m results in
     physical x with weights piecewise linear in log a.  P is exact when a is
     constant.
+
+    The Krylov stage works in buffers held here: the scratch arrays of
+    precondition, strip_op and krylov_op, allocated here and in
+    _build_preconditioner, and the Arnoldi basis, allocated at the first
+    Krylov solve (a workspace whose solves all end in the fixed point never
+    holds one).  Their ufuncs take full-shape operands only, since a
+    broadcast operand makes numpy allocate an iteration buffer.
     """
 
     NODE_RATIO = 3.0
@@ -195,8 +213,8 @@ class _StripWorkspace:
         self.nz = nz
         self.n = grid.n
         self.dz = b / nz
-        zs = -b + self.dz * np.arange(nz + 1)
-        self.zfac = (1.0 + zs / b)[:, None]  # (nz+1, 1)
+        zs = -b + self.dz * np.arange(nz)
+        self.zfac = (1.0 + zs / b)[:, None]  # (nz, 1), the rows with an equation
 
         # Eigen-factorization of the z-operator on rows 0..nz-1 (row nz is
         # Dirichlet): A v = v_zz with ghost-eliminated Neumann bottom.  A is
@@ -222,6 +240,20 @@ class _StripWorkspace:
         self.ixi = 1j * xi
         self.ixi[-1] = 0.0  # odd multiplier: Nyquist zeroed
         self._shift_inv = 1.0 / (self._lam - self._xi2)
+        m = len(xi)
+        # strip_op's x-derivatives: -xi^2 on the v rows, i xi on the v_z rows
+        self._dx_mult = np.empty((2 * nz, m), dtype=np.complex128)
+        self._dx_mult[:nz] = -self._xi2
+        self._dx_mult[nz:] = self.ixi
+        self._rows = np.empty((2 * nz, self.n))  # v, then v_z
+        self._rows_hat = np.empty((2 * nz, m), dtype=np.complex128)
+        self._rows_dx = np.empty((2 * nz, self.n))  # v_xx, then v_xz
+        self._scratch = np.empty((nz, self.n))
+        self._pc_hat = np.empty((nz, m), dtype=np.complex128)
+        self._pc_modes = np.empty((nz, m), dtype=np.complex128)
+        self._pc_blend = np.empty((nz, self.n))
+        self._lifted = np.zeros((nz + 1, self.n))  # P^-1 y; row nz (Dirichlet) stays 0
+        self.basis = None
         self.warm = None
         self.stats = None
         self._eta_ref = None
@@ -248,7 +280,8 @@ class _StripWorkspace:
         a = 1.0 / J ** 2
         c1 = (etap / J) ** 2
         zf = self.zfac
-        self.F = zf * f1[None, :]
+        # coefficients of v_xz, v_z and v_zz in E = L - L0, rows 0..nz-1
+        self.Cxz = zf * (-2.0 * f1)[None, :]
         self.W = zf * w1[None, :]
         self.Czz = (a - 1.0)[None, :] + (zf ** 2) * c1[None, :]
         self._build_preconditioner(a)
@@ -269,8 +302,11 @@ class _StripWorkspace:
             t = np.clip((np.log(a) - s[0]) / (s[1] - s[0]), 0.0, k)
             weights = np.maximum(0.0, 1.0 - np.abs(t[None, :] - np.arange(k + 1)[:, None]))
         self.nodes = nodes
-        self._node_inv = 1.0 / (nodes[:, None, None] * self._lam[None] - self._xi2)
-        self._weights = weights[:, None, :]  # (m, 1, n)
+        inv = 1.0 / (nodes[:, None, None] * self._lam[None] - self._xi2)
+        self._node_inv = np.repeat(inv, 2, axis=-1)  # for the real and imaginary parts
+        self._weights = weights  # (m, n)
+        self._node_hat = np.empty((len(nodes), self.nz, self.n // 2 + 1), dtype=np.complex128)
+        self._node_y = np.empty((len(nodes), self.nz, self.n))
 
     def flat_solve_half(self, rhs, top):
         """Solve (d_zz - xi^2) v = rhs per mode, v_z(-b)=0 ghost, v(0)=top.
@@ -290,21 +326,28 @@ class _StripWorkspace:
 
     def flat_solve(self, rhs, top):
         """flat_solve_half for a real physical rhs; returns real physical v."""
-        v = self.flat_solve_half(sfft.rfft(rhs, axis=1, workers=2), top)
-        return sfft.irfft(v, axis=1, n=self.n, workers=2)
+        v = self.flat_solve_half(np.fft.rfft(rhs, axis=1), top)
+        return np.fft.irfft(v, n=self.n, axis=1)
 
-    def precondition(self, r):
+    def precondition(self, r, out=None):
         """P^-1 r for real physical r (nz, n) with zero Dirichlet data.
 
         rfft, Q^T D in z, the m node inverses, one batched irfft over the
-        nodes, the weighted sum in x, D^-1 Q in z.
+        nodes, the weighted sum in x, D^-1 Q in z, into out (a new array
+        when out is None).
         """
-        w = (self._QTs @ sfft.rfft(r, axis=1, workers=2).view(np.float64)).view(np.complex128)
-        y = sfft.irfft(w[None] * self._node_inv, axis=-1, n=self.n, workers=2)
-        return self._Qd @ np.sum(self._weights * y, axis=0)
+        spec = np.fft.rfft(r, axis=1, out=self._pc_hat)
+        w = self._pc_modes.view(np.float64)
+        np.matmul(self._QTs, spec.view(np.float64), out=w)
+        for node_hat, node_inv in zip(self._node_hat, self._node_inv):
+            np.multiply(w, node_inv, out=node_hat.view(np.float64))
+        y = np.fft.irfft(self._node_hat, n=self.n, axis=-1, out=self._node_y)
+        blend = np.einsum("jx,jzx->zx", self._weights, y, out=self._pc_blend)
+        return np.matmul(self._Qd, blend, out=out)
 
-    def strip_op(self, v, flat=True):
-        """The flattened strip operator on v (nz+1, n), rows 0..nz-1.
+    def strip_op(self, v, flat=True, out=None):
+        """The flattened strip operator on v (nz+1, n), rows 0..nz-1, into
+        out (a new array when out is None).
 
         Row 0 is the ghost-eliminated bottom (v_z = 0 there), row nz is
         Dirichlet (no equation).  flat=False leaves out the flat Laplacian
@@ -312,25 +355,37 @@ class _StripWorkspace:
         v_xx and v_xz come from one batched rfft/irfft.
         """
         nz, dz = self.nz, self.dz
-        v_z = np.empty((nz, self.n))
+        rows, v_zz = self._rows, self._scratch
+        v_z = rows[nz:]
         v_z[0] = 0.0  # Neumann bottom, exactly
-        v_z[1:] = (v[2:] - v[:nz - 1]) / (2 * dz)
-        v_zz = np.empty((nz, self.n))
-        v_zz[1:] = (v[2:] - 2 * v[1:nz] + v[:nz - 1]) / dz ** 2
-        v_zz[0] = (2 * v[1] - 2 * v[0]) / dz ** 2
+        np.subtract(v[2:], v[:nz - 1], out=v_z[1:])
+        v_z[1:] *= 0.5 / dz
+        np.subtract(v[2:], v[1:nz], out=v_zz[1:])
+        v_zz[1:] -= v[1:nz]
+        v_zz[1:] += v[:nz - 1]
+        np.subtract(v[1], v[0], out=v_zz[0])
+        v_zz[0] *= 2.0
+        v_zz *= 1.0 / dz ** 2
+        lo = 0 if flat else nz  # the v rows are transformed only for v_xx
+        rows[lo:nz] = v[lo:nz]
+        spec = np.fft.rfft(rows[lo:], axis=1, out=self._rows_hat[lo:])
+        spec *= self._dx_mult[lo:]
+        np.fft.irfft(spec, n=self.n, axis=1, out=self._rows_dx[lo:])
+        v_xx, v_xz = self._rows_dx[:nz], self._rows_dx[nz:]
+        out = np.multiply(self.Czz, v_zz, out=out)
         if flat:
-            spec = sfft.rfft(np.concatenate((v[:nz], v_z)), axis=1, workers=2)
-            spec[:nz] *= -self._xi2
-            spec[nz:] *= self.ixi
-            d = sfft.irfft(spec, axis=1, n=self.n, workers=2)
-            v_xx, v_xz = d[:nz], d[nz:]
-        else:
-            v_xz = sfft.irfft(self.ixi * sfft.rfft(v_z, axis=1, workers=2),
-                              axis=1, n=self.n, workers=2)
-        out = self.Czz[:nz] * v_zz + self.W[:nz] * v_z - 2.0 * self.F[:nz] * v_xz
-        if flat:
-            out += v_zz + v_xx
+            out += v_zz
+            out += v_xx
+        term = self._scratch  # v_zz is used up
+        out += np.multiply(self.W, v_z, out=term)
+        out += np.multiply(self.Cxz, v_xz, out=term)
         return out
+
+    def krylov_op(self, y, out):
+        """The Krylov operator L P^-1 on a flat y of length nz n, into out."""
+        shape = (self.nz, self.n)
+        self.precondition(y.reshape(shape), out=self._lifted[:self.nz])
+        self.strip_op(self._lifted, out=out.reshape(shape))
 
     def v_z_top(self, v):
         """Third-order one-sided v_z at z = 0."""
@@ -339,7 +394,7 @@ class _StripWorkspace:
 
     def flux(self, v):
         """Surface flux (1+eta'^2)/J v_z - eta' v_x at z = 0."""
-        v_x_top = sfft.irfft(self.ixi * sfft.rfft(v[self.nz]), n=self.n)
+        v_x_top = np.fft.irfft(self.ixi * np.fft.rfft(v[self.nz]), n=self.n)
         return (1.0 + self.etap ** 2) / self.J * self.v_z_top(v) - self.etap * v_x_top
 
 
@@ -352,13 +407,14 @@ def dn_elliptic(dom, psi, tol=1e-10, workspace=None, return_solution=False):
     sweeps).  If it stalls, or on a surface with more nodes,
     GMRES, right-preconditioned by the frozen-depth preconditioner, solves
     the strip equations.  A complex psi is solved as its real and imaginary
-    parts.  The workspace's stats record what ran.  Raises
-    EllipticSolveError if neither stage converges.
+    parts, and each stage solves for psi minus its mean.  The workspace's
+    stats record what ran.  Raises EllipticSolveError if neither stage
+    converges.
 
     tol bounds, for the fixed point, its max-norm update relative to
-    max |v - mean psi| (G ignores the mean of psi); for the Krylov stage,
-    the L2 residual of the flattened strip equations relative to that of the
-    flat harmonic extension of psi.  The fixed point's test is on the
+    max |v| of that mean-free solve (G ignores the mean of psi); for the
+    Krylov stage, the L2 residual of the flattened strip equations relative
+    to that of the flat harmonic extension.  The fixed point's test is on the
     flat-preconditioned problem, so the strip residual of its answer can be
     larger than tol.
     """
@@ -377,9 +433,16 @@ def dn_elliptic(dom, psi, tol=1e-10, workspace=None, return_solution=False):
 
 
 def _strip_solve(ws, psi, tol):
-    """Real strip solve for real Dirichlet data psi: (surface flux, v)."""
+    """Real strip solve for real Dirichlet data psi: (surface flux, v).
+
+    A constant solves the strip equations exactly and has no flux, so the
+    stages solve for psi minus its mean (the zero mode of psi_half), and the
+    mean is added back to v; the warm start stays mean-free.
+    """
     nz = ws.nz
-    psi_half = sfft.rfft(psi, workers=2)
+    psi_half = np.fft.rfft(psi)
+    mean = psi_half[0].real / ws.n
+    psi_half[0] = 0.0
     v_lift = ws.flat_solve(np.zeros((nz, ws.n)), psi_half)  # flat harmonic extension
     v = v_lift
     if ws.warm is not None and ws.warm.shape == v.shape:
@@ -389,7 +452,7 @@ def _strip_solve(ws, psi, tol):
 
     converged = False
     if len(ws.nodes) == 1:
-        scale = max(float(np.max(np.abs(v - np.mean(psi)))), 1e-300)
+        scale = max(float(np.max(np.abs(v))), 1e-300)
         prev_delta = None
         for it in range(50):
             v_new = ws.flat_solve(-ws.strip_op(v, flat=False), psi_half)
@@ -404,39 +467,94 @@ def _strip_solve(ws, psi, tol):
     if not converged:
         v = _krylov_solve(ws, v_lift, v, tol)
     ws.warm = v
-    return ws.flux(v), v
+    return ws.flux(v), v + mean
 
 
 def _krylov_solve(ws, v_lift, v0, tol):
-    """Right-preconditioned GMRES on the strip equations L v = 0.
+    """Right-preconditioned GMRES (_gmres) on the strip equations L v = 0.
 
     v = v0 + P^-1 y with L P^-1 y = -L v0, where v0 carries the Dirichlet
     data and P^-1 y does not; v0 is the given start or the flat lift
     v_lift, whichever has the smaller strip residual.  The GMRES residual is
-    the strip residual itself: it stops at ||L v||_2 <= tol ||L v_lift||_2.
+    the strip residual itself: it stops at ||L v||_2 <= tol ||L v_lift||_2,
+    and the ratio it recomputes at exit goes to ws.stats.residual.  The
+    operator is ws.krylov_op and the Arnoldi basis ws.basis, so the
+    iterations run in the workspace's buffers.
     """
-    nz, n = ws.nz, ws.n
+    nz = ws.nz
     r_lift = ws.strip_op(v_lift)
     r0 = ws.strip_op(v0)
-    if np.linalg.norm(r_lift) <= np.linalg.norm(r0):
+    lift_norm = np.linalg.norm(r_lift)
+    if lift_norm <= np.linalg.norm(r0):
         v0, r0 = v_lift, r_lift
-    full = np.zeros((nz + 1, n))  # row nz stays 0: P^-1 y carries no Dirichlet data
-
-    def apply_op(y):
-        full[:nz] = ws.precondition(y.reshape(nz, n))
-        return ws.strip_op(full).ravel()
-
-    def count(_):
-        ws.stats.krylov_iters += 1
-
-    op = LinearOperator((nz * n, nz * n), matvec=apply_op, dtype=np.float64)
-    sol, info = gmres(op, -r0.ravel(), rtol=0.0, atol=tol * np.linalg.norm(r_lift),
-                      restart=50, maxiter=400, callback=count, callback_type="pr_norm")
-    if info != 0:
-        raise EllipticSolveError(f"GMRES did not converge (info={info})")
+    if ws.basis is None:
+        ws.basis = np.empty((RESTART + 1, nz * ws.n))
+    y, res = _gmres(ws.krylov_op, -r0.ravel(), tol * lift_norm, ws.basis, ws.stats)
+    residual = float(res / lift_norm) if res > 0 else 0.0
+    ws.stats.residual = max(residual, ws.stats.residual or 0.0)
     v = v0.copy()
-    v[:nz] += ws.precondition(sol.reshape(nz, n))
+    v[:nz] += ws.precondition(y.reshape(nz, ws.n))
     return v
+
+
+def _gmres(apply, b, atol, basis, stats):
+    """Restarted GMRES(RESTART) for A x = b from x = 0 (Saad 2003, ch. 6).
+
+    apply(u, out) writes A u into out; basis is the (RESTART + 1, len(b))
+    Arnoldi basis, whose row 0 also holds the residual.  Each Arnoldi step
+    orthogonalizes by classical Gram-Schmidt with one reorthogonalization
+    (two matrix-vector products against the basis per pass), updates the
+    residual norm by a Givens rotation and adds one to stats.krylov_iters.
+    The residual b - A x is recomputed at every restart and at exit.
+    Returns x and ||b - A x||_2 once that is at most atol; raises
+    EllipticSolveError when MAXITER steps do not get there.
+    """
+    x = np.zeros_like(b)
+    tmp = np.empty_like(b)
+    H = np.zeros((RESTART + 1, RESTART))
+    rot = np.zeros((RESTART, 2))  # (cos, sin) of each step's rotation
+    g = np.zeros(RESTART + 1)
+    r = basis[0]
+    r[:] = b
+    steps = 0
+    while True:
+        beta = float(np.linalg.norm(r))
+        if beta <= atol:
+            return x, beta
+        if steps >= MAXITER:
+            raise EllipticSolveError(
+                f"GMRES did not converge in {MAXITER} iterations: residual {beta:.3e} > {atol:.3e}")
+        r /= beta
+        g[:] = 0.0
+        g[0] = beta
+        for j in range(RESTART):
+            V, w = basis[:j + 1], basis[j + 1]
+            apply(basis[j], w)
+            H[:j + 1, j] = 0.0
+            for _ in range(2):
+                c = V @ w
+                w -= np.matmul(c, V, out=tmp)
+                H[:j + 1, j] += c
+            H[j + 1, j] = np.linalg.norm(w)
+            if H[j + 1, j] > 0.0:
+                w /= H[j + 1, j]
+            for i in range(j):  # the earlier rotations
+                cs, sn = rot[i]
+                hi, hn = H[i, j], H[i + 1, j]
+                H[i, j], H[i + 1, j] = cs * hi + sn * hn, cs * hn - sn * hi
+            rho = math.hypot(H[j, j], H[j + 1, j])
+            rot[j] = H[j, j] / rho, H[j + 1, j] / rho
+            H[j, j], H[j + 1, j] = rho, 0.0
+            g[j + 1] = -rot[j, 1] * g[j]
+            g[j] *= rot[j, 0]
+            steps += 1
+            stats.krylov_iters += 1
+            if abs(g[j + 1]) <= atol or steps == MAXITER:
+                break
+        k = j + 1
+        x += np.matmul(np.linalg.solve(H[:k, :k], g[:k]), basis[:k], out=tmp)
+        apply(x, r)
+        np.subtract(b, r, out=r)
 
 
 def discrete_flat_symbol(grid, b, nz):

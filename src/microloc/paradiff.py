@@ -70,10 +70,15 @@ def paradiff_apply(a, u, x_window=None):
     x_window, when given, multiplies the symbol by a spatial window (used
     by P_a).
     """
+    return _paradiff_apply(a, u, x_window, _lp_blocks(u.grid.axis_frequencies()))
+
+
+def _paradiff_apply(a, u, x_window, blocks):
+    """paradiff_apply with the frequency blocks of u's grid (_lp_blocks)
+    given, so P_a builds them once for all its rings."""
     grid = u.grid
     x = grid.axis_points()
     eta = grid.axis_frequencies()
-    blocks = _lp_blocks(eta)
     uhat = pi_cutoff(eta) * np.fft.fft(u.values)
     window = np.ones(grid.n) if x_window is None else x_window
     if isinstance(a, (Field, np.ndarray)):
@@ -108,13 +113,14 @@ def dyadic_paradiff_apply(a, u, part, width=None):
         raise GridMismatchError("partition built on a different grid")
     if width is None:
         width = dyadic_neighbor_width(part.J)
+    blocks = _lp_blocks(u.grid.axis_frequencies())
     out = np.zeros(u.grid.n, dtype=np.complex128)
     for j, psi in enumerate(part.pieces):
         if not np.any(psi):
             continue
         tilde = part.neighbor_sum(j, width)
         uj = Field(u.grid, tilde * u.values)
-        tj = paradiff_apply(a, uj, x_window=psi)
+        tj = _paradiff_apply(a, uj, psi, blocks)
         out += tilde * tj.values
     return Field(u.grid, out)
 

@@ -1,10 +1,12 @@
 """Dirichlet-Neumann operator: Taylor vs elliptic, symbols, shape derivative."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from microloc import dno
-from microloc.errors import DomainError, TaylorDivergenceError
+from microloc.errors import DomainError, EllipticSolveError, TaylorDivergenceError
 from microloc.dno import (
     FluidDomain,
     b_v_fields,
@@ -114,14 +116,14 @@ def test_elliptic_constant_psi(unit_grid):
     dom = FluidDomain(unit_grid, eta, B_DEPTH, 64)
     psi = Field(unit_grid, np.full(unit_grid.n, 2.0, dtype=complex))
     assert l2_norm(dn_elliptic(dom, psi)) < 1e-10
-    # Krylov stage, warm-started from other data: the flat lift of a constant
-    # solves the strip equations to rounding, so it must be the start
+    # Krylov stage, warm-started from other data: psi minus its mean is 0, so
+    # the flat lift solves the strip equations exactly and must be the start
     g = Grid(256, 64.0)
     ramp = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 64)
     ws = dno._StripWorkspace(ramp)
     dn_elliptic(ramp, random_field(g, seed=2, decay=3.0, real=True), workspace=ws)
     G = dn_elliptic(ramp, Field(g, np.full(g.n, 2.0, dtype=complex)), workspace=ws)
-    assert ws.stats.fixed_point_iters == 0 and ws.stats.krylov_iters > 0
+    assert ws.stats.fixed_point_iters == 0 and ws.stats.krylov_iters == 0
     assert l2_norm(G) < 1e-10
 
 
@@ -272,6 +274,81 @@ def test_elliptic_slope_one_and_a_half_ramp():
     assert ws.stats.nodes == 5 and ws.stats.fixed_point_iters == 0
     assert _strip_equation_residual(dom, v) <= 1e-8
     assert 0 < ws.stats.krylov_iters <= 45
+    assert ws.stats.residual <= 1e-10  # the default tol
+
+
+def _gmres_on(A, b, atol, stats, steps):
+    """dno._gmres on the matrix A; steps records, per product, whether it
+    multiplied a basis vector (an Arnoldi step) or the iterate."""
+    basis = np.empty((dno.RESTART + 1, len(b)))
+
+    def apply(u, out):
+        steps.append(np.shares_memory(u, basis))
+        np.matmul(A, u, out=out)
+
+    return dno._gmres(apply, b, atol, basis, stats)
+
+
+def test_gmres_small_nonsymmetric_system():
+    rng = np.random.default_rng(0)
+    n = 30
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    stats, steps = dno.StripSolveStats(nodes=0), []
+    x, res = _gmres_on(A, b, 1e-13 * np.linalg.norm(b), stats, steps)
+    exact = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+    assert res == pytest.approx(np.linalg.norm(b - A @ x), rel=1e-12)
+    assert stats.krylov_iters == sum(steps) and 0 < sum(steps) <= n
+
+
+def test_gmres_restarts():
+    # eigenvalues 1..100: more than RESTART steps to reach 1e-12; the
+    # residual is recomputed once per cycle, at its restart or at exit
+    rng = np.random.default_rng(1)
+    n = 200
+    A = np.diag(np.linspace(1.0, 100.0, n)) + np.diag(np.full(n - 1, 0.5), 1)
+    b = rng.standard_normal(n)
+    stats, steps = dno.StripSolveStats(nodes=0), []
+    x, res = _gmres_on(A, b, 1e-12 * np.linalg.norm(b), stats, steps)
+    exact = np.linalg.solve(A, b)
+    assert stats.krylov_iters == sum(steps) and dno.RESTART < sum(steps) < dno.MAXITER
+    assert len(steps) - sum(steps) == -(-sum(steps) // dno.RESTART)
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+def test_gmres_stagnation_raises():
+    # the cyclic shift with b = e_0: no Krylov space shorter than n reduces
+    # the residual, so restarted GMRES stagnates at 1
+    n = dno.RESTART + 10
+    A = np.roll(np.eye(n), 1, axis=0)
+    b = np.zeros(n)
+    b[0] = 1.0
+    stats, steps = dno.StripSolveStats(nodes=0), []
+    with pytest.raises(EllipticSolveError, match="did not converge"):
+        _gmres_on(A, b, 1e-10, stats, steps)
+    assert stats.krylov_iters == sum(steps) == dno.MAXITER
+
+
+def test_krylov_operator_allocates_no_strip_array():
+    # after a warm-up solve on the ww_ramp surface, L P^-1 runs in the
+    # workspace's buffers: ten applies trace less than one (nz, n) array
+    g = Grid(256, 64.0)
+    nz = 64
+    dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, nz)
+    ws = dno._StripWorkspace(dom)
+    dn_elliptic(dom, random_field(g, seed=2, decay=3.0, real=True), workspace=ws)
+    y = np.random.default_rng(4).standard_normal(nz * g.n)
+    out = np.empty_like(y)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            ws.krylov_op(y, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nz * g.n * 8
 
 
 def test_elliptic_constant_elevation_is_the_deeper_flat_strip(unit_grid):
