@@ -29,10 +29,6 @@ class EllipticSolveError(MicrolocError):
     """The strip elliptic solver failed to converge."""
 
 
-class FlowSingularityError(MicrolocError):
-    """Hamiltonian integration approached the |xi| = 0 singularity."""
-
-
 class BlowUpError(MicrolocError):
     """Time integration produced non-finite values."""
 

@@ -1,12 +1,16 @@
 """Packaging metadata: every declared console script and every exported name
 resolves, every public top-level name is exported, no module imports a name
-it never uses, no module binds mutable state at top level, and every option
-of a library function has a caller that sets it."""
+it never uses, no module binds mutable state at top level, every option of a
+library function has a caller that sets it, and the package runs on numpy
+alone."""
 
 import ast
 import importlib
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -24,6 +28,21 @@ def test_console_scripts_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name} -> {target} is not callable"
+
+
+def test_runtime_dependencies_are_numpy_only():
+    # scipy is a test dependency: importing every module in a fresh
+    # interpreter loads none of it
+    meta = tomllib.loads(PYPROJECT.read_text())
+    assert [d.split(">")[0] for d in meta["project"]["dependencies"]] == ["numpy"]
+    code = ("import importlib, pkgutil, sys, microloc\n"
+            "for info in pkgutil.iter_modules(microloc.__path__):\n"
+            "    importlib.import_module(f'microloc.{info.name}')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_module_exports_resolve():

@@ -71,28 +71,9 @@ def test_ramp_asymptotic_direction_conserves_G(amp, width, s_max):
     # G = xi^2 / (1 + eta'^2) is conserved and eta' -> 0 at infinity, so a ray
     # leaving the ramp's centre with xi0 = 1 ends at xi_inf = 1 / sqrt(1 + (A/w)^2)
     metric = ramp_metric(amp, width, center=0.0, extent=0.22 * 64.0)
-    xi_inf, _, trapped, _ = asymptotic_direction(metric, np.array([0.0, 1.0]), s_max=s_max)
-    assert not trapped
-    assert abs(xi_inf - 1.0 / math.sqrt(1.0 + (amp / width) ** 2)) < 1e-8
-
-
-def test_asymptotic_direction_evaluates_the_flow_once_per_stage():
-    # z_rate reads the flow's own dx/ds: one hamilton_rhs_H call per RK stage
-    # (544 on the ww_ramp ramp, 1,088 when z_rate evaluated it again), and the
-    # same bits of xi_inf and z_inf as with the second evaluation
-    metric = ramp_metric(0.5, 1.0, center=0.0, extent=0.22 * 64.0)
-    calls = []
-    flow = metric.hamilton_rhs_H
-
-    def counted(z):
-        calls.append(1)
-        return flow(z)
-
-    metric.hamilton_rhs_H = counted
-    xi_inf, z_inf, trapped, _ = asymptotic_direction(metric, np.array([0.0, 1.0]), s_max=150.0)
-    assert not trapped
-    assert len(calls) == 544
-    assert (xi_inf, z_inf) == (0.8944271908841225, -0.15018788094283086)
+    xi_inf, s_escape = asymptotic_direction(metric, np.array([0.0, 1.0]))
+    assert s_escape <= s_max
+    assert abs(xi_inf - 1.0 / math.sqrt(1.0 + (amp / width) ** 2)) < 1e-15
 
 
 def test_symmetrizer_symbols_and_symmetrized_u_emit_no_warning():
@@ -204,7 +185,7 @@ def test_integrate_mass_drift_is_the_strip_schemes():
     # d/dt int eta = int G(eta) psi, whose discrete mean is an O(dz^2) error
     # of the strip scheme (not 0): the drift falls 4x from nz = 64 to 128
     # and does not depend on the time step.  The energy
-    # E = (1/2) int psi G psi + (g/2) int eta^2 + int (sqrt(1 + eta_x^2) - 1)
+    # E = (1/2) int psi G psi + (g/2) int eta^2 + kappa int (sqrt(1 + eta_x^2) - 1)
     # of the flow is kept to 1e-6 relative (1.2e-7 at nz = 64)
     g = Grid(128, 32.0)
     x = g.axis_points()
@@ -221,6 +202,20 @@ def test_integrate_mass_drift_is_the_strip_schemes():
     assert abs(energy_drift[64, None]) <= 1e-6
     assert abs(drift[64, T / 14] - d64) <= 1e-3 * abs(d64)
     assert abs(d64 / drift[128, None]) >= 3.0
+
+
+def test_energy_carries_surface_tension():
+    # zcs_rhs steps kappa H(eta), so the surface term of E carries kappa: at
+    # kappa = 4 a 13-step run from rest keeps E to 2.2e-7 relative (0.83
+    # when the surface term leaves kappa out)
+    g = Grid(128, 32.0)
+    x = g.axis_points()
+    params = WaveParams(kappa=4.0)
+    eta = _field(g, 0.02 * np.exp(-x ** 2))
+    T = 13 * cfl_dt(g, params, eta)
+    hist = integrate(SurfaceState(eta, _field(g, np.zeros(g.n)), params=params), T)
+    assert hist.steps == 13
+    assert abs(hist.energy[-1] - hist.energy[0]) <= 1e-5 * hist.energy[0]
 
 
 def test_integrate_time_reversal():
@@ -268,7 +263,8 @@ def test_smoothing_experiment_reports_step_counts():
     assert rep.meta["rhs_evals"] == 4 * rep.meta["steps"]
     assert rep.meta["dn_fixed_point_iters"] == 0
     assert 0 < rep.meta["dn_krylov_iters"] <= 260
-    assert abs(rep.meta["xi_inf"] - 1.0 / math.sqrt(1.25)) < 1e-8  # G conserved
+    assert abs(rep.meta["xi_inf"] - 1.0 / math.sqrt(1.25)) < 1e-12  # G conserved
+    assert 70.0 < rep.meta["s_escape"] < 71.0  # 70.561, the flow time to |x| = 100
     # T_a high-passes the ramp: u(t0) keeps 3.5e-3 of its mass near the edges
     assert 0.0 < rep.meta["boundary_mass"] < 1e-2
 
@@ -316,11 +312,22 @@ def test_smoothing_experiment_with_trapped_flow_raises_before_stepping(monkeypat
     # the pinned ramp configuration with s_max = 1: the co-geodesic from x0 = 0
     # does not reach the escape radius, so there is no xi_inf to predict with
     monkeypatch.setattr(waterwave, "integrate", _no_integrate)
-    with pytest.raises(ConfigError, match="trapped"):
+    with pytest.raises(ConfigError, match="after s_max = 1.0"):
         singularity_experiment_smoothing(
             Grid(256, 64.0), WaveParams(nz=64), x0=0.0, xi0=1.0, t0=0.125,
             h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
             surface_amplitude=0.5, ramp_width=1.0, s_max=1.0)
+
+
+def test_smoothing_experiment_with_zero_frequency_raises_before_stepping(monkeypatch):
+    # xi0 = 0: G = 0, the ray does not move and never escapes; this is a
+    # ConfigError, and G = 0 raises no RuntimeWarning on the way
+    monkeypatch.setattr(waterwave, "integrate", _no_integrate)
+    with pytest.raises(ConfigError, match="escapes at s = inf"):
+        singularity_experiment_smoothing(
+            Grid(256, 64.0), WaveParams(nz=64), x0=0.0, xi0=0.0, t0=0.125,
+            h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
+            surface_amplitude=0.5, ramp_width=1.0, s_max=150.0)
 
 
 def test_smoothing_experiment_on_flat_surface_raises_before_stepping(monkeypatch):
