@@ -8,12 +8,12 @@ Wavefront orders are estimated by sweeping h over a geometric grid, applying
 a window symbol elliptic at the probe point, and regressing log L2-norm
 against log h: decay O(h^mu) shows up as slope mu.
 
-Probe-loop cost: estimate_decay_order takes one forward FFT of u per
-estimate.  For each h, op_quantize evaluates the window's factors only on
-the index runs that its support balls cover (nk frequencies, nm points) and
-takes them from frequency to space with one chirp-z zoom, a circular
-convolution of power-of-two length >= nk + nm - 1, in place of an inverse
-FFT over the whole lattice.
+Probe-loop cost: one forward FFT and one L2 norm of u per probe_sweep (per
+estimate_decay_order call).  For each h the window's factors are evaluated
+only on the index runs its support balls cover (nk frequencies, nm points);
+one chirp-z zoom, a circular convolution of power-of-two length >= nk +
+nm - 1, takes them from frequency to space, and the windowed norm sums those
+nm values: no inverse FFT or Field over the whole lattice.
 """
 
 from __future__ import annotations
@@ -120,7 +120,30 @@ def _support_runs(a, grid, hx, hxi):
     )
 
 
-def op_quantize(a, u, h, delta=0.0, rho=0.0, *, u_fft=None):
+def _quantize_run(a, u_fft, grid, h, delta, rho):
+    """(j0, values): op_h^{delta,rho}(a) u on its x run j0 .. j0 + nm - 1, zero
+    off it, for a Symbol a and u_fft = np.fft.fft(u.values)."""
+    n = grid.n
+    hx, hxi = h ** delta, h ** rho
+    (j0, nm), (k0, nk) = _support_runs(a, grid, hx, hxi)
+    # sample points and frequencies rounded as Grid.axis_points and
+    # Grid.axis_frequencies (np.fft.fftfreq) round them
+    x = hx * (-0.5 * grid.length + grid.spacing * np.arange(j0, j0 + nm))
+    modes = np.arange(k0, k0 + nk)
+    xi = hxi * (2.0 * np.pi * (modes * (1.0 / (n * grid.spacing))))
+    u_fft_run = u_fft[modes]  # a negative mode k sits at index n + k
+    acc = np.zeros(nm, dtype=np.complex128)
+    for (cx, mxi) in a.separable:
+        m = np.asarray(mxi(xi), dtype=np.complex128)
+        if not np.all(np.isfinite(m)):
+            raise MultiplierError("multiplier is not finite on the dual lattice")
+        acc += np.asarray(cx(x), dtype=np.complex128) * _zoom_ifft(m * u_fft_run, k0 % n, j0, nm, n)
+    if not np.all(np.isfinite(acc)):
+        raise ValueError("field contains non-finite entries")
+    return j0, acc
+
+
+def op_quantize(a, u, h, delta=0.0, rho=0.0):
     """Apply op_h^{delta,rho}(a) to u.
 
     A Symbol takes the fast path sum_m c_m(h^delta x) m_m(h^rho xi): each
@@ -130,8 +153,7 @@ def op_quantize(a, u, h, delta=0.0, rho=0.0, *, u_fft=None):
     (both runs are whole axes without a support hint).  The output is zero
     off the x run.  Any other callable a(x, xi) is swept densely over the
     phase-space lattice, so lambda x, xi: a(x, xi) gives the dense reference
-    for a Symbol a.  u_fft, if given, must be np.fft.fft(u.values); the
-    Symbol path then skips its forward transform.
+    for a Symbol a.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -140,25 +162,9 @@ def op_quantize(a, u, h, delta=0.0, rho=0.0, *, u_fft=None):
     grid = u.grid
     if not isinstance(a, Symbol):
         return _dense_apply(a, u, h, delta, rho)
-    n = grid.n
-    hx, hxi = h ** delta, h ** rho
-    (j0, nm), (k0, nk) = _support_runs(a, grid, hx, hxi)
-    # sample points and frequencies rounded as Grid.axis_points and
-    # Grid.axis_frequencies (np.fft.fftfreq) round them
-    x = hx * (-0.5 * grid.length + grid.spacing * np.arange(j0, j0 + nm))
-    modes = np.arange(k0, k0 + nk)
-    xi = hxi * (2.0 * np.pi * (modes * (1.0 / (n * grid.spacing))))
-    if u_fft is None:
-        u_fft = np.fft.fft(u.values)
-    u_fft_run = u_fft[modes]  # a negative mode k sits at index n + k
-    acc = np.zeros(nm, dtype=np.complex128)
-    for (cx, mxi) in a.separable:
-        m = np.asarray(mxi(xi), dtype=np.complex128)
-        if not np.all(np.isfinite(m)):
-            raise MultiplierError("multiplier is not finite on the dual lattice")
-        acc += np.asarray(cx(x), dtype=np.complex128) * _zoom_ifft(m * u_fft_run, k0 % n, j0, nm, n)
-    out = np.zeros(n, dtype=np.complex128)
-    out[j0:j0 + nm] = acc
+    j0, run = _quantize_run(a, np.fft.fft(u.values), grid, h, delta, rho)
+    out = np.zeros(grid.n, dtype=np.complex128)
+    out[j0:j0 + len(run)] = run
     return Field(grid, out)
 
 
@@ -276,6 +282,7 @@ def shared_h_grid(grid, points, delta, rho, h_grid, min_h):
 class DecayFit:
     mu_hat: float
     r2: float
+    stderr: float  # standard error of mu_hat; inf with mu_hat
     h_used: list
     norms: list
 
@@ -289,36 +296,43 @@ def _fit_loglog(hs, norms):
     ss_res = float(np.sum((logn - pred) ** 2))
     ss_tot = float(np.sum((logn - np.mean(logn)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), r2
+    sxx = float(np.sum((logs - np.mean(logs)) ** 2))
+    # the slope's standard error s / sqrt(Sxx), s^2 = SSR / (k - 2); inf if every h is equal
+    stderr = math.sqrt(ss_res / (len(logs) - 2) / sxx) if sxx > 0.0 else math.inf
+    return float(coef[0]), r2, stderr
+
+
+def _decay_fit(u_fft, u_norm, grid, x0, xi0, delta, rho, h_grid):
+    """estimate_decay_order from u_fft = np.fft.fft(u.values) and u_norm = ||u||."""
+    if delta < 0 or rho < 0:
+        raise ValueError("delta and rho must be nonnegative")
+    window = window_symbol(x0, xi0)
+    h_grid = valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
+    if len(h_grid) < 3:
+        raise ConfigError("fewer than 3 usable h values after box/Nyquist truncation")
+    floor = NORM_FLOOR * max(u_norm, 1e-300)
+    runs = (_quantize_run(window, u_fft, grid, h, delta, rho)[1] for h in h_grid)
+    measured = [float(np.sqrt(np.sum(np.abs(run) ** 2) * grid.spacing)) for run in runs]
+    hs = [h for h, val in zip(h_grid, measured) if val > floor]
+    norms = [val for val in measured if val > floor]
+    if len(hs) < 3:
+        return DecayFit(math.inf, 1.0, math.inf, list(h_grid), measured)
+    return DecayFit(*_fit_loglog(hs, norms), hs, norms)
 
 
 def estimate_decay_order(u, x0, xi0, delta, rho, h_grid=None):
     """Fit log ||op_h(window) u||_L2 against log h; slope = decay order mu_hat.
 
-    The window is window_symbol(x0, xi0).  u is transformed once; every h
-    then costs op_quantize one chirp-z zoom over the window's index runs.
-    Returns a DecayFit of the h values whose norm clears the numerical floor
-    and their norms; when fewer than 3 clear it, mu_hat = +inf (rapid decay
-    beyond measurability) and the fit lists every valid h with its measured
-    norm.  Raises ConfigError when fewer than 3 h values fit the box and
-    Nyquist budget.
+    The window is window_symbol(x0, xi0).  Returns a DecayFit of the h values
+    whose norm clears the numerical floor, their norms, and mu_hat with its
+    standard error; when fewer than 3 clear it, mu_hat = stderr = +inf (rapid
+    decay beyond measurability) and the fit lists every valid h with its
+    measured norm.  Raises ConfigError when fewer than 3 h values fit the box
+    and Nyquist budget.
     """
-    grid = u.grid
-    window = window_symbol(x0, xi0)
     if h_grid is None:
         h_grid = default_h_grid()
-    h_grid = valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
-    if len(h_grid) < 3:
-        raise ConfigError("fewer than 3 usable h values after box/Nyquist truncation")
-    floor = NORM_FLOOR * max(l2_norm(u), 1e-300)
-    u_fft = np.fft.fft(u.values)
-    measured = [l2_norm(op_quantize(window, u, h, delta, rho, u_fft=u_fft)) for h in h_grid]
-    hs = [h for h, val in zip(h_grid, measured) if val > floor]
-    norms = [val for val in measured if val > floor]
-    if len(hs) < 3:
-        return DecayFit(math.inf, 1.0, list(h_grid), measured)
-    mu_hat, r2 = _fit_loglog(hs, norms)
-    return DecayFit(mu_hat, r2, hs, norms)
+    return _decay_fit(np.fft.fft(u.values), l2_norm(u), u.grid, x0, xi0, delta, rho, h_grid)
 
 
 def is_singular_at_order(mu_hat, sigma, tol_order=TOL_ORDER):
@@ -429,9 +443,10 @@ def probe_sweep(u, specs, h_grid=None, meta=None):
     """Run estimate_decay_order, with the default window, for each ProbeSpec."""
     if h_grid is None:
         h_grid = default_h_grid()
+    u_fft, u_norm = np.fft.fft(u.values), l2_norm(u)
     results = []
     for spec in specs:
-        fit = estimate_decay_order(u, spec.x0, spec.xi0, spec.delta, spec.rho, h_grid=h_grid)
+        fit = _decay_fit(u_fft, u_norm, u.grid, spec.x0, spec.xi0, spec.delta, spec.rho, h_grid)
         results.append(ProbeResult(
             x0=spec.x0, xi0=spec.xi0, delta=spec.delta, rho=spec.rho,
             mu_hat=fit.mu_hat, r2=fit.r2, label=spec.label,

@@ -9,7 +9,9 @@ import pytest
 from microloc.errors import ConfigError, MultiplierError
 from microloc.grid import Field, Grid, l2_norm, multiplier_apply, random_field, transform, wave_packet
 from microloc.model_eq import geometric_h_grid, scaled_singularity_witness
+import microloc.quantize as quantize
 from microloc.quantize import (
+    _fit_loglog,
     _support_runs,
     _zoom_ifft,
     dyadic_norm,
@@ -99,12 +101,10 @@ def _assert_support_restriction_exact(u, window, h, delta, rho):
     fast = op_quantize(window, u, h, delta, rho)
     full = op_quantize(dataclasses.replace(window, support=None), u, h, delta, rho)
     dense = op_quantize(lambda x, xi: window(x, xi), u, h, delta, rho)
-    given = op_quantize(window, u, h, delta, rho, u_fft=np.fft.fft(u.values))
     scale = np.max(np.abs(full.values))
     assert scale > 1e-6 * np.max(np.abs(u.values))
     assert np.max(np.abs(fast.values - full.values)) <= 1e-13 * scale
     assert np.max(np.abs(fast.values - dense.values)) <= 1e-10 * scale
-    assert np.array_equal(given.values, fast.values)
 
 
 @pytest.mark.parametrize(
@@ -202,13 +202,14 @@ def test_op_quantize_gamma32_window_equals_full_lattice_ifft():
     for h in hs:
         full = bxi(h ** rho * grid.axis_frequencies()) * u_fft
         oracle = bx(h ** delta * grid.axis_points()) * np.fft.ifft(full)
-        out = op_quantize(window, u, h, delta, rho, u_fft=u_fft).values
+        out = op_quantize(window, u, h, delta, rho).values
         assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
 def test_decay_estimate_takes_one_full_lattice_transform(monkeypatch):
-    # the only length-n transform of an estimate is the forward FFT of u; each
-    # h costs a zoom whose transforms are shorter than the lattice
+    # the only length-n transform of an estimate, or of a whole sweep, is the
+    # forward FFT of u; each (probe, h) costs a zoom of three transforms
+    # shorter than the lattice
     grid, window, u, hs, (delta, rho) = _gamma32_window_and_witness()
     lengths = []
 
@@ -226,6 +227,78 @@ def test_decay_estimate_takes_one_full_lattice_transform(monkeypatch):
     assert lengths.count(grid.n) == 1
     assert len(lengths) == 1 + 3 * len(valid_h_grid(grid, x0, xi0, delta, rho, hs))
     assert max(n for n in lengths if n != grid.n) < grid.n // 2
+
+    points = [(x0, xi0), (-x0, xi0), (x0, -xi0), (0.5 * x0, 2 * xi0)]
+    specs = [ProbeSpec(x, xi, delta, rho) for (x, xi) in points]
+    lengths.clear()
+    rep = probe_sweep(u, specs, h_grid=hs)
+    assert len(rep.probes) == len(specs)
+    assert lengths.count(grid.n) == 1
+    valid = sum(len(valid_h_grid(grid, s.x0, s.xi0, delta, rho, hs)) for s in specs)
+    assert len(lengths) == 1 + 3 * valid
+    assert max(n for n in lengths if n != grid.n) < grid.n // 2
+
+
+def test_fit_norms_equal_op_quantize_norms(witness_mu1):
+    # the fit sums each windowed norm over the window's x run; the full-length
+    # op_quantize Field is its oracle, through both entry points
+    grid, hs, u = witness_mu1
+    probes = [(-3.0, 2.5), (3.0, 2.5), (-1.0, -2.0)]
+    rep = probe_sweep(u, [ProbeSpec(x, xi, 1.0, 1.0) for (x, xi) in probes], h_grid=hs)
+    for (x0, xi0), probe in zip(probes, rep.probes):
+        fit = estimate_decay_order(u, x0, xi0, 1.0, 1.0, h_grid=hs)
+        assert (fit.mu_hat, fit.h_used, fit.norms) == (probe.mu_hat, probe.h_used, probe.norms)
+        assert len(fit.h_used) >= 3
+        for h, norm in zip(fit.h_used, fit.norms):
+            oracle = l2_norm(op_quantize(window_symbol(x0, xi0), u, h, 1.0, 1.0))
+            assert abs(norm - oracle) <= 1e-13 * oracle
+
+
+def test_non_finite_x_factor_on_the_run_raises(grid, monkeypatch):
+    # a non-finite value of c(h^delta x) on the x run raises the ValueError
+    # that the full-length Field raised, in op_quantize and in the fit
+    def nan_at_center(window):
+        (x0, _), _ = window.support
+        (bx, bxi), = window.separable
+        bad_x = lambda x: np.where(np.abs(x - x0) == np.min(np.abs(x - x0)), np.nan, bx(x))
+        return dataclasses.replace(window, separable=[(bad_x, bxi)])
+
+    u = random_field(grid, seed=14)
+    with pytest.raises(ValueError, match="non-finite"):
+        op_quantize(nan_at_center(window_symbol(1.5, 2.0)), u, 0.3, 0.0, 1.0)
+    monkeypatch.setattr(quantize, "window_symbol", lambda x0, xi0: nan_at_center(window_symbol(x0, xi0)))
+    hs = [0.5, 0.4, 0.3]
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_decay_order(u, 1.5, 2.0, 0.0, 1.0, h_grid=hs)
+    with pytest.raises(ValueError, match="non-finite"):
+        probe_sweep(u, [ProbeSpec(1.5, 2.0, 0.0, 1.0)], h_grid=hs)
+
+
+def test_decay_fit_standard_error_closed_form(witness_mu1):
+    # slope b = Sxy / Sxx and its standard error sqrt(SSR / (k - 2) / Sxx),
+    # written out, on synthetic log-log data with a known slope
+    rng = np.random.default_rng(21)
+    hs = [2.0 ** (-0.5 * j) for j in range(2, 10)]
+    norms = [3.0 * h ** 1.7 * math.exp(0.05 * rng.standard_normal()) for h in hs]
+
+    def closed_form(hs, norms):
+        x, y = np.log(hs), np.log(norms)
+        sxx = np.sum((x - x.mean()) ** 2)
+        b = np.sum((x - x.mean()) * (y - y.mean())) / sxx
+        resid = y - y.mean() - b * (x - x.mean())
+        return b, math.sqrt(np.sum(resid ** 2) / (len(x) - 2) / sxx)
+
+    mu_hat, r2, stderr = _fit_loglog(hs, norms)
+    b, se = closed_form(hs, norms)
+    assert abs(mu_hat - b) <= 1e-12 and abs(stderr - se) <= 1e-12 * se
+    assert abs(mu_hat - 1.7) <= 3 * stderr and 0 < r2 <= 1
+    # exact power law: no residual, zero error
+    assert _fit_loglog(hs, [2.0 * h ** 1.7 for h in hs])[2] <= 1e-12
+    # through estimate_decay_order, on the fit's own h values and norms
+    grid, hs, u = witness_mu1
+    fit = estimate_decay_order(u, -3.0, 2.5, 1.0, 1.0, h_grid=hs)
+    b, se = closed_form(fit.h_used, fit.norms)
+    assert abs(fit.mu_hat - b) <= 1e-12 and abs(fit.stderr - se) <= 1e-12 * se
 
 
 def test_weighted_norm_plain_l2(grid):
@@ -325,6 +398,11 @@ def test_decay_order_needs_three_h():
     assert valid_h_grid(g, 1.5, 2.0, 1.0, 1.0, hs) == hs[:2]
     with pytest.raises(ConfigError):
         estimate_decay_order(random_field(g, seed=1), 1.5, 2.0, 1.0, 1.0, h_grid=hs)
+    # a negative scale exponent is refused, as op_quantize refuses it
+    with pytest.raises(ValueError):
+        estimate_decay_order(random_field(g, seed=1), 1.5, 2.0, -1.0, 1.0, h_grid=hs)
+    with pytest.raises(ValueError):
+        probe_sweep(random_field(g, seed=1), [ProbeSpec(1.5, 2.0, 1.0, -1.0)], h_grid=hs)
 
 
 def test_decay_order_floor_sentinel():
@@ -333,7 +411,7 @@ def test_decay_order_floor_sentinel():
     hs = [2.0 ** (-1 - 0.5 * j) for j in range(3)]
     # scaled window stays far from the packet in x: norms below floor -> +inf
     fit = estimate_decay_order(u, 20.0, -0.6, 1.0, 1.0, h_grid=hs)
-    assert math.isinf(fit.mu_hat)
+    assert math.isinf(fit.mu_hat) and math.isinf(fit.stderr)
     # every measured norm is reported next to its h
     assert len(fit.h_used) == len(fit.norms) == 3
 
