@@ -241,12 +241,15 @@ class _StripWorkspace:
         self.ixi[-1] = 0.0  # odd multiplier: Nyquist zeroed
         self._shift_inv = 1.0 / (self._lam - self._xi2)
         m = len(xi)
-        # strip_op's x-derivatives: -xi^2 on the v rows, i xi on the v_z rows
+        # strip_op's x-derivatives of the v spectra: -xi^2 for v_xx, and
+        # i xi 0.5/dz on the centred z-differences for v_xz
         self._dx_mult = np.empty((2 * nz, m), dtype=np.complex128)
         self._dx_mult[:nz] = -self._xi2
-        self._dx_mult[nz:] = self.ixi
-        self._rows = np.empty((2 * nz, self.n))  # v, then v_z
+        self._dx_mult[nz:] = (0.5 / self.dz) * self.ixi
+        self._v_z = np.empty((nz, self.n))
+        self._v_hat = np.empty((nz + 1, m), dtype=np.complex128)
         self._rows_hat = np.empty((2 * nz, m), dtype=np.complex128)
+        self._rows_hat[nz] = 0.0  # v_z = 0 at the bottom row
         self._rows_dx = np.empty((2 * nz, self.n))  # v_xx, then v_xz
         self._scratch = np.empty((nz, self.n))
         self._pc_hat = np.empty((nz, m), dtype=np.complex128)
@@ -255,6 +258,7 @@ class _StripWorkspace:
         self._lifted = np.zeros((nz + 1, self.n))  # P^-1 y; row nz (Dirichlet) stays 0
         self.basis = None
         self.warm = None
+        self.warm_lift = None
         self.stats = None
         self._eta_ref = None
         self.update_surface(dom)
@@ -284,6 +288,7 @@ class _StripWorkspace:
         self.Cxz = zf * (-2.0 * f1)[None, :]
         self.W = zf * w1[None, :]
         self.Czz = (a - 1.0)[None, :] + (zf ** 2) * c1[None, :]
+        self._Czz1 = 1.0 + self.Czz  # with the flat d_zz
         self._build_preconditioner(a)
 
     def _build_preconditioner(self, a):
@@ -352,11 +357,11 @@ class _StripWorkspace:
         Row 0 is the ghost-eliminated bottom (v_z = 0 there), row nz is
         Dirichlet (no equation).  flat=False leaves out the flat Laplacian
         d_zz + d_xx: that is E = L - L0, the fixed point's residual operator.
-        v_xx and v_xz come from one batched rfft/irfft.
+        One rfft of the v rows 0..nz gives the spectra of v_xx and, by their
+        centred z-differences, of v_xz; one batched irfft returns both.
         """
         nz, dz = self.nz, self.dz
-        rows, v_zz = self._rows, self._scratch
-        v_z = rows[nz:]
+        v_z, v_zz = self._v_z, self._scratch
         v_z[0] = 0.0  # Neumann bottom, exactly
         np.subtract(v[2:], v[:nz - 1], out=v_z[1:])
         v_z[1:] *= 0.5 / dz
@@ -366,16 +371,20 @@ class _StripWorkspace:
         np.subtract(v[1], v[0], out=v_zz[0])
         v_zz[0] *= 2.0
         v_zz *= 1.0 / dz ** 2
-        lo = 0 if flat else nz  # the v rows are transformed only for v_xx
-        rows[lo:nz] = v[lo:nz]
-        spec = np.fft.rfft(rows[lo:], axis=1, out=self._rows_hat[lo:])
-        spec *= self._dx_mult[lo:]
-        np.fft.irfft(spec, n=self.n, axis=1, out=self._rows_dx[lo:])
-        v_xx, v_xz = self._rows_dx[:nz], self._rows_dx[nz:]
-        out = np.multiply(self.Czz, v_zz, out=out)
+        v_hat = np.fft.rfft(v[:nz + 1], axis=1, out=self._v_hat)
+        spec, mult = self._rows_hat, self._dx_mult
+        np.subtract(v_hat[2:], v_hat[:nz - 1], out=spec[nz + 1:])
+        spec[nz + 1:] *= mult[nz + 1:]
+        lo = 0 if flat else nz  # v_xx only with the flat Laplacian
         if flat:
-            out += v_zz
+            np.multiply(v_hat[:nz], mult[:nz], out=spec[:nz])
+        np.fft.irfft(spec[lo:], n=self.n, axis=1, out=self._rows_dx[lo:])
+        v_xx, v_xz = self._rows_dx[:nz], self._rows_dx[nz:]
+        if flat:
+            out = np.multiply(self._Czz1, v_zz, out=out)
             out += v_xx
+        else:
+            out = np.multiply(self.Czz, v_zz, out=out)
         term = self._scratch  # v_zz is used up
         out += np.multiply(self.W, v_z, out=term)
         out += np.multiply(self.Cxz, v_xz, out=term)
@@ -437,18 +446,21 @@ def _strip_solve(ws, psi, tol):
 
     A constant solves the strip equations exactly and has no flux, so the
     stages solve for psi minus its mean (the zero mode of psi_half), and the
-    mean is added back to v; the warm start stays mean-free.
+    mean is added back to v; the warm start stays mean-free.  The start is
+    the flat harmonic extension v_lift of the data plus, after an earlier
+    solve on the workspace, that solve's correction warm - warm_lift.
     """
     nz = ws.nz
     psi_half = np.fft.rfft(psi)
     mean = psi_half[0].real / ws.n
     psi_half[0] = 0.0
-    v_lift = ws.flat_solve(np.zeros((nz, ws.n)), psi_half)  # flat harmonic extension
+    zeros = np.zeros((nz, len(psi_half)), dtype=np.complex128)
+    v_lift = np.fft.irfft(ws.flat_solve_half(zeros, psi_half), n=ws.n, axis=1)
     v = v_lift
     if ws.warm is not None and ws.warm.shape == v.shape:
-        # re-impose the current Dirichlet data on the warm start
-        v = ws.warm.copy()
-        v[nz] = v_lift[nz]
+        v = ws.warm - ws.warm_lift
+        v += v_lift
+        v[nz] = v_lift[nz]  # the current Dirichlet data, exactly
 
     converged = False
     if len(ws.nodes) == 1:
@@ -466,7 +478,7 @@ def _strip_solve(ws, psi, tol):
 
     if not converged:
         v = _krylov_solve(ws, v_lift, v, tol)
-    ws.warm = v
+    ws.warm, ws.warm_lift = v, v_lift
     return ws.flux(v), v + mean
 
 
@@ -479,10 +491,11 @@ def _krylov_solve(ws, v_lift, v0, tol):
     the strip residual itself: it stops at ||L v||_2 <= tol ||L v_lift||_2,
     and the ratio it recomputes at exit goes to ws.stats.residual.  The
     operator is ws.krylov_op and the Arnoldi basis ws.basis, so the
-    iterations run in the workspace's buffers.
+    iterations run in the workspace's buffers.  The flat Laplacian L0
+    annihilates v_lift, so L v_lift = E v_lift.
     """
     nz = ws.nz
-    r_lift = ws.strip_op(v_lift)
+    r_lift = ws.strip_op(v_lift, flat=False)
     r0 = ws.strip_op(v0)
     lift_norm = np.linalg.norm(r_lift)
     if lift_norm <= np.linalg.norm(r0):

@@ -8,12 +8,14 @@ Wavefront orders are estimated by sweeping h over a geometric grid, applying
 a window symbol elliptic at the probe point, and regressing log L2-norm
 against log h: decay O(h^mu) shows up as slope mu.
 
-Probe-loop cost: one forward FFT and one L2 norm of u per probe_sweep (per
-estimate_decay_order call).  For each h the window's factors are evaluated
-only on the index runs its support balls cover (nk frequencies, nm points);
-one chirp-z zoom, a circular convolution of power-of-two length >= nk +
-nm - 1, takes them from frequency to space, and the windowed norm sums those
-nm values: no inverse FFT or Field over the whole lattice.
+Probe-loop cost: one forward FFT, one L2 norm of u and one chirp table of n
+(n even) or 2n (n odd) phases per probe_sweep (per estimate_decay_order
+call).  For each h the window's factors are evaluated only on the index runs
+its support balls cover (nk frequencies, nm points); one chirp-z zoom, a
+circular convolution at the least 5-smooth length >= nk + nm - 1, takes
+them from frequency to space in two FFTs, and the windowed norm sums those
+nm values: no inverse FFT or Field over the whole lattice.  The kernel
+spectrum of each distinct (nk, nm) is one more FFT per sweep.
 """
 
 from __future__ import annotations
@@ -70,29 +72,84 @@ def _dense_apply(a, u, h, delta, rho):
     return Field(grid, out)
 
 
-def _chirp(r, n):
-    """exp(i pi r / n) for integer r, reduced mod 2n first so that the phase
-    stays exact for large r."""
-    return np.exp(1j * np.pi / n * (r % (2 * n)))
+def _smooth_length(m):
+    """The least 2^a 3^b 5^c >= m (m >= 1): for each 3^b 5^c below the next
+    power of two, the least power-of-two multiple that reaches m."""
+    best = 1 << (m - 1).bit_length()
+    odd = 1
+    while odd < best:
+        f = odd
+        while f < best:
+            best = min(best, f << (-(-m // f) - 1).bit_length())
+            f *= 3
+        odd *= 5
+    return best
 
 
-def _zoom_ifft(c, k0, j0, nm, n):
-    """np.fft.ifft(full)[(j0 + arange(nm)) % n], where full has length n, is
-    c[p] at index (k0 + p) % n and zero elsewhere.
+class _ZoomContext:
+    """The chirp-z zooms of one probed field, on a lattice of n points.
 
-    Chirp-z (Bluestein) form: with 2 q p = q^2 + p^2 - (q - p)^2 the sum
-    over p becomes one circular convolution of length >= nk + nm - 1, taken
-    at the next power of two.  Phase arguments are integers mod 2n.
+    table holds T[r] = exp(i pi r^2 / n) over one period P in r (n for even
+    n, 2n for odd n), built once; every chirp of a zoom is a run of it.
+    Since T[P - r] = T[r], only r <= P/2 is evaluated.  The spectrum of each
+    convolution kernel is computed at the first zoom of its (nk, nm) and
+    kept in kernels.
     """
-    nk = len(c)
-    p = np.arange(nk)
-    q = np.arange(nm)
-    d = np.arange(1 - nk, nm)
-    size = 1 << (nk + nm - 2).bit_length()
-    kernel = np.zeros(size, dtype=np.complex128)
-    kernel[d % size] = _chirp(-d * d, n)
-    conv = np.fft.ifft(np.fft.fft(c * _chirp(p * p + 2 * j0 * p, n), size) * np.fft.fft(kernel))
-    return conv[:nm] * _chirp(q * q + 2 * k0 * q + 2 * j0 * k0, n) / n
+
+    def __init__(self, n):
+        self.n = n
+        period = n if n % 2 == 0 else 2 * n
+        half = np.arange(period // 2 + 1)
+        phase = (np.pi / n) * ((half * half) % (2 * n))  # exact integer mod 2n
+        table = np.empty(period, dtype=np.complex128)
+        np.cos(phase, out=table.real[:len(half)])
+        np.sin(phase, out=table.imag[:len(half)])
+        table[len(half):] = table[period - len(half):0:-1]
+        self.table = table
+        self.kernels = {}
+
+    def _run(self, start, length):
+        """T[start .. start + length - 1], indices mod the period, for
+        0 <= start < period and length <= period."""
+        t = self.table
+        stop = start + length
+        if stop <= len(t):
+            return t[start:stop]
+        return np.concatenate((t[start:], t[:stop - len(t)]))
+
+    def _kernel(self, nk, nm):
+        """(transform length, spectrum of the kernel conj(T[|d|]) placed at
+        d mod length for 1 - nk <= d < nm)."""
+        key = (nk, nm)
+        if key not in self.kernels:
+            size = _smooth_length(nk + nm - 1)
+            t = self.table
+            kernel = np.zeros(size, dtype=np.complex128)
+            kernel[:nm] = t[:nm]
+            kernel[size - nk + 1:] = t[nk - 1:0:-1]
+            self.kernels[key] = size, np.fft.fft(np.conj(kernel, out=kernel))
+        return self.kernels[key]
+
+    def ifft(self, c, k0, j0, nm):
+        """np.fft.ifft(full)[(j0 + arange(nm)) % n], where full has length
+        n, is c[p] at index (k0 + p) % n and zero elsewhere; 0 <= k0, j0 < n.
+
+        Chirp-z (Bluestein) form: with 2 q p = q^2 + p^2 - (q - p)^2 the sum
+        over p becomes one circular convolution of length >= nk + nm - 1,
+        the least 5-smooth one.  Its input chirp T[j0 + p] conj(T[j0]),
+        kernel conj(T[|q - p|]) and output chirp T[k0 + q] conj(T[k0])
+        exp(2 pi i j0 k0 / n) are runs of the table; the constant factors
+        fold into one scalar, whose phase is an exact integer mod 2n.
+        """
+        n, nk = self.n, len(c)
+        size, kernel_fft = self._kernel(nk, nm)
+        conv = np.fft.ifft(np.fft.fft(c * self._run(j0, nk), size) * kernel_fft)
+        t = self.table
+        scale = np.conj(t[j0] * t[k0]) * np.exp(1j * np.pi / n * ((2 * j0 * k0) % (2 * n))) / n
+        out = conv[:nm]
+        out *= self._run(k0, nm)
+        out *= scale
+        return out
 
 
 def _ball_run(center, radius, step, origin, lo, hi):
@@ -120,9 +177,10 @@ def _support_runs(a, grid, hx, hxi):
     )
 
 
-def _quantize_run(a, u_fft, grid, h, delta, rho):
+def _quantize_run(a, u_fft, grid, h, delta, rho, zoom):
     """(j0, values): op_h^{delta,rho}(a) u on its x run j0 .. j0 + nm - 1, zero
-    off it, for a Symbol a and u_fft = np.fft.fft(u.values)."""
+    off it, for a Symbol a, u_fft = np.fft.fft(u.values) and the field's
+    _ZoomContext zoom."""
     n = grid.n
     hx, hxi = h ** delta, h ** rho
     (j0, nm), (k0, nk) = _support_runs(a, grid, hx, hxi)
@@ -137,7 +195,7 @@ def _quantize_run(a, u_fft, grid, h, delta, rho):
         m = np.asarray(mxi(xi), dtype=np.complex128)
         if not np.all(np.isfinite(m)):
             raise MultiplierError("multiplier is not finite on the dual lattice")
-        acc += np.asarray(cx(x), dtype=np.complex128) * _zoom_ifft(m * u_fft_run, k0 % n, j0, nm, n)
+        acc += np.asarray(cx(x), dtype=np.complex128) * zoom.ifft(m * u_fft_run, k0 % n, j0, nm)
     if not np.all(np.isfinite(acc)):
         raise ValueError("field contains non-finite entries")
     return j0, acc
@@ -162,7 +220,7 @@ def op_quantize(a, u, h, delta=0.0, rho=0.0):
     grid = u.grid
     if not isinstance(a, Symbol):
         return _dense_apply(a, u, h, delta, rho)
-    j0, run = _quantize_run(a, np.fft.fft(u.values), grid, h, delta, rho)
+    j0, run = _quantize_run(a, np.fft.fft(u.values), grid, h, delta, rho, _ZoomContext(grid.n))
     out = np.zeros(grid.n, dtype=np.complex128)
     out[j0:j0 + len(run)] = run
     return Field(grid, out)
@@ -302,8 +360,9 @@ def _fit_loglog(hs, norms):
     return float(coef[0]), r2, stderr
 
 
-def _decay_fit(u_fft, u_norm, grid, x0, xi0, delta, rho, h_grid):
-    """estimate_decay_order from u_fft = np.fft.fft(u.values) and u_norm = ||u||."""
+def _decay_fit(u_fft, u_norm, grid, x0, xi0, delta, rho, h_grid, zoom):
+    """estimate_decay_order from u_fft = np.fft.fft(u.values), u_norm = ||u||
+    and the field's _ZoomContext zoom."""
     if delta < 0 or rho < 0:
         raise ValueError("delta and rho must be nonnegative")
     window = window_symbol(x0, xi0)
@@ -311,7 +370,7 @@ def _decay_fit(u_fft, u_norm, grid, x0, xi0, delta, rho, h_grid):
     if len(h_grid) < 3:
         raise ConfigError("fewer than 3 usable h values after box/Nyquist truncation")
     floor = NORM_FLOOR * max(u_norm, 1e-300)
-    runs = (_quantize_run(window, u_fft, grid, h, delta, rho)[1] for h in h_grid)
+    runs = (_quantize_run(window, u_fft, grid, h, delta, rho, zoom)[1] for h in h_grid)
     measured = [float(np.sqrt(np.sum(np.abs(run) ** 2) * grid.spacing)) for run in runs]
     hs = [h for h, val in zip(h_grid, measured) if val > floor]
     norms = [val for val in measured if val > floor]
@@ -332,7 +391,9 @@ def estimate_decay_order(u, x0, xi0, delta, rho, h_grid=None):
     """
     if h_grid is None:
         h_grid = default_h_grid()
-    return _decay_fit(np.fft.fft(u.values), l2_norm(u), u.grid, x0, xi0, delta, rho, h_grid)
+    return _decay_fit(
+        np.fft.fft(u.values), l2_norm(u), u.grid, x0, xi0, delta, rho, h_grid, _ZoomContext(u.grid.n)
+    )
 
 
 def is_singular_at_order(mu_hat, sigma, tol_order=TOL_ORDER):
@@ -443,10 +504,10 @@ def probe_sweep(u, specs, h_grid=None, meta=None):
     """Run estimate_decay_order, with the default window, for each ProbeSpec."""
     if h_grid is None:
         h_grid = default_h_grid()
-    u_fft, u_norm = np.fft.fft(u.values), l2_norm(u)
+    u_fft, u_norm, zoom = np.fft.fft(u.values), l2_norm(u), _ZoomContext(u.grid.n)
     results = []
     for spec in specs:
-        fit = _decay_fit(u_fft, u_norm, u.grid, spec.x0, spec.xi0, spec.delta, spec.rho, h_grid)
+        fit = _decay_fit(u_fft, u_norm, u.grid, spec.x0, spec.xi0, spec.delta, spec.rho, h_grid, zoom)
         results.append(ProbeResult(
             x0=spec.x0, xi0=spec.xi0, delta=spec.delta, rho=spec.rho,
             mu_hat=fit.mu_hat, r2=fit.r2, label=spec.label,

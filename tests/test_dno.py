@@ -213,7 +213,14 @@ def test_elliptic_complex_plane_waves_flat(unit_grid):
 
 def _strip_equation_residual(dom, v):
     """Relative L2 residual of the discrete flattened strip equations, scaled
-    by the largest of its four terms.
+    by the largest of its four terms."""
+    terms = _strip_equation_terms(dom, v)
+    return np.linalg.norm(sum(terms)) / max(np.linalg.norm(t) for t in terms)
+
+
+def _strip_equation_terms(dom, v):
+    """The four terms of the discrete flattened strip equations on rows
+    0..nz-1, written out.
 
     With J = 1 + eta/b and Z = 1 + z/b the flattened Laplacian is
     c_zz v_zz + v_xx + c_z v_z + c_xz v_xz with c_zz = (1 + Z^2 eta'^2)/J^2,
@@ -243,8 +250,27 @@ def _strip_equation_residual(dom, v):
     v_z = np.zeros((nz, dom.grid.n))
     v_z[1:] = (v[2:] - v[:nz - 1]) / (2.0 * dz)
     v_xx = dx(v[:nz], -(xi ** 2))
-    terms = [c_zz[:nz] * v_zz, v_xx, c_z[:nz] * v_z, c_xz[:nz] * dx(v_z, ixi)]
-    return np.linalg.norm(sum(terms)) / max(np.linalg.norm(t) for t in terms)
+    return [c_zz[:nz] * v_zz, v_xx, c_z[:nz] * v_z, c_xz[:nz] * dx(v_z, ixi)]
+
+
+def test_strip_op_is_the_written_out_strip_operator():
+    # strip_op takes v_xz from z-differences of the v spectra; the
+    # written-out equations are its oracle.  The flat lift solves the flat
+    # part d_zz + d_xx, to the rounding of its eigen-solve (4e-12 here), so
+    # the Krylov stage's L v_lift is E v_lift
+    g = Grid(256, 64.0)
+    nz = 64
+    dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, nz)
+    ws = dno._StripWorkspace(dom)
+    v = np.random.default_rng(6).standard_normal((nz + 1, g.n))
+    terms = _strip_equation_terms(dom, v)
+    scale = max(np.max(np.abs(t)) for t in terms)
+    assert np.max(np.abs(ws.strip_op(v) - sum(terms))) <= 1e-14 * scale
+    psi_half = np.fft.rfft(np.real(random_field(g, seed=2, decay=3.0, real=True).values))
+    lift_half = ws.flat_solve_half(np.zeros((nz, len(psi_half)), dtype=complex), psi_half)
+    lift = np.fft.irfft(lift_half, n=g.n, axis=1)
+    scale = max(np.max(np.abs(t)) for t in _strip_equation_terms(dom, lift))
+    assert np.max(np.abs(ws.strip_op(lift) - ws.strip_op(lift, flat=False))) <= 1e-10 * scale
 
 
 def test_elliptic_stalled_fixed_point_solves_strip_equations():

@@ -12,8 +12,9 @@ from microloc.model_eq import geometric_h_grid, scaled_singularity_witness
 import microloc.quantize as quantize
 from microloc.quantize import (
     _fit_loglog,
+    _smooth_length,
     _support_runs,
-    _zoom_ifft,
+    _ZoomContext,
     dyadic_norm,
     estimate_decay_order,
     is_singular_at_order,
@@ -143,17 +144,46 @@ def test_support_restricted_nan_multiplier_raises(grid):
         (256, 1, 200, 256, 0),  # nk = 1
         (256, 1, 3, 1, 250),
         (65536, 11524, 60000, 491, 30000),  # model_probe's largest runs
+        (63, 63, 5, 63, 40),  # odd n: the chirp table has period 2n
+        (63, 20, 50, 30, 62),
+        (255, 1, 254, 255, 0),
+        (255, 100, 200, 80, 250),
     ],
 )
 def test_zoom_ifft_equals_ifft_slice(n, nk, k0, nm, j0):
     rng = np.random.default_rng(nk + nm)
     c = rng.standard_normal(nk) + 1j * rng.standard_normal(nk)
-    full = np.zeros(n, dtype=complex)
-    full[(k0 + np.arange(nk)) % n] = c
-    oracle = np.fft.ifft(full)[(j0 + np.arange(nm)) % n]
-    zoom = _zoom_ifft(c, k0, j0, nm, n)
+    zoom = _ZoomContext(n).ifft(c, k0, j0, nm)
     assert zoom.shape == (nm,)
+    oracle = _ifft_slice(c, k0, j0, nm, n)
     assert np.max(np.abs(zoom - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def _ifft_slice(c, k0, j0, nm, n):
+    full = np.zeros(n, dtype=complex)
+    full[(k0 + np.arange(len(c))) % n] = c
+    return np.fft.ifft(full)[(j0 + np.arange(nm)) % n]
+
+
+def test_zoom_context_reuses_one_kernel_per_run_shape():
+    # two zooms of the same (nk, nm) at other offsets share the context's
+    # kernel spectrum, and each still equals the ifft slice
+    n, nk, nm = 4096, 700, 90
+    rng = np.random.default_rng(8)
+    zoom = _ZoomContext(n)
+    for k0, j0 in ((3500, 4050), (17, 1234)):
+        c = rng.standard_normal(nk) + 1j * rng.standard_normal(nk)
+        oracle = _ifft_slice(c, k0, j0, nm, n)
+        assert np.max(np.abs(zoom.ifft(c, k0, j0, nm) - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    assert list(zoom.kernels) == [(nk, nm)]
+
+
+def test_smooth_length_is_the_least_5_smooth_bound():
+    smooth = sorted(
+        2 ** a * 3 ** b * 5 ** c for a in range(14) for b in range(9) for c in range(7)
+    )
+    for m in range(1, 5001):
+        assert _smooth_length(m) == next(v for v in smooth if v >= m)
 
 
 def test_support_runs_cover_the_balls():
@@ -208,10 +238,32 @@ def test_op_quantize_gamma32_window_equals_full_lattice_ifft():
 
 def test_decay_estimate_takes_one_full_lattice_transform(monkeypatch):
     # the only length-n transform of an estimate, or of a whole sweep, is the
-    # forward FFT of u; each (probe, h) costs a zoom of three transforms
-    # shorter than the lattice
+    # forward FFT of u; each (probe, h) costs a zoom of two transforms at a
+    # 5-smooth length below n/2, and each distinct run shape (nk, nm) one
+    # kernel transform per sweep
     grid, window, u, hs, (delta, rho) = _gamma32_window_and_witness()
     lengths = []
+
+    def run_shapes(points):
+        """(nk, nm) of every zoom of a sweep over points."""
+        shapes = []
+        for (x, xi) in points:
+            for h in valid_h_grid(grid, x, xi, delta, rho, hs):
+                (_, nm), (_, nk) = _support_runs(window_symbol(x, xi), grid, h ** delta, h ** rho)
+                shapes.append((nk, nm))
+        return shapes
+
+    def check_counts(shapes):
+        assert lengths.count(grid.n) == 1
+        assert len(lengths) == 1 + 2 * len(shapes) + len(set(shapes))
+        zoom_lengths = {n for n in lengths if n != grid.n}
+        assert zoom_lengths == {_smooth_length(nk + nm - 1) for (nk, nm) in shapes}
+        for n in zoom_lengths:
+            assert n < grid.n // 2
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            assert n == 1
 
     def recording(fn):
         def wrapped(a, n=None, *args, **kw):
@@ -224,19 +276,16 @@ def test_decay_estimate_takes_one_full_lattice_transform(monkeypatch):
     (x0, _), (xi0, _) = window.support
     fit = estimate_decay_order(u, x0, xi0, delta, rho, h_grid=hs)
     assert math.isfinite(fit.mu_hat) and len(fit.h_used) >= 3
-    assert lengths.count(grid.n) == 1
-    assert len(lengths) == 1 + 3 * len(valid_h_grid(grid, x0, xi0, delta, rho, hs))
-    assert max(n for n in lengths if n != grid.n) < grid.n // 2
+    check_counts(run_shapes([(x0, xi0)]))
 
     points = [(x0, xi0), (-x0, xi0), (x0, -xi0), (0.5 * x0, 2 * xi0)]
     specs = [ProbeSpec(x, xi, delta, rho) for (x, xi) in points]
     lengths.clear()
     rep = probe_sweep(u, specs, h_grid=hs)
     assert len(rep.probes) == len(specs)
-    assert lengths.count(grid.n) == 1
-    valid = sum(len(valid_h_grid(grid, s.x0, s.xi0, delta, rho, hs)) for s in specs)
-    assert len(lengths) == 1 + 3 * valid
-    assert max(n for n in lengths if n != grid.n) < grid.n // 2
+    shapes = run_shapes(points)
+    assert len(set(shapes)) < len(shapes)  # kernels are shared across probes
+    check_counts(shapes)
 
 
 def test_fit_norms_equal_op_quantize_norms(witness_mu1):
