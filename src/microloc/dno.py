@@ -17,11 +17,16 @@ mean removed, in two stages:
   (near-flat surfaces), where it converges in a few sweeps;
 - restarted GMRES (_gmres, numpy) on the strip equations, right-
   preconditioned, when the fixed point stalls or is skipped (sloped
-  surfaces).  Its frozen-depth preconditioner inverts a_j d_zz + d_xx
-  exactly at a few depth nodes a_j and blends the results in x; it stops on
-  the residual of the strip equations.  The Krylov operator and the Arnoldi
-  basis work in buffers held on the workspace, so an iteration allocates no
-  array of the strip's size.
+  surfaces).  Its frozen-depth preconditioner works per z-eigenmode of
+  d_zz.  On the few low modes, where the shift xi^2 competes with a lam_k,
+  it inverts a_j lam_k - xi^2 exactly at a few depth nodes a_j and blends
+  the results in x; on the others, where a lam_k dominates, it inverts at
+  one node a0 and scales by a0/a(x).  GMRES stops on the residual of the
+  strip equations.
+
+A fixed-point sweep, the Krylov operator and the Arnoldi basis work in
+buffers held on the workspace, so neither a sweep nor an iteration
+allocates an array of the strip's size.
 
 A complex psi is solved as its real and imaginary parts.  The surface flux
 is (1+eta'^2)/J v_z - eta' v_x at z = 0.
@@ -187,21 +192,28 @@ class _StripWorkspace:
     the eta-dependent coefficients and the preconditioner, so a time stepper
     can reuse one workspace (and its warm-start solution) across stages.
 
-    The z-eigenvectors diagonalize a(x) d_zz for any a depending on x alone.
-    With a = 1/J^2, the x-only part of the flattened v_zz coefficient, the
-    preconditioner P^-1 applies the exact inverse of the constant-a strip
-    operator a_j d_zz + d_xx per z-mode at m nodes a_j, geometric over
-    [min a, max a] with consecutive ratio at most 3 (one node, at the
-    geometric mean, when max a / min a <= 3), and blends the m results in
-    physical x with weights piecewise linear in log a.  P is exact when a is
-    constant.
+    The z-eigenvectors diagonalize a(x) d_zz for any a depending on x alone;
+    they are ordered by |lam_k| ascending.  With a = 1/J^2, the x-only part
+    of the flattened v_zz coefficient, the preconditioner P^-1 applies per
+    z-mode the exact inverse 1/(a lam_k - xi^2) of the constant-a strip
+    operator a d_zz + d_xx, with a frozen in one of two ways:
+    - on the K low modes, those with min(a) |lam_k| < xi_N^2 (xi_N the
+      x-Nyquist frequency), at m nodes a_j, geometric over [min a, max a]
+      with consecutive ratio at most 3 (one node, at the geometric mean a0,
+      when max a / min a <= 3), the m results blended in physical x with
+      weights piecewise linear in log a;
+    - on the nz - K high modes, where a lam_k dominates xi^2, at a0 =
+      sqrt(min a max a), the result multiplied by a0/a(x).
+    All m K + nz - K rows go through one batched irfft.  P is exact when a
+    is constant (then a0 = a).
 
-    The Krylov stage works in buffers held here: the scratch arrays of
-    precondition, strip_op and krylov_op, allocated here and in
-    _build_preconditioner, and the Arnoldi basis, allocated at the first
-    Krylov solve (a workspace whose solves all end in the fixed point never
-    holds one).  Their ufuncs take full-shape operands only, since a
-    broadcast operand makes numpy allocate an iteration buffer.
+    The fixed point and the Krylov stage work in buffers held here: the
+    scratch arrays of precondition, strip_op and krylov_op, allocated here
+    and in _build_preconditioner, which fixed_point_sweep reuses, and the
+    Arnoldi basis, allocated at the first Krylov solve (a workspace whose
+    solves all end in the fixed point never holds one).  Their ufuncs take
+    full-shape operands only, since a broadcast operand makes numpy
+    allocate an iteration buffer.
     """
 
     NODE_RATIO = 3.0
@@ -230,6 +242,7 @@ class _StripWorkspace:
         S[0, 1] = math.sqrt(2.0) / dz2
         S[1, 0] = math.sqrt(2.0) / dz2
         lam, Q = np.linalg.eigh(S)
+        lam, Q = lam[::-1], Q[:, ::-1]  # |lam_k| ascending: the low modes first
         dscale = np.ones(nz)
         dscale[1:] = math.sqrt(2.0)
         self._QTs = np.ascontiguousarray(Q.T * dscale[None, :])
@@ -237,15 +250,18 @@ class _StripWorkspace:
         self._lam = lam[:, None]
         xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=grid.spacing)
         self._xi2 = xi ** 2
+        self._nyquist2 = grid.nyquist ** 2
         self.ixi = 1j * xi
         self.ixi[-1] = 0.0  # odd multiplier: Nyquist zeroed
-        self._shift_inv = 1.0 / (self._lam - self._xi2)
+        # repeated for the real and imaginary parts, as a full-shape operand
+        self._shift_inv = np.repeat(1.0 / (self._lam - self._xi2), 2, axis=-1)
         m = len(xi)
         # strip_op's x-derivatives of the v spectra: -xi^2 for v_xx, and
         # i xi 0.5/dz on the centred z-differences for v_xz
         self._dx_mult = np.empty((2 * nz, m), dtype=np.complex128)
         self._dx_mult[:nz] = -self._xi2
         self._dx_mult[nz:] = (0.5 / self.dz) * self.ixi
+        self._dv = np.empty((nz, self.n))
         self._v_z = np.empty((nz, self.n))
         self._v_hat = np.empty((nz + 1, m), dtype=np.complex128)
         self._rows_hat = np.empty((2 * nz, m), dtype=np.complex128)
@@ -284,20 +300,26 @@ class _StripWorkspace:
         a = 1.0 / J ** 2
         c1 = (etap / J) ** 2
         zf = self.zfac
-        # coefficients of v_xz, v_z and v_zz in E = L - L0, rows 0..nz-1
+        # coefficients of v_xz, v_z and v_zz in E = L - L0, rows 0..nz-1;
+        # W and Czz carry the denominators 2 dz and dz^2 of strip_op's
+        # unscaled z-differences
+        dz = self.dz
         self.Cxz = zf * (-2.0 * f1)[None, :]
-        self.W = zf * w1[None, :]
-        self.Czz = (a - 1.0)[None, :] + (zf ** 2) * c1[None, :]
-        self._Czz1 = 1.0 + self.Czz  # with the flat d_zz
+        self.W = zf * ((0.5 / dz) * w1)[None, :]
+        czz = (a - 1.0)[None, :] + (zf ** 2) * c1[None, :]
+        self.Czz = czz / dz ** 2
+        self._Czz1 = (1.0 + czz) / dz ** 2  # with the flat d_zz
         self._build_preconditioner(a)
 
     def _build_preconditioner(self, a):
-        """Nodes a_j, their per-mode inverses 1/(a_j lam_k - xi^2) and the
-        blending weights of P^-1 (m nz (n/2+1) divisions)."""
+        """Nodes a_j and blending weights for the K low z-modes, the factor
+        a0/a(x) for the high ones, and the per-mode inverses of both bands
+        ((m K + nz - K)(n/2+1) divisions)."""
         lo, hi = float(np.min(a)), float(np.max(a))
         ratio = hi / lo
+        a0 = math.sqrt(lo * hi)
         if ratio <= self.NODE_RATIO:
-            nodes = np.array([math.sqrt(lo * hi)])
+            nodes = np.array([a0])
             weights = np.ones((1, self.n))
         else:
             k = math.ceil(math.log(ratio) / math.log(self.NODE_RATIO))
@@ -307,47 +329,79 @@ class _StripWorkspace:
             t = np.clip((np.log(a) - s[0]) / (s[1] - s[0]), 0.0, k)
             weights = np.maximum(0.0, 1.0 - np.abs(t[None, :] - np.arange(k + 1)[:, None]))
         self.nodes = nodes
-        inv = 1.0 / (nodes[:, None, None] * self._lam[None] - self._xi2)
+        # on a mode with min(a) |lam_k| >= xi_N^2, 1/(a lam_k - xi^2) is
+        # 1/(a lam_k) up to a factor in [1/2, 1] at every x and xi, and so is
+        # a0/a times the inverse at a0: the node blend is kept for the K
+        # modes below that bound (ordered first) only
+        K = int(np.count_nonzero(lo * np.abs(self._lam) < self._nyquist2))
+        self.low_modes = K
+        low = 1.0 / (nodes[:, None, None] * self._lam[None, :K] - self._xi2)
+        high = 1.0 / (a0 * self._lam[K:] - self._xi2)
+        inv = np.concatenate([low.reshape(-1, len(self._xi2)), high])
         self._node_inv = np.repeat(inv, 2, axis=-1)  # for the real and imaginary parts
         self._weights = weights  # (m, n)
-        self._node_hat = np.empty((len(nodes), self.nz, self.n // 2 + 1), dtype=np.complex128)
-        self._node_y = np.empty((len(nodes), self.nz, self.n))
+        self._high_factor = a0 / a
+        self._node_hat = np.empty((len(inv), self.n // 2 + 1), dtype=np.complex128)
+        self._node_y = np.empty((len(inv), self.n))
 
-    def flat_solve_half(self, rhs, top):
+    def flat_solve_half(self, rhs, top, out=None):
         """Solve (d_zz - xi^2) v = rhs per mode, v_z(-b)=0 ghost, v(0)=top.
 
         rhs (nz, n//2+1) and top (n//2+1,) are rfft half spectra; rhs is
-        overwritten.  The real z-factors act on the real and imaginary parts
-        at once through a float view.
+        overwritten, and v (nz+1, n//2+1) goes into out (a new array when
+        out is None).  The real z-factors act on the real and imaginary
+        parts at once through a float view, the mode coefficients in
+        precondition's scratch.
         """
         nz = self.nz
         rhs[nz - 1] -= top / self.dz ** 2
-        w = (self._QTs @ rhs.view(np.float64)).view(np.complex128)
+        w = self._pc_modes.view(np.float64)
+        np.matmul(self._QTs, rhs.view(np.float64), out=w)
         w *= self._shift_inv
-        v = np.empty((nz + 1, rhs.shape[1]), dtype=np.complex128)
-        np.matmul(self._Qd, w.view(np.float64), out=v[:nz].view(np.float64))
-        v[nz] = top
-        return v
+        if out is None:
+            out = np.empty((nz + 1, rhs.shape[1]), dtype=np.complex128)
+        np.matmul(self._Qd, w, out=out[:nz].view(np.float64))
+        out[nz] = top
+        return out
 
-    def flat_solve(self, rhs, top):
-        """flat_solve_half for a real physical rhs; returns real physical v."""
-        v = self.flat_solve_half(np.fft.rfft(rhs, axis=1), top)
-        return np.fft.irfft(v, n=self.n, axis=1)
+    def fixed_point_sweep(self, v, top, out):
+        """One fixed-point sweep: out = the flat solve of -E v with the
+        Dirichlet data top (an rfft half spectrum), for real physical v and
+        out (nz+1, n).  Returns max |out - v|.
+
+        It runs in the scratch of strip_op and precondition, which the
+        fixed point does not use otherwise.
+        """
+        rhs = self.strip_op(v, flat=False, out=self._pc_blend)
+        np.negative(rhs, out=rhs)
+        half = self.flat_solve_half(np.fft.rfft(rhs, axis=1, out=self._pc_hat), top,
+                                    out=self._v_hat)
+        np.fft.irfft(half, n=self.n, axis=1, out=out)
+        diff = np.subtract(out, v, out=self._rows_dx[:self.nz + 1])
+        return float(np.max(np.abs(diff, out=diff)))
 
     def precondition(self, r, out=None):
         """P^-1 r for real physical r (nz, n) with zero Dirichlet data.
 
-        rfft, Q^T D in z, the m node inverses, one batched irfft over the
-        nodes, the weighted sum in x, D^-1 Q in z, into out (a new array
-        when out is None).
+        rfft, Q^T D in z, the m node inverses of each low mode and the one
+        inverse at a0 of each high mode, one batched irfft over those
+        m K + nz - K rows, the weighted node sum in x (low modes) or the
+        factor a0/a (high modes), D^-1 Q in z, into out (a new array when
+        out is None).
         """
         spec = np.fft.rfft(r, axis=1, out=self._pc_hat)
         w = self._pc_modes.view(np.float64)
         np.matmul(self._QTs, spec.view(np.float64), out=w)
-        for node_hat, node_inv in zip(self._node_hat, self._node_inv):
-            np.multiply(w, node_inv, out=node_hat.view(np.float64))
+        m, K = len(self.nodes), self.low_modes
+        mK = m * K
+        hat, inv = self._node_hat.view(np.float64), self._node_inv
+        for j in range(m):  # node j's rows jK..jK+K-1
+            np.multiply(w[:K], inv[j * K:(j + 1) * K], out=hat[j * K:(j + 1) * K])
+        np.multiply(w[K:], inv[mK:], out=hat[mK:])
         y = np.fft.irfft(self._node_hat, n=self.n, axis=-1, out=self._node_y)
-        blend = np.einsum("jx,jzx->zx", self._weights, y, out=self._pc_blend)
+        blend = self._pc_blend
+        np.einsum("jx,jkx->kx", self._weights, y[:mK].reshape(m, K, self.n), out=blend[:K])
+        np.einsum("x,kx->kx", self._high_factor, y[mK:], out=blend[K:])
         return np.matmul(self._Qd, blend, out=out)
 
     def strip_op(self, v, flat=True, out=None):
@@ -357,20 +411,18 @@ class _StripWorkspace:
         Row 0 is the ghost-eliminated bottom (v_z = 0 there), row nz is
         Dirichlet (no equation).  flat=False leaves out the flat Laplacian
         d_zz + d_xx: that is E = L - L0, the fixed point's residual operator.
-        One rfft of the v rows 0..nz gives the spectra of v_xx and, by their
-        centred z-differences, of v_xz; one batched irfft returns both.
+        v_z and v_zz come unscaled from the forward z-differences of v, the
+        coefficients carrying 0.5/dz and 1/dz^2.  One rfft of the v rows
+        0..nz gives the spectra of v_xx and, by their centred z-differences,
+        of v_xz; one batched irfft returns both.
         """
-        nz, dz = self.nz, self.dz
-        v_z, v_zz = self._v_z, self._scratch
+        nz = self.nz
+        d, v_z, v_zz = self._dv, self._v_z, self._scratch
+        np.subtract(v[1:], v[:nz], out=d)
         v_z[0] = 0.0  # Neumann bottom, exactly
-        np.subtract(v[2:], v[:nz - 1], out=v_z[1:])
-        v_z[1:] *= 0.5 / dz
-        np.subtract(v[2:], v[1:nz], out=v_zz[1:])
-        v_zz[1:] -= v[1:nz]
-        v_zz[1:] += v[:nz - 1]
-        np.subtract(v[1], v[0], out=v_zz[0])
-        v_zz[0] *= 2.0
-        v_zz *= 1.0 / dz ** 2
+        np.add(d[1:], d[:-1], out=v_z[1:])  # 2 dz v_z
+        np.subtract(d[1:], d[:-1], out=v_zz[1:])  # dz^2 v_zz
+        np.multiply(d[0], 2.0, out=v_zz[0])
         v_hat = np.fft.rfft(v[:nz + 1], axis=1, out=self._v_hat)
         spec, mult = self._rows_hat, self._dx_mult
         np.subtract(v_hat[2:], v_hat[:nz - 1], out=spec[nz + 1:])
@@ -466,11 +518,13 @@ def _strip_solve(ws, psi, tol):
     if len(ws.nodes) == 1:
         scale = max(float(np.max(np.abs(v))), 1e-300)
         prev_delta = None
+        if v is v_lift:
+            v = v_lift.copy()  # v_lift stays the warm start's reference
+        v_new = np.empty_like(v)  # the sweeps write into v_new and v in turn
         for it in range(50):
-            v_new = ws.flat_solve(-ws.strip_op(v, flat=False), psi_half)
+            delta = ws.fixed_point_sweep(v, psi_half, v_new) / scale
             ws.stats.fixed_point_iters += 1
-            delta = float(np.max(np.abs(v_new - v))) / scale
-            v = v_new
+            v, v_new = v_new, v
             converged = delta < tol
             if converged or (prev_delta is not None and delta > 0.9 * prev_delta and it >= 4):
                 break  # done, or stalling: switch to GMRES

@@ -377,6 +377,83 @@ def test_krylov_operator_allocates_no_strip_array():
     assert peak < nz * g.n * 8
 
 
+def test_fixed_point_sweep_allocates_no_strip_array(unit_grid):
+    # after a warm-up solve that ends in the fixed point, one sweep runs in
+    # the workspace's buffers: it traces less than one (nz, n) array
+    nz = 64
+    x = unit_grid.axis_points()
+    dom = FluidDomain(unit_grid, Field(unit_grid, (0.1 * np.cos(x)).astype(complex)), B_DEPTH, nz)
+    ws = dno._StripWorkspace(dom)
+    psi = random_field(unit_grid, seed=2, decay=3.0, real=True)
+    _, v = dn_elliptic(dom, psi, workspace=ws, return_solution=True)
+    assert ws.stats.fixed_point_iters > 0 and ws.stats.krylov_iters == 0
+    psi_half = np.fft.rfft(np.real(psi.values))
+    psi_half[0] = 0.0
+    v = v - np.mean(np.real(psi.values))
+    out = np.empty_like(v)
+    tracemalloc.start()
+    try:
+        delta = ws.fixed_point_sweep(v, psi_half, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nz * unit_grid.n * 8
+    # the converged solve is a fixed point of the sweep
+    assert delta <= 1e-9 * np.max(np.abs(v))
+
+
+def _ramp_workspace():
+    g = Grid(256, 64.0)
+    return dno._StripWorkspace(FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 64))
+
+
+def test_frozen_depth_preconditioner_two_bands_on_the_ramp():
+    # the ww_ramp surface: three nodes blend on the K = 6 modes with
+    # min(a) |lam_k| < xi_N^2; every higher mode k is inverted at a0 =
+    # sqrt(min a max a) and scaled by a0/a(x)
+    ws = _ramp_workspace()
+    g, nz = ws.dom.grid, ws.nz
+    lam = ws._lam[:, 0]
+    assert np.all(np.diff(np.abs(lam)) > 0)
+    a = 1.0 / ws.J ** 2
+    a0 = np.sqrt(np.min(a) * np.max(a))
+    K = ws.low_modes
+    assert len(ws.nodes) == 3 and K == 6
+    assert np.min(a) * abs(lam[K - 1]) < g.nyquist ** 2 <= np.min(a) * abs(lam[K])
+    xi2 = (2.0 * np.pi * np.fft.rfftfreq(g.n, d=g.spacing)) ** 2
+    f = np.real(random_field(g, seed=7, decay=1.0, real=True).values)
+    f_hat = np.fft.rfft(f)
+    for k in range(K, nz):
+        # input in mode k alone; its mode-k coefficient after P^-1
+        got = ws._QTs[k] @ ws.precondition(np.outer(ws._Qd[:, k], f))
+        want = (a0 / a) * np.fft.irfft(f_hat / (a0 * lam[k] - xi2), n=g.n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_krylov_operator_transforms_333_rows(monkeypatch):
+    # one L P^-1 on the ww_ramp surface (nz = 64, m = 3, K = 6): rfft of the
+    # nz rows of y, irfft of m K + nz - K node rows, rfft of the nz + 1 rows
+    # of v, irfft of the 2 nz rows of v_xx and v_xz; the full-depth blend
+    # took 64 + 3 * 64 + 65 + 128 = 449
+    ws = _ramp_workspace()
+    nz, n = ws.nz, ws.n
+    rows = []
+
+    def counting(fft):
+        def wrapped(a, *args, axis=-1, **kw):
+            rows.append(a.size // a.shape[axis])
+            return fft(a, *args, axis=axis, **kw)
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
+    y = np.random.default_rng(4).standard_normal(nz * n)
+    ws.krylov_op(y, np.empty_like(y))
+    m, K = len(ws.nodes), ws.low_modes
+    assert sum(rows) == nz + m * K + (nz - K) + (nz + 1) + 2 * nz == 333
+
+
 def test_elliptic_constant_elevation_is_the_deeper_flat_strip(unit_grid):
     # eta = 0.3 stretches z uniformly: the scheme is the flat scheme of depth
     # b + 0.3 on its uniform nz grid, so its discrete symbol is the oracle
