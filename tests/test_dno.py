@@ -388,7 +388,7 @@ def test_fixed_point_sweep_allocates_no_strip_array(unit_grid):
     _, v = dn_elliptic(dom, psi, workspace=ws, return_solution=True)
     assert ws.stats.fixed_point_iters > 0 and ws.stats.krylov_iters == 0
     psi_half = np.fft.rfft(np.real(psi.values))
-    psi_half[0] = 0.0
+    psi_half[0] = 0.0  # the stages solve for psi minus its mean
     v = v - np.mean(np.real(psi.values))
     out = np.empty_like(v)
     tracemalloc.start()
