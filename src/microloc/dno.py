@@ -556,11 +556,14 @@ def _krylov_solve(ws, v_lift, v0, tol):
         v0, r0 = v_lift, r_lift
     if ws.basis is None:
         ws.basis = np.empty((RESTART + 1, nz * ws.n))
-    y, res = _gmres(ws.krylov_op, -r0.ravel(), tol * lift_norm, ws.basis, ws.stats)
+    iters = ws.stats.krylov_iters
+    _, res = _gmres(ws.krylov_op, -r0.ravel(), tol * lift_norm, ws.basis, ws.stats)
     residual = float(res / lift_norm) if res > 0 else 0.0
     ws.stats.residual = max(residual, ws.stats.residual or 0.0)
     v = v0.copy()
-    v[:nz] += ws.precondition(y.reshape(nz, ws.n))
+    if ws.stats.krylov_iters > iters:
+        # _gmres's exit residual applied krylov_op to y: P^-1 y is in ws._lifted
+        v[:nz] += ws._lifted[:nz]
     return v
 
 

@@ -176,33 +176,52 @@ def multiplier_apply(f, m, nyquist_even=True):
 _EXP_UNDERFLOW = 750.0
 
 
-def wave_packet(grid, x0, xi0, width, normalize=False):
-    """Gaussian wave packet exp(i xi0 x) exp(-|x-x0|^2 / 2 w^2), periodized.
+def _packet_run(grid, x0, xi0, width):
+    """(a, run): the unnormalized wave_packet equals run on the indices
+    a..a+len(run)-1 and 0.0 elsewhere.
 
     Sums the images x0 + m L, |m| <= 3.  Each image's Gaussian is evaluated
     only on the index slice, rounded outward, where its exponent is at least
-    -_EXP_UNDERFLOW: its exp is 0.0 at every other grid point.  The carrier
-    is evaluated only where the envelope is nonzero.
+    -_EXP_UNDERFLOW: its exp is 0.0 at every other grid point.  The run spans
+    every such slice, so near a box edge it can be the whole axis.  The
+    carrier is evaluated only where the envelope is nonzero.
+    """
+    L = grid.length
+    dx = grid.spacing
+    reach = np.sqrt(_EXP_UNDERFLOW * 2.0 * width ** 2)
+    slices = []
+    for mshift in range(-3, 4):
+        c = x0 + mshift * L
+        lo = max(int(np.floor((c - reach + 0.5 * L) / dx)), 0)
+        hi = min(int(np.ceil((c + reach + 0.5 * L) / dx)) + 1, grid.n)
+        if lo < hi:
+            slices.append((mshift, lo, hi))
+    a = min((lo for _, lo, _ in slices), default=0)
+    env = np.zeros(max((hi for _, _, hi in slices), default=0) - a)
+    for mshift, lo, hi in slices:
+        x = -0.5 * L + dx * np.arange(lo, hi)  # grid.axis_points()[lo:hi]
+        part = slice(lo - a, hi - a)
+        env[part] = env[part] + np.exp(-((x - x0 - mshift * L) ** 2) / (2.0 * width ** 2))
+    on = np.flatnonzero(env)
+    run = np.zeros(len(env), dtype=np.complex128)
+    run[on] = np.exp(1j * xi0 * (-0.5 * L + dx * (a + on))) * env[on]
+    return a, run
+
+
+def wave_packet(grid, x0, xi0, width, normalize=False):
+    """Gaussian wave packet exp(i xi0 x) exp(-|x-x0|^2 / 2 w^2), periodized.
+
+    The images x0 + m L, |m| <= 3, are summed on _packet_run's index run
+    only; the field is 0.0 off that run.  normalize=True divides by the
+    l2_norm of the full field.
     """
     if width < 2.0 * grid.spacing:
         raise UnderResolvedError(
             f"packet width {width} below 2*dx = {2.0 * grid.spacing}"
         )
-    L = grid.length
-    dx = grid.spacing
-    reach = np.sqrt(_EXP_UNDERFLOW * 2.0 * width ** 2)
-    env = np.zeros(grid.n)
-    for mshift in range(-3, 4):
-        c = x0 + mshift * L
-        lo = max(int(np.floor((c - reach + 0.5 * L) / dx)), 0)
-        hi = min(int(np.ceil((c + reach + 0.5 * L) / dx)) + 1, grid.n)
-        if lo >= hi:
-            continue
-        x = -0.5 * L + dx * np.arange(lo, hi)  # grid.axis_points()[lo:hi]
-        env[lo:hi] = env[lo:hi] + np.exp(-((x - x0 - mshift * L) ** 2) / (2.0 * width ** 2))
-    on = np.flatnonzero(env)
+    a, run = _packet_run(grid, x0, xi0, width)
     vals = np.zeros(grid.n, dtype=np.complex128)
-    vals[on] = np.exp(1j * xi0 * (-0.5 * L + dx * on)) * env[on]
+    vals[a:a + len(run)] = run
     out = Field(grid, vals)
     if normalize:
         out.values /= l2_norm(out)

@@ -421,6 +421,7 @@ class ProbeResult:
     label: str = ""
     h_used: list = dc_field(default_factory=list)
     norms: list = dc_field(default_factory=list)
+    stderr: float = math.inf  # DecayFit.stderr of mu_hat
 
 
 @dataclass
@@ -466,6 +467,7 @@ class WavefrontReport:
                     "label": p.label,
                     "h_used": list(p.h_used),
                     "norms": list(p.norms),
+                    "stderr": p.stderr,
                 }
                 for p in self.probes
             ],
@@ -490,6 +492,7 @@ class WavefrontReport:
                 label=p.get("label", ""),
                 h_used=list(p.get("h_used", [])),
                 norms=list(p.get("norms", [])),
+                stderr=p.get("stderr", math.inf),
             )
             for p in d["probes"]
         ]
@@ -511,6 +514,6 @@ def probe_sweep(u, specs, h_grid=None, meta=None):
         results.append(ProbeResult(
             x0=spec.x0, xi0=spec.xi0, delta=spec.delta, rho=spec.rho,
             mu_hat=fit.mu_hat, r2=fit.r2, label=spec.label,
-            h_used=fit.h_used, norms=fit.norms,
+            h_used=fit.h_used, norms=fit.norms, stderr=fit.stderr,
         ))
     return WavefrontReport(results, list(h_grid), meta=meta or {})

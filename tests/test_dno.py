@@ -430,6 +430,30 @@ def test_frozen_depth_preconditioner_two_bands_on_the_ramp():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_krylov_solve_reuses_the_last_preconditioner_apply(monkeypatch):
+    # on the ww_ramp surface the answer v0 + P^-1 y takes P^-1 y from the
+    # exit residual's L P^-1 y: precondition runs only inside krylov_op
+    ws = _ramp_workspace()
+    calls = {"precondition": 0, "krylov_op": 0}
+
+    def counting(name):
+        method = getattr(ws, name)
+
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return method(*args, **kw)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(ws, name, counting(name))
+    psi = random_field(ws.dom.grid, seed=2, decay=3.0, real=True)
+    _, v = dn_elliptic(ws.dom, psi, workspace=ws, return_solution=True)
+    assert ws.stats.krylov_iters > 0
+    assert calls["precondition"] == calls["krylov_op"] > ws.stats.krylov_iters
+    assert _strip_equation_residual(ws.dom, v) <= 1e-8
+
+
 def test_krylov_operator_transforms_333_rows(monkeypatch):
     # one L P^-1 on the ww_ramp surface (nz = 64, m = 3, K = 6): rfft of the
     # nz rows of y, irfft of m K + nz - K node rows, rfft of the nz + 1 rows

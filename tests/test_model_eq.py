@@ -1,16 +1,19 @@
 """Model equation u_t + i|D|^gamma u = 0: propagator and experiments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from microloc.errors import ConfigError
-from microloc.grid import Grid, l2_norm, random_field
+from microloc.errors import ConfigError, MultiplierError
+from microloc.grid import Field, Grid, l2_norm, multiplier_apply, random_field, wave_packet
 from microloc.model_eq import (
     gaussian_free_evolution,
     geometric_h_grid,
     near_delta_field,
     pick_controls,
     propagate_fractional,
+    scaled_singularity_witness,
     smoothing_experiment,
     transport_experiment,
 )
@@ -48,6 +51,19 @@ def test_propagate_group_property(grid):
     assert np.max(np.abs(a.values - b.values)) < 1e-12 * np.max(np.abs(b.values))
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
+def test_propagate_equals_multiplier_apply(grid, gamma):
+    # the half-lattice multiplier, mirrored, is the full-lattice one; the
+    # field carries the Nyquist mode (-1)^j, so that bin is compared too
+    t = 1.7
+    u = Field(grid, random_field(grid, seed=4).values + (-1.0) ** np.arange(grid.n))
+    want = multiplier_apply(u, lambda xi: np.exp(-1j * t * np.abs(xi) ** gamma)).values
+    got = propagate_fractional(u, t, gamma).values
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    with np.errstate(invalid="ignore"), pytest.raises(MultiplierError):
+        propagate_fractional(u, np.inf, gamma)
+
+
 def test_gaussian_closed_form():
     # gamma=2 at model time t/2 realizes exp(i t Delta / 2); Gaussian integral oracle
     g = Grid(16384, 400.0)
@@ -68,6 +84,47 @@ GAMMA32 = dict(x0=-2.0, xi0=0.5, gamma=1.5, delta=0.5, rho=1.0,
                t0=3.0 / (1.5 * 0.5 ** 0.5), h_grid=geometric_h_grid(2.0 ** -3.5, 2.0 ** -0.5, 7))
 GAMMA1 = dict(x0=-40.0, xi0=0.35, gamma=1.0, delta=0.0, rho=1.0, t0=20.0,
               h_grid=geometric_h_grid(2.0 ** -2, 0.5, 6))
+
+
+# the model_probe benchmark grid: the test grid Grid(4096, 200) widened 16x at equal dx
+PROBE_GRID = Grid(65536, 3200.0)
+
+
+@pytest.mark.parametrize(
+    "grid, cfg, h_list, wraps",
+    [
+        (PROBE_GRID, GAMMA1, GAMMA1["h_grid"], False),
+        (PROBE_GRID, GAMMA2, GAMMA2["h_grid"], False),
+        # X = 45 in [-50, 50), width 3.4: the image at -55 wraps in, so the
+        # packet's index run is the whole axis
+        (Grid(512, 100.0), dict(x0=45.0, xi0=1.0, delta=0.0, rho=1.0), [0.25], True),
+    ],
+    ids=["GAMMA1", "GAMMA2", "wrapping"],
+)
+def test_witness_equals_sum_of_wave_packets(grid, cfg, h_list, wraps):
+    x0, xi0, delta, rho = cfg["x0"], cfg["xi0"], cfg["delta"], cfg["rho"]
+    field, tracks = scaled_singularity_witness(grid, x0, xi0, delta, rho, h_list, mu=0.5)
+    want = np.zeros(grid.n, dtype=complex)
+    for h, tr in zip(h_list, tracks):
+        assert (tr.x, tr.xi, tr.weight) == (x0 * h ** -delta, xi0 * h ** -rho, h ** 0.5)
+        want += tr.weight * wave_packet(grid, tr.x, tr.xi, tr.width, normalize=True).values
+    scale = np.max(np.abs(want))
+    assert (abs(want[0]) > 1e-3 * scale) == wraps
+    assert np.max(np.abs(field.values - want)) <= 1e-15 * scale
+
+
+def test_witness_allocates_no_array_per_packet():
+    # GAMMA1's six packets on the model_probe grid: the output field and the
+    # packets' index runs stay below two length-n complex arrays
+    hs = GAMMA1["h_grid"]
+    scaled_singularity_witness(PROBE_GRID, GAMMA1["x0"], GAMMA1["xi0"], 0.0, 1.0, hs)
+    tracemalloc.start()
+    try:
+        scaled_singularity_witness(PROBE_GRID, GAMMA1["x0"], GAMMA1["xi0"], 0.0, 1.0, hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hs) == 6 and peak < 2 * PROBE_GRID.n * 16
 
 
 def test_transport_scaling_precondition(grid):

@@ -578,6 +578,13 @@ def test_report_json_roundtrip(witness_mu1):
     back = WavefrontReport.from_json(rep.to_json())
     assert back.to_dict() == rep.to_dict()
     assert rep.h_grid == list(hs)
+    # each probe carries its fit's standard error; JSON without one loads as inf
+    fit = estimate_decay_order(u, -3.0, 2.5, 1.0, 1.0, h_grid=hs)
+    assert back.probes[0].stderr == rep.probes[0].stderr == fit.stderr < math.inf
+    old = rep.to_dict()
+    for p in old["probes"]:
+        del p["stderr"]
+    assert all(p.stderr == math.inf for p in WavefrontReport.from_dict(old).probes)
     assert back.separation() == rep.separation() == rep.mu("control_1") - rep.mu("predicted")
 
 
