@@ -24,9 +24,16 @@ mean removed, in two stages:
   one node a0 and scales by a0/a(x).  GMRES stops on the residual of the
   strip equations.
 
-A fixed-point sweep, the Krylov operator and the Arnoldi basis work in
-buffers held on the workspace, so neither a sweep nor an iteration
-allocates an array of the strip's size.
+The strip residual lives in unitary half-spectrum coordinates: sqrt(2/n)
+times the rfft of each residual row, the zero and Nyquist columns divided by
+sqrt 2, so its 2-norm is the physical one.  The residual takes the v_xx
+term as -xi^2 v-hat in these coordinates and the preconditioner reads them
+directly, so a Krylov iteration transforms (m - 1) K + 4 nz + 1 rows, with
+m preconditioner nodes on K low modes (269 on the ww_ramp surface), and a
+fixed-point sweep 4 nz + 2 (258 at nz = 64).  A fixed-point sweep, the
+Krylov operator and the Arnoldi basis work in buffers held on the
+workspace, so neither a sweep nor an iteration allocates an array of the
+strip's size.
 
 A complex psi is solved as its real and imaginary parts.  The surface flux
 is (1+eta'^2)/J v_z - eta' v_x at z = 0.
@@ -189,8 +196,18 @@ class _StripWorkspace:
     unknown v is a real (nz+1, n) array in physical space, row nz holding
     the Dirichlet data, and the flat solves act on rfft half spectra.  The
     z-eigenfactors depend only on (grid, b, nz).  update_surface refreshes
-    the eta-dependent coefficients and the preconditioner, so a time stepper
-    can reuse one workspace (and its warm-start solution) across stages.
+    the eta-dependent coefficients (into buffers held here) and the
+    preconditioner, so a time stepper can reuse one workspace (and its
+    warm-start solution) across stages, and flat_symbol gives the flat
+    surface's discrete DN symbol from the same factors.
+
+    strip_op's residual, on rows 0..nz-1, is a complex (nz, n/2+1) array in
+    unitary half-spectrum coordinates R = rfft(r) / _to_rfft, with
+    _to_rfft = sqrt(n/2) except sqrt(n) on the zero and Nyquist columns
+    (Grid keeps n even): ||R||_2 = ||r||_2, so GMRES, on the float view of R,
+    runs the orthogonally equivalent problem.  sqrt(2/n) is folded into the
+    coefficients W, Cxz, Czz, Czz1 and the v_xx multiplier, _to_rfft into
+    the per-mode inverses of precondition and of the fixed-point sweep.
 
     The z-eigenvectors diagonalize a(x) d_zz for any a depending on x alone;
     they are ordered by |lam_k| ascending.  With a = 1/J^2, the x-only part
@@ -206,6 +223,11 @@ class _StripWorkspace:
       sqrt(min a max a), the result multiplied by a0/a(x).
     All m K + nz - K rows go through one batched irfft.  P is exact when a
     is constant (then a0 = a).
+
+    Per Krylov iteration that is m K + nz - K row irffts in precondition;
+    strip_op adds the rfft of the nz + 1 rows of v, the irfft of the nz
+    v_xz rows and the rfft of the nz residual rows.  A fixed-point sweep
+    takes strip_op without v_xx and one irfft of its nz + 1 output rows.
 
     The fixed point and the Krylov stage work in buffers held here: the
     scratch arrays of precondition, strip_op and krylov_op, allocated here
@@ -256,20 +278,34 @@ class _StripWorkspace:
         # repeated for the real and imaginary parts, as a full-shape operand
         self._shift_inv = np.repeat(1.0 / (self._lam - self._xi2), 2, axis=-1)
         m = len(xi)
-        # strip_op's x-derivatives of the v spectra: -xi^2 for v_xx, and
+        self.nh = m
+        # unitary half-spectrum coordinates: R = rfft(r) / _to_rfft; strip_op
+        # scales by sqrt(2/n) (in its coefficients), then the edge columns,
+        # zero and Nyquist (n is even), by sqrt(1/2)
+        self._unit = math.sqrt(2.0 / self.n)
+        self._edges = slice(0, m, m - 1)
+        self._to_rfft = np.full(m, 1.0 / self._unit)
+        self._to_rfft[self._edges] = math.sqrt(self.n)
+        # the fixed-point sweep's flat solve reads -rfft(E v) off strip_op's
+        # E v in these coordinates: the factor -_to_rfft rides on its inverse
+        self._fp_inv = self._shift_inv * np.repeat(-self._to_rfft, 2)
+        self._fp_top_div = -self._to_rfft * dz2
+        # strip_op's x-derivatives of the v spectra: -xi^2 for v_xx, scaled
+        # and added in the residual's coordinates (on the float view), and
         # i xi 0.5/dz on the centred z-differences for v_xz
-        self._dx_mult = np.empty((2 * nz, m), dtype=np.complex128)
-        self._dx_mult[:nz] = -self._xi2
-        self._dx_mult[nz:] = (0.5 / self.dz) * self.ixi
+        self._xx_mult = np.tile(np.repeat(-self._unit * self._xi2, 2), (nz, 1))
+        self._xz_mult = np.tile((0.5 / self.dz) * self.ixi, (nz - 1, 1))
         self._dv = np.empty((nz, self.n))
         self._v_z = np.empty((nz, self.n))
         self._v_hat = np.empty((nz + 1, m), dtype=np.complex128)
-        self._rows_hat = np.empty((2 * nz, m), dtype=np.complex128)
-        self._rows_hat[nz] = 0.0  # v_z = 0 at the bottom row
-        self._rows_dx = np.empty((2 * nz, self.n))  # v_xx, then v_xz
+        self._rows_hat = np.empty((nz, m), dtype=np.complex128)
+        self._rows_hat[0] = 0.0  # v_z = 0 at the bottom row
+        self._rows_dx = np.empty((nz, self.n))  # v_xz
         self._scratch = np.empty((nz, self.n))
-        self._pc_hat = np.empty((nz, m), dtype=np.complex128)
+        # a residual spectrum: strip_op's v_xx term, or the fixed point's E v
+        self._res_hat = np.empty((nz, m), dtype=np.complex128)
         self._pc_modes = np.empty((nz, m), dtype=np.complex128)
+        self.Cxz, self.W, self.Czz, self._Czz1 = (np.empty((nz, self.n)) for _ in range(4))
         self._pc_blend = np.empty((nz, self.n))
         self._lifted = np.zeros((nz + 1, self.n))  # P^-1 y; row nz (Dirichlet) stays 0
         self.basis = None
@@ -302,13 +338,16 @@ class _StripWorkspace:
         zf = self.zfac
         # coefficients of v_xz, v_z and v_zz in E = L - L0, rows 0..nz-1;
         # W and Czz carry the denominators 2 dz and dz^2 of strip_op's
-        # unscaled z-differences
-        dz = self.dz
-        self.Cxz = zf * (-2.0 * f1)[None, :]
-        self.W = zf * ((0.5 / dz) * w1)[None, :]
-        czz = (a - 1.0)[None, :] + (zf ** 2) * c1[None, :]
-        self.Czz = czz / dz ** 2
-        self._Czz1 = (1.0 + czz) / dz ** 2  # with the flat d_zz
+        # unscaled z-differences, and all four the residual's sqrt(2/n)
+        s = self._unit
+        zz = s / self.dz ** 2
+        np.multiply(zf, (-2.0 * s) * f1, out=self.Cxz)
+        np.multiply(zf, ((0.5 * s / self.dz) * w1), out=self.W)
+        czz = np.multiply(zf ** 2, c1, out=self.Czz)
+        czz += a - 1.0
+        np.add(czz, 1.0, out=self._Czz1)  # with the flat d_zz
+        self._Czz1 *= zz
+        czz *= zz
         self._build_preconditioner(a)
 
     def _build_preconditioner(self, a):
@@ -338,28 +377,34 @@ class _StripWorkspace:
         low = 1.0 / (nodes[:, None, None] * self._lam[None, :K] - self._xi2)
         high = 1.0 / (a0 * self._lam[K:] - self._xi2)
         inv = np.concatenate([low.reshape(-1, len(self._xi2)), high])
-        self._node_inv = np.repeat(inv, 2, axis=-1)  # for the real and imaginary parts
+        # precondition reads the residual's coordinates: _to_rfft takes them
+        # to the rfft; repeated for the real and imaginary parts
+        self._node_inv = np.repeat(inv * self._to_rfft, 2, axis=-1)
         self._weights = weights  # (m, n)
         self._high_factor = a0 / a
         self._node_hat = np.empty((len(inv), self.n // 2 + 1), dtype=np.complex128)
         self._node_y = np.empty((len(inv), self.n))
 
-    def flat_solve_half(self, rhs, top, out=None):
+    def flat_solve_half(self, rhs, top):
         """Solve (d_zz - xi^2) v = rhs per mode, v_z(-b)=0 ghost, v(0)=top.
 
         rhs (nz, n//2+1) and top (n//2+1,) are rfft half spectra; rhs is
-        overwritten, and v (nz+1, n//2+1) goes into out (a new array when
-        out is None).  The real z-factors act on the real and imaginary
-        parts at once through a float view, the mode coefficients in
-        precondition's scratch.
+        overwritten, and v (nz+1, n//2+1) is returned.
         """
+        v = np.empty((self.nz + 1, rhs.shape[1]), dtype=np.complex128)
+        return self._mode_solve(rhs, top, self.dz ** 2, self._shift_inv, v)
+
+    def _mode_solve(self, rhs, top, top_div, inv, out):
+        """The flat solve of flat_solve_half for the rhs c * rhs, c a factor
+        per xi column, into out (nz+1, n//2+1): inv = c / (lam - xi^2) and
+        top_div = c dz^2.  The real z-factors act on the real and
+        imaginary parts at once through a float view, the mode coefficients
+        in precondition's scratch."""
         nz = self.nz
-        rhs[nz - 1] -= top / self.dz ** 2
+        rhs[nz - 1] -= top / top_div
         w = self._pc_modes.view(np.float64)
         np.matmul(self._QTs, rhs.view(np.float64), out=w)
-        w *= self._shift_inv
-        if out is None:
-            out = np.empty((nz + 1, rhs.shape[1]), dtype=np.complex128)
+        w *= inv
         np.matmul(self._Qd, w, out=out[:nz].view(np.float64))
         out[nz] = top
         return out
@@ -369,29 +414,31 @@ class _StripWorkspace:
         Dirichlet data top (an rfft half spectrum), for real physical v and
         out (nz+1, n).  Returns max |out - v|.
 
-        It runs in the scratch of strip_op and precondition, which the
-        fixed point does not use otherwise.
+        strip_op gives E v in the residual's coordinates; the flat solve
+        takes them with -_to_rfft folded into its inverses.  It runs in the
+        scratch of strip_op and precondition, which the fixed point does not
+        use otherwise.
         """
-        rhs = self.strip_op(v, flat=False, out=self._pc_blend)
-        np.negative(rhs, out=rhs)
-        half = self.flat_solve_half(np.fft.rfft(rhs, axis=1, out=self._pc_hat), top,
-                                    out=self._v_hat)
+        nz = self.nz
+        rhs = self.strip_op(v, flat=False, out=self._res_hat)
+        half = self._mode_solve(rhs, top, self._fp_top_div, self._fp_inv, self._v_hat)
         np.fft.irfft(half, n=self.n, axis=1, out=out)
-        diff = np.subtract(out, v, out=self._rows_dx[:self.nz + 1])
-        return float(np.max(np.abs(diff, out=diff)))
+        diff = np.subtract(out[:nz], v[:nz], out=self._rows_dx)
+        top_diff = float(np.max(np.abs(out[nz] - v[nz])))
+        return max(float(np.max(np.abs(diff, out=diff))), top_diff)
 
     def precondition(self, r, out=None):
-        """P^-1 r for real physical r (nz, n) with zero Dirichlet data.
+        """P^-1 r for a residual r (nz, n//2+1) in strip_op's coordinates,
+        with zero Dirichlet data; P^-1 r is real and physical.
 
-        rfft, Q^T D in z, the m node inverses of each low mode and the one
-        inverse at a0 of each high mode, one batched irfft over those
-        m K + nz - K rows, the weighted node sum in x (low modes) or the
-        factor a0/a (high modes), D^-1 Q in z, into out (a new array when
-        out is None).
+        Q^T D in z, the m node inverses of each low mode and the one inverse
+        at a0 of each high mode (_to_rfft folded into both), one batched
+        irfft over those m K + nz - K rows, the weighted node sum in x (low
+        modes) or the factor a0/a (high modes), D^-1 Q in z, into out (a new
+        array when out is None).
         """
-        spec = np.fft.rfft(r, axis=1, out=self._pc_hat)
         w = self._pc_modes.view(np.float64)
-        np.matmul(self._QTs, spec.view(np.float64), out=w)
+        np.matmul(self._QTs, r.view(np.float64), out=w)
         m, K = len(self.nodes), self.low_modes
         mK = m * K
         hat, inv = self._node_hat.view(np.float64), self._node_inv
@@ -405,8 +452,9 @@ class _StripWorkspace:
         return np.matmul(self._Qd, blend, out=out)
 
     def strip_op(self, v, flat=True, out=None):
-        """The flattened strip operator on v (nz+1, n), rows 0..nz-1, into
-        out (a new array when out is None).
+        """The flattened strip operator on v (nz+1, n), rows 0..nz-1, in the
+        residual's unitary half-spectrum coordinates: a complex
+        (nz, n//2+1) array, into out (a new array when out is None).
 
         Row 0 is the ghost-eliminated bottom (v_z = 0 there), row nz is
         Dirichlet (no equation).  flat=False leaves out the flat Laplacian
@@ -414,7 +462,8 @@ class _StripWorkspace:
         v_z and v_zz come unscaled from the forward z-differences of v, the
         coefficients carrying 0.5/dz and 1/dz^2.  One rfft of the v rows
         0..nz gives the spectra of v_xx and, by their centred z-differences,
-        of v_xz; one batched irfft returns both.
+        of v_xz; the v_xz rows take one irfft, and the physical terms one
+        rfft, to which the v_xx term is added as a spectrum.
         """
         nz = self.nz
         d, v_z, v_zz = self._dv, self._v_z, self._scratch
@@ -424,29 +473,36 @@ class _StripWorkspace:
         np.subtract(d[1:], d[:-1], out=v_zz[1:])  # dz^2 v_zz
         np.multiply(d[0], 2.0, out=v_zz[0])
         v_hat = np.fft.rfft(v[:nz + 1], axis=1, out=self._v_hat)
-        spec, mult = self._rows_hat, self._dx_mult
-        np.subtract(v_hat[2:], v_hat[:nz - 1], out=spec[nz + 1:])
-        spec[nz + 1:] *= mult[nz + 1:]
-        lo = 0 if flat else nz  # v_xx only with the flat Laplacian
-        if flat:
-            np.multiply(v_hat[:nz], mult[:nz], out=spec[:nz])
-        np.fft.irfft(spec[lo:], n=self.n, axis=1, out=self._rows_dx[lo:])
-        v_xx, v_xz = self._rows_dx[:nz], self._rows_dx[nz:]
-        if flat:
-            out = np.multiply(self._Czz1, v_zz, out=out)
-            out += v_xx
-        else:
-            out = np.multiply(self.Czz, v_zz, out=out)
+        spec = self._rows_hat
+        np.subtract(v_hat[2:], v_hat[:nz - 1], out=spec[1:])
+        spec[1:] *= self._xz_mult
+        v_xz = np.fft.irfft(spec, n=self.n, axis=1, out=self._rows_dx)
+        res = np.multiply(self._Czz1 if flat else self.Czz, v_zz, out=d)  # d is used up
         term = self._scratch  # v_zz is used up
-        out += np.multiply(self.W, v_z, out=term)
-        out += np.multiply(self.Cxz, v_xz, out=term)
+        res += np.multiply(self.W, v_z, out=term)
+        res += np.multiply(self.Cxz, v_xz, out=term)
+        out = np.fft.rfft(res, axis=1, out=out)
+        if flat:
+            xx = self._res_hat
+            np.multiply(v_hat[:nz].view(np.float64), self._xx_mult, out=xx.view(np.float64))
+            out += xx
+        out[:, self._edges] *= math.sqrt(0.5)
         return out
 
     def krylov_op(self, y, out):
-        """The Krylov operator L P^-1 on a flat y of length nz n, into out."""
-        shape = (self.nz, self.n)
-        self.precondition(y.reshape(shape), out=self._lifted[:self.nz])
-        self.strip_op(self._lifted, out=out.reshape(shape))
+        """The Krylov operator L P^-1 on y, into out: both are flat float
+        views, of length 2 nz (n//2+1), of residual coordinates."""
+        shape = (self.nz, 2 * self.nh)
+        self.precondition(y.reshape(shape).view(np.complex128), out=self._lifted[:self.nz])
+        self.strip_op(self._lifted, out=out.reshape(shape).view(np.complex128))
+
+    def flat_symbol(self):
+        """The discrete flat-surface DN multiplier of the strip scheme, in
+        FFT order: v_z at the top of the flat solve with top data 1."""
+        nh = self.nh
+        v = self.flat_solve_half(np.zeros((self.nz, nh), dtype=np.complex128),
+                                 np.ones(nh, dtype=np.complex128))
+        return np.real(self.v_z_top(v))[np.abs(self.dom.grid.axis_wavenumbers())]
 
     def v_z_top(self, v):
         """Third-order one-sided v_z at z = 0."""
@@ -555,9 +611,10 @@ def _krylov_solve(ws, v_lift, v0, tol):
     if lift_norm <= np.linalg.norm(r0):
         v0, r0 = v_lift, r_lift
     if ws.basis is None:
-        ws.basis = np.empty((RESTART + 1, nz * ws.n))
+        ws.basis = np.empty((RESTART + 1, 2 * nz * ws.nh))
     iters = ws.stats.krylov_iters
-    _, res = _gmres(ws.krylov_op, -r0.ravel(), tol * lift_norm, ws.basis, ws.stats)
+    b = np.negative(r0.view(np.float64)).ravel()
+    _, res = _gmres(ws.krylov_op, b, tol * lift_norm, ws.basis, ws.stats)
     residual = float(res / lift_norm) if res > 0 else 0.0
     ws.stats.residual = max(residual, ws.stats.residual or 0.0)
     v = v0.copy()
@@ -635,10 +692,7 @@ def discrete_flat_symbol(grid, b, nz):
     Computed on the half spectrum and returned in FFT order.
     """
     flat = FluidDomain(grid, Field(grid, np.zeros(grid.n, dtype=complex)), b, nz)
-    ws = _StripWorkspace(flat)
-    m = grid.n // 2 + 1
-    v = ws.flat_solve_half(np.zeros((nz, m), dtype=np.complex128), np.ones(m, dtype=np.complex128))
-    return np.real(ws.v_z_top(v))[np.abs(grid.axis_wavenumbers())]
+    return _StripWorkspace(flat).flat_symbol()
 
 
 # -- boundary symbols ------------------------------------------------------------
@@ -731,9 +785,10 @@ def dn_symbols(surface):
 # -- derived fields ---------------------------------------------------------------
 
 
-def b_v_fields(dom, psi):
-    """B = (eta' psi' + G psi) / (1 + eta'^2), V = psi' - B eta'."""
-    G = dn_elliptic(dom, psi)
+def b_v_fields(dom, psi, workspace=None):
+    """B = (eta' psi' + G psi) / (1 + eta'^2), V = psi' - B eta'; G psi is
+    solved on workspace as in dn_elliptic."""
+    G = dn_elliptic(dom, psi, workspace=workspace)
     etap = np.real(_x_derivative(dom.eta).values)
     psip = _x_derivative(psi).values
     Bv = (etap * psip + G.values) / (1.0 + etap ** 2)

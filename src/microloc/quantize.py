@@ -189,7 +189,11 @@ def _quantize_run(a, u_fft, grid, h, delta, rho, zoom):
     x = hx * (-0.5 * grid.length + grid.spacing * np.arange(j0, j0 + nm))
     modes = np.arange(k0, k0 + nk)
     xi = hxi * (2.0 * np.pi * (modes * (1.0 / (n * grid.spacing))))
-    u_fft_run = u_fft[modes]  # a negative mode k sits at index n + k
+    a0 = k0 % n  # a negative mode k sits at index n + k
+    if a0 + nk <= n:
+        u_fft_run = u_fft[a0:a0 + nk]
+    else:  # the run crosses mode 0 from the negative side
+        u_fft_run = np.concatenate((u_fft[a0:], u_fft[:a0 + nk - n]))
     acc = np.zeros(nm, dtype=np.complex128)
     for (cx, mxi) in a.separable:
         m = np.asarray(mxi(xi), dtype=np.complex128)

@@ -27,12 +27,17 @@ __all__ = [
 
 
 def smoothstep(t):
-    """C^inf step: 0 for t <= 0, 1 for t >= 1, strictly increasing between."""
+    """C^inf step: 0 for t <= 0, 1 for t >= 1, strictly increasing between;
+    NaN for NaN.  The two exponentials are evaluated only where 0 < t < 1."""
     t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        fa = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        fb = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return fa / (fa + fb)
+    out = np.where(t >= 1.0, 1.0, np.where(np.isnan(t), np.nan, 0.0))
+    inside = (t > 0.0) & (t < 1.0)
+    ti = t[inside]
+    with np.errstate(over="ignore", under="ignore"):
+        fa = np.exp(-1.0 / ti)
+        fb = np.exp(-1.0 / (1.0 - ti))
+    out[inside] = fa / (fa + fb)
+    return out[()]
 
 
 def plateau_bump(r, r_plateau=0.5, r_support=1.0):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .dno import (FluidDomain, _StripWorkspace, _node_sampler, _slopes, _x_derivative,
-                  b_v_fields, discrete_flat_symbol, dn_elliptic)
+                  b_v_fields, dn_elliptic)
 from .errors import BlowUpError, ConfigError
 from .flows import SurfaceMetric, asymptotic_direction
 from .grid import Field, boundary_mass_fraction
@@ -193,7 +193,8 @@ def _flat_flow(g0, disp, tau):
     return flow
 
 
-def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=True):
+def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=True,
+              workspace=None):
     """Integrating-factor (Lawson) RK4 on zcs_rhs with a post-step mollifier.
 
     zcs_rhs = L u + N(u): L is the flat linear flow of the solver's own
@@ -208,7 +209,9 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=Tr
     and realness is re-imposed; a non-finite state, or one above 1e6 in max
     norm, raises BlowUpError.  Returns a WaveHistory with the initial and
     final states and the fixed-point and Krylov iteration totals of the
-    zcs_rhs DN solves.
+    zcs_rhs DN solves.  The DN solves run on workspace, a dno strip
+    workspace for the state's geometry (a new one when None), which g0 is
+    also read from; it leaves there the warm start of the last solve.
     """
     grid = state0.grid
     p = state0.params
@@ -217,8 +220,8 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=Tr
     nsteps = max(1, int(math.ceil(abs(T) / dt - 1e-12)))
     dt = T / nsteps
 
-    ws = _StripWorkspace(state0.domain())
-    g0 = discrete_flat_symbol(grid, p.depth, p.nz)
+    ws = workspace if workspace is not None else _StripWorkspace(state0.domain())
+    g0 = ws.flat_symbol()
     disp = _flat_dispersion(grid, p)
     half = _flat_flow(g0, disp, 0.5 * dt)
     absxi = np.abs(grid.axis_frequencies())
@@ -331,22 +334,24 @@ def lambda_mu_symbol(eta, mu):
     return Symbol([(m2_pow, wxi)])
 
 
-def good_unknown(state):
-    """omega = psi - T_B eta, the good unknown of Alinhac."""
-    B, _ = b_v_fields(state.domain(), state.psi)
+def good_unknown(state, workspace=None):
+    """omega = psi - T_B eta, the good unknown of Alinhac; B takes its DN
+    solve on workspace (see dno.b_v_fields)."""
+    B, _ = b_v_fields(state.domain(), state.psi, workspace=workspace)
     TBeta = paradiff_apply(Field(state.grid, np.real(B.values).astype(np.complex128)),
                            state.eta)
     return Field(state.grid, state.psi.values - TBeta.values)
 
 
-def symmetrized_u(state, mu=0.0, part=None):
+def symmetrized_u(state, mu=0.0, part=None, workspace=None):
     """u = Lam^mu (P_p eta - i P_q omega) (dyadic paradifferential, with the
     Littlewood-Paley pair and the default neighbor width); P_lam is linear,
-    so Lam^mu is applied once."""
+    so Lam^mu is applied once.  The DN solve of omega runs on workspace,
+    as the experiments pass integrate's, warm from its last solve."""
     if part is None:
         part = make_dyadic_partition(state.grid)
     syms = symmetrizer_symbols(state.eta, state.params.kappa)
-    omega = good_unknown(state)
+    omega = good_unknown(state, workspace=workspace)
     Pp_eta = dyadic_paradiff_apply(syms["p12"], state.eta, part)
     Pq_om = dyadic_paradiff_apply(syms["q0"], omega, part)
     return dyadic_paradiff_apply(lambda_mu_symbol(state.eta, mu),
@@ -442,8 +447,9 @@ def singularity_experiment_infinite(
 
     part = make_dyadic_partition(grid)  # raises ConfigError before any DN solve
     state0 = right_mover_state(grid, params, psi0, tracks)
-    hist = integrate(state0, t0, cfl=cfl, track_invariants=False)
-    u_t = symmetrized_u(hist.final(), mu=mu_probe, part=part)
+    ws = _StripWorkspace(state0.domain())
+    hist = integrate(state0, t0, cfl=cfl, track_invariants=False, workspace=ws)
+    u_t = symmetrized_u(hist.final(), mu=mu_probe, part=part, workspace=ws)
     report = probe_sweep(
         u_t, [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls, hs_use,
         meta={
@@ -540,8 +546,9 @@ def singularity_experiment_smoothing(
     psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_wit, amplitude)
     part = make_dyadic_partition(grid)  # raises ConfigError before any DN solve
     state0 = SurfaceState(eta0, psi0, 0.0, params)
-    hist = integrate(state0, t0, cfl=cfl, track_invariants=False)
-    u_t = symmetrized_u(hist.final(), mu=mu_probe, part=part)
+    ws = _StripWorkspace(state0.domain())
+    hist = integrate(state0, t0, cfl=cfl, track_invariants=False, workspace=ws)
+    u_t = symmetrized_u(hist.final(), mu=mu_probe, part=part, workspace=ws)
     report = probe_sweep(
         u_t, [ProbeSpec(x_bent, xi_inf, dp, rp, "predicted")] + controls, hs_use,
         meta={

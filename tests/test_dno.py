@@ -253,11 +253,22 @@ def _strip_equation_terms(dom, v):
     return [c_zz[:nz] * v_zz, v_xx, c_z[:nz] * v_z, c_xz[:nz] * dx(v_z, ixi)]
 
 
+def _physical(ws, r):
+    """strip_op's residual coordinates decoded into physical rows."""
+    return np.fft.irfft(r * ws._to_rfft, n=ws.n, axis=1)
+
+
+def _coordinates(ws, r):
+    """Physical rows encoded into strip_op's residual coordinates."""
+    return np.fft.rfft(r, axis=1) / ws._to_rfft
+
+
 def test_strip_op_is_the_written_out_strip_operator():
     # strip_op takes v_xz from z-differences of the v spectra; the
-    # written-out equations are its oracle.  The flat lift solves the flat
-    # part d_zz + d_xx, to the rounding of its eigen-solve (4e-12 here), so
-    # the Krylov stage's L v_lift is E v_lift
+    # written-out equations, decoded from its residual coordinates, are its
+    # oracle.  The flat lift solves the flat part d_zz + d_xx, to the
+    # rounding of its eigen-solve (4e-12 here), so the Krylov stage's
+    # L v_lift is E v_lift
     g = Grid(256, 64.0)
     nz = 64
     dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, nz)
@@ -265,12 +276,29 @@ def test_strip_op_is_the_written_out_strip_operator():
     v = np.random.default_rng(6).standard_normal((nz + 1, g.n))
     terms = _strip_equation_terms(dom, v)
     scale = max(np.max(np.abs(t)) for t in terms)
-    assert np.max(np.abs(ws.strip_op(v) - sum(terms))) <= 1e-14 * scale
+    assert np.max(np.abs(_physical(ws, ws.strip_op(v)) - sum(terms))) <= 1e-14 * scale
     psi_half = np.fft.rfft(np.real(random_field(g, seed=2, decay=3.0, real=True).values))
     lift_half = ws.flat_solve_half(np.zeros((nz, len(psi_half)), dtype=complex), psi_half)
     lift = np.fft.irfft(lift_half, n=g.n, axis=1)
     scale = max(np.max(np.abs(t)) for t in _strip_equation_terms(dom, lift))
-    assert np.max(np.abs(ws.strip_op(lift) - ws.strip_op(lift, flat=False))) <= 1e-10 * scale
+    flat_part = _physical(ws, ws.strip_op(lift) - ws.strip_op(lift, flat=False))
+    assert np.max(np.abs(flat_part)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", [256, 64])
+def test_strip_op_coordinates_are_unitary(n):
+    # the residual's half-spectrum coordinates keep the physical 2-norm
+    # (the zero and Nyquist columns carry weight 1, the others 2; Grid keeps
+    # n even), so GMRES stops on the strip residual itself
+    g = Grid(n, 64.0)
+    nz = 64
+    dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, nz)
+    ws = dno._StripWorkspace(dom)
+    v = np.random.default_rng(6).standard_normal((nz + 1, g.n))
+    want = np.linalg.norm(sum(_strip_equation_terms(dom, v)))
+    assert abs(np.linalg.norm(ws.strip_op(v)) - want) <= 1e-13 * want
+    r = np.random.default_rng(7).standard_normal((nz, g.n))
+    assert np.linalg.norm(_coordinates(ws, r)) == pytest.approx(np.linalg.norm(r), rel=1e-13)
 
 
 def test_elliptic_stalled_fixed_point_solves_strip_equations():
@@ -365,7 +393,7 @@ def test_krylov_operator_allocates_no_strip_array():
     dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, nz)
     ws = dno._StripWorkspace(dom)
     dn_elliptic(dom, random_field(g, seed=2, decay=3.0, real=True), workspace=ws)
-    y = np.random.default_rng(4).standard_normal(nz * g.n)
+    y = np.random.default_rng(4).standard_normal(2 * nz * ws.nh)
     out = np.empty_like(y)
     tracemalloc.start()
     try:
@@ -425,7 +453,7 @@ def test_frozen_depth_preconditioner_two_bands_on_the_ramp():
     f_hat = np.fft.rfft(f)
     for k in range(K, nz):
         # input in mode k alone; its mode-k coefficient after P^-1
-        got = ws._QTs[k] @ ws.precondition(np.outer(ws._Qd[:, k], f))
+        got = ws._QTs[k] @ ws.precondition(_coordinates(ws, np.outer(ws._Qd[:, k], f)))
         want = (a0 / a) * np.fft.irfft(f_hat / (a0 * lam[k] - xi2), n=g.n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -454,13 +482,8 @@ def test_krylov_solve_reuses_the_last_preconditioner_apply(monkeypatch):
     assert _strip_equation_residual(ws.dom, v) <= 1e-8
 
 
-def test_krylov_operator_transforms_333_rows(monkeypatch):
-    # one L P^-1 on the ww_ramp surface (nz = 64, m = 3, K = 6): rfft of the
-    # nz rows of y, irfft of m K + nz - K node rows, rfft of the nz + 1 rows
-    # of v, irfft of the 2 nz rows of v_xx and v_xz; the full-depth blend
-    # took 64 + 3 * 64 + 65 + 128 = 449
-    ws = _ramp_workspace()
-    nz, n = ws.nz, ws.n
+def _count_fft_rows(monkeypatch):
+    """Patch np.fft.rfft and irfft to record each call's number of rows."""
     rows = []
 
     def counting(fft):
@@ -472,10 +495,38 @@ def test_krylov_operator_transforms_333_rows(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft))
     monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
-    y = np.random.default_rng(4).standard_normal(nz * n)
+    return rows
+
+
+def test_krylov_operator_transforms_269_rows(monkeypatch):
+    # one L P^-1 on the ww_ramp surface (nz = 64, m = 3, K = 6), in the
+    # residual's half-spectrum coordinates: irfft of m K + nz - K node rows,
+    # rfft of the nz + 1 rows of v, irfft of the nz rows of v_xz, rfft of
+    # the nz residual rows; the physical residual took 333, and the
+    # full-depth blend 449
+    ws = _ramp_workspace()
+    nz = ws.nz
+    y = np.random.default_rng(4).standard_normal(2 * nz * ws.nh)
+    rows = _count_fft_rows(monkeypatch)
     ws.krylov_op(y, np.empty_like(y))
     m, K = len(ws.nodes), ws.low_modes
-    assert sum(rows) == nz + m * K + (nz - K) + (nz + 1) + 2 * nz == 333
+    assert sum(rows) == m * K + (nz - K) + (nz + 1) + nz + nz == 269
+
+
+def test_fixed_point_sweep_transforms_258_rows(monkeypatch, unit_grid):
+    # one sweep at nz = 64: rfft of the nz + 1 rows of v, irfft of the nz
+    # rows of v_xz, rfft of the nz rows of E v and irfft of the nz + 1 rows
+    # of the flat solve
+    nz = 64
+    x = unit_grid.axis_points()
+    dom = FluidDomain(unit_grid, Field(unit_grid, (0.1 * np.cos(x)).astype(complex)), B_DEPTH, nz)
+    ws = dno._StripWorkspace(dom)
+    assert len(ws.nodes) == 1
+    v = np.random.default_rng(3).standard_normal((nz + 1, unit_grid.n))
+    top = np.fft.rfft(v[nz])
+    rows = _count_fft_rows(monkeypatch)
+    ws.fixed_point_sweep(v, top, np.empty_like(v))
+    assert sum(rows) == 4 * nz + 2 == 258
 
 
 def test_elliptic_constant_elevation_is_the_deeper_flat_strip(unit_grid):
@@ -492,7 +543,8 @@ def test_elliptic_constant_elevation_is_the_deeper_flat_strip(unit_grid):
 
 def test_frozen_depth_preconditioner_is_exact_for_constant_depth(unit_grid):
     # constant a: P is the strip operator itself, so P^-1 L v = v for any v
-    # with zero Dirichlet data
+    # with zero Dirichlet data; precondition reads strip_op's residual
+    # coordinates as they come
     nz = 64
     dom = FluidDomain(unit_grid, Field(unit_grid, np.full(unit_grid.n, 0.3 + 0j)), B_DEPTH, nz)
     ws = dno._StripWorkspace(dom)
@@ -655,6 +707,13 @@ def test_high_frequency_paralinearization_structure():
     slope = np.polyfit(np.log(ks), np.log(errs), 1)[0]
     print(f"paralinearization residuals {errs}, slope {slope:.2f}")
     assert slope <= -0.8
+
+
+def test_flat_symbol_does_not_depend_on_the_surface():
+    # integrate reads g0 off its own workspace: the flat solve uses only the
+    # strip geometry, so a ramp workspace gives discrete_flat_symbol exactly
+    ws = _ramp_workspace()
+    assert np.array_equal(ws.flat_symbol(), discrete_flat_symbol(ws.dom.grid, B_DEPTH, ws.nz))
 
 
 def test_discrete_flat_symbol_convergence():

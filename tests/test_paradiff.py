@@ -17,12 +17,35 @@ from microloc.paradiff import (
     rough_field_family,
 )
 from microloc.quantize import make_dyadic_partition
-from microloc.symbols import Symbol, dyadic_pieces, plateau_bump
+from microloc.symbols import Symbol, dyadic_pieces, plateau_bump, smoothstep
 
 
 @pytest.fixture(scope="module")
 def grid():
     return Grid(512, 100.0)
+
+
+def test_smoothstep_is_the_two_exponential_formula():
+    # exp(-1/t) / (exp(-1/t) + exp(-1/(1-t))) inside (0, 1), 0 and 1 outside,
+    # bit for bit on a dense grid with the edges, subnormal t, +-inf and NaN
+    def formula(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            fa = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+            fb = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+            return fa / (fa + fb)
+
+    edges = [0.0, -0.0, 1.0, 5e-324, 1e-310, 1e-300, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52,
+             np.inf, -np.inf, np.nan]
+    t = np.concatenate([np.linspace(-2.0, 3.0, 50003), edges]).reshape(2, -1)
+    got, want = smoothstep(t), formula(t)
+    assert got.shape == t.shape
+    assert np.array_equal(np.isnan(got), np.isnan(t))
+    finite = ~np.isnan(t)
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+    for t0 in (-1.0, 0.0, 0.25, 1.0, np.inf):
+        assert type(smoothstep(t0)) is type(formula(t0)) and smoothstep(t0) == formula(t0)
+    assert np.isnan(smoothstep(np.nan))
 
 
 def _lp_chi(theta, eta):

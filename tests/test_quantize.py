@@ -123,6 +123,13 @@ def test_support_restricted_window(grid, x0, xi0, delta):
     _assert_support_restriction_exact(u, window_symbol(x0, xi0), 0.3, delta, 1.0)
 
 
+def test_support_restricted_window_across_zero_frequency(grid):
+    # the mode run -k..k' crosses mode 0: it is gathered from both ends of
+    # the FFT-ordered spectrum
+    u = random_field(grid, seed=11)
+    _assert_support_restriction_exact(u, window_symbol(1.5, 0.5, r_xi=2.0), 0.3, 0.0, 1.0)
+
+
 def test_support_restricted_nan_multiplier_raises(grid):
     u = random_field(grid, seed=13)
     window = window_symbol(1.5, 2.0)

@@ -250,6 +250,27 @@ def test_right_mover_state_moves_one_way():
     assert abs(mu["eta0"][1] - mu["eta0"][0]) <= 0.2
 
 
+def test_symmetrized_u_carries_right_movers_on_negative_frequencies():
+    # linearized at rest, u = |D|^{1/2} eta - i psi and the right-mover
+    # pairing eta-hat = i sign(xi) |xi|^{-1/2} psi-hat give u-hat = i (sign xi
+    # - 1) psi-hat at high frequency: u of the ww_flat witness keeps under 1%
+    # of its spectral mass on xi > 0 (0.38%).  With eta = 0, u = -i psi of
+    # the real witness, half on each side
+    g, params = Grid(512, 64.0), WaveParams()
+    x0, xi0, t0 = 4.0, 1.0, 0.5
+    hs = shared_h_grid(g, [(x0, xi0), (x0 + 0.75, xi0)], 0.5, 1.0,
+                       geometric_h_grid(0.5, 2 ** -0.5, 14), 6)
+    psi0, tracks = real_scaled_witness(g, x0, xi0, 0.5, 1.0, hs, 1e-2)
+    positive = g.axis_frequencies() > 0
+
+    def share_on_positive(state):
+        power = np.abs(np.fft.fft(symmetrized_u(state).values)) ** 2
+        return np.sum(power[positive]) / np.sum(power)
+
+    assert share_on_positive(right_mover_state(g, params, psi0, tracks)) <= 0.01
+    assert share_on_positive(SurfaceState(_field(g, np.zeros(g.n)), psi0, 0.0, params)) >= 0.4
+
+
 def test_smoothing_experiment_reports_step_counts():
     # the pinned ramp configuration: 4 Lawson steps of four zcs_rhs each; a
     # varies 9x on the slope-0.5 ramp, so every DN solve skips the fixed point
