@@ -598,7 +598,8 @@ def _krylov_solve(ws, v_lift, v0, tol):
     v = v0 + P^-1 y with L P^-1 y = -L v0, where v0 carries the Dirichlet
     data and P^-1 y does not; v0 is the given start or the flat lift
     v_lift, whichever has the smaller strip residual.  The GMRES residual is
-    the strip residual itself: it stops at ||L v||_2 <= tol ||L v_lift||_2,
+    the strip residual itself, in strip_op's unitary coordinates (their
+    float view): it stops at ||L v||_2 <= tol ||L v_lift||_2,
     and the ratio it recomputes at exit goes to ws.stats.residual.  The
     operator is ws.krylov_op and the Arnoldi basis ws.basis, so the
     iterations run in the workspace's buffers.  The flat Laplacian L0

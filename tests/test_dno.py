@@ -502,8 +502,7 @@ def test_krylov_operator_transforms_269_rows(monkeypatch):
     # one L P^-1 on the ww_ramp surface (nz = 64, m = 3, K = 6), in the
     # residual's half-spectrum coordinates: irfft of m K + nz - K node rows,
     # rfft of the nz + 1 rows of v, irfft of the nz rows of v_xz, rfft of
-    # the nz residual rows; the physical residual took 333, and the
-    # full-depth blend 449
+    # the nz residual rows
     ws = _ramp_workspace()
     nz = ws.nz
     y = np.random.default_rng(4).standard_normal(2 * nz * ws.nh)
