@@ -11,10 +11,10 @@ capillary dispersion |xi|^{3/2} makes explicit stepping stiff, is integrated
 exactly per mode and RK4 steps only the remainder, under the step rule of
 cfl_dt; an optional exp(-eps dt |xi|^{3/2}) mollifier follows each step.
 The symmetrizer symbols p and q, the good unknown omega = psi - T_B eta,
-and the symmetrized variable u = Lam^mu P_p eta - i Lam^mu P_q omega feed
-the wavefront experiments: transport of (1/2,1)-singularities at spatial
-infinity, and the microlocal smoothing experiment whose prediction uses the
-asymptotic direction of the initial surface's co-geodesic flow.
+and the symmetrized unknown u = P_p eta - i P_q omega feed the wavefront
+experiments: transport of (1/2,1)-singularities at spatial infinity, and the
+microlocal smoothing experiment whose prediction uses the asymptotic
+direction of the initial surface's co-geodesic flow.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .model_eq import (PacketTrack, group_shift, pick_controls, scaled_singulari
                        track_clean)
 from .paradiff import dyadic_paradiff_apply, paradiff_apply
 from .quantize import ProbeSpec, make_dyadic_partition, probe_sweep, shared_h_grid, valid_h_grid
-from .symbols import Symbol, smoothstep
+from .symbols import Symbol
 
 __all__ = [
     "WaveParams",
@@ -47,7 +47,6 @@ __all__ = [
     "mass",
     "energy",
     "symmetrizer_symbols",
-    "lambda_mu_symbol",
     "good_unknown",
     "symmetrized_u",
     "real_scaled_witness",
@@ -316,24 +315,6 @@ def symmetrizer_symbols(eta, kappa=1.0):
     }
 
 
-def lambda_mu_symbol(eta, mu):
-    """Regularized Lam^mu symbol: blended max(|xi|^{3/2}, 1)^{2mu/3} m2^{-mu/6}.
-
-    The x-factor rides on the high-frequency branch; below |xi| = 2 the blend
-    returns to 1, inside the region the pi-cutoffs kill anyway.
-    """
-    grid = eta.grid
-    ex, _ = _slopes(eta)
-    m2_pow = _node_sampler((1.0 + ex ** 2) ** (-mu / 6.0), grid)
-
-    def wxi(xi):
-        a = np.abs(xi)
-        blend = smoothstep(a - 1.0)
-        return (blend * a ** 1.5 + (1.0 - blend)) ** (2.0 * mu / 3.0)
-
-    return Symbol([(m2_pow, wxi)])
-
-
 def good_unknown(state, workspace=None):
     """omega = psi - T_B eta, the good unknown of Alinhac; B takes its DN
     solve on workspace (see dno.b_v_fields)."""
@@ -343,19 +324,18 @@ def good_unknown(state, workspace=None):
     return Field(state.grid, state.psi.values - TBeta.values)
 
 
-def symmetrized_u(state, mu=0.0, part=None, workspace=None):
-    """u = Lam^mu (P_p eta - i P_q omega) (dyadic paradifferential, with the
-    Littlewood-Paley pair and the default neighbor width); P_lam is linear,
-    so Lam^mu is applied once.  The DN solve of omega runs on workspace,
-    as the experiments pass integrate's, warm from its last solve."""
+def symmetrized_u(state, part=None, workspace=None):
+    """u = P_p eta - i P_q omega (dyadic paradifferential), the unknown of
+    Alazard, Burq & Zuily that solves d_t u = i T_gamma u + lower order, with
+    gamma = (1+eta'^2)^{-3/4} |xi|^{3/2}.  The DN solve of omega runs on
+    workspace, as the experiments pass integrate's, warm from its last solve."""
     if part is None:
         part = make_dyadic_partition(state.grid)
     syms = symmetrizer_symbols(state.eta, state.params.kappa)
     omega = good_unknown(state, workspace=workspace)
     Pp_eta = dyadic_paradiff_apply(syms["p12"], state.eta, part)
     Pq_om = dyadic_paradiff_apply(syms["q0"], omega, part)
-    return dyadic_paradiff_apply(lambda_mu_symbol(state.eta, mu),
-                                 Field(state.grid, Pp_eta.values - 1j * Pq_om.values), part)
+    return Field(state.grid, Pp_eta.values - 1j * Pq_om.values)
 
 
 # -- singularity experiments -------------------------------------------------------
@@ -398,6 +378,30 @@ def right_mover_state(grid, params, psi0, tracks):
     return SurfaceState(eta0, psi0, 0.0, params)
 
 
+def _evolve_and_probe(state0, t0, cfl, specs, hs_use, meta):
+    """Evolve state0 to t0 on one strip workspace and probe u(t0) at specs.
+
+    A box too small for the dyadic partition raises ConfigError before any
+    DN solve.  The report's meta is meta plus what both experiments record.
+    """
+    grid, params = state0.grid, state0.params
+    part = make_dyadic_partition(grid)
+    ws = _StripWorkspace(state0.domain())
+    hist = integrate(state0, t0, cfl=cfl, track_invariants=False, workspace=ws)
+    u_t = symmetrized_u(hist.final(), part=part, workspace=ws)
+    report = probe_sweep(u_t, specs, hs_use, meta={
+        **meta,
+        "steps": hist.steps, "rhs_evals": hist.rhs_evals,
+        "dn_fixed_point_iters": hist.dn_fixed_point_iters,
+        "dn_krylov_iters": hist.dn_krylov_iters,
+        "grid": {"n": grid.n, "length": grid.length},
+        "boundary_mass": boundary_mass_fraction(u_t),
+        "params": {"gravity": params.gravity, "depth": params.depth, "nz": params.nz},
+    })
+    report.meta["separation"] = report.separation()
+    return report
+
+
 def singularity_experiment_infinite(
     grid,
     params,
@@ -406,7 +410,6 @@ def singularity_experiment_infinite(
     t0,
     h_grid,
     amplitude=1e-2,
-    mu_probe=0.0,
     cfl=0.5,
 ):
     """Embed a (1/2,1)-singularity witness in psi, evolve, probe u(t0).
@@ -445,28 +448,12 @@ def singularity_experiment_infinite(
         want=4,
     )
 
-    part = make_dyadic_partition(grid)  # raises ConfigError before any DN solve
-    state0 = right_mover_state(grid, params, psi0, tracks)
-    ws = _StripWorkspace(state0.domain())
-    hist = integrate(state0, t0, cfl=cfl, track_invariants=False, workspace=ws)
-    u_t = symmetrized_u(hist.final(), mu=mu_probe, part=part, workspace=ws)
-    report = probe_sweep(
-        u_t, [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls, hs_use,
-        meta={
-            "experiment": "ww_infinite",
-            "steps": hist.steps, "rhs_evals": hist.rhs_evals,
-            "dn_fixed_point_iters": hist.dn_fixed_point_iters,
-            "dn_krylov_iters": hist.dn_krylov_iters,
-            "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
-            "amplitude": amplitude, "mu_w": 1.0, "mu_probe": mu_probe,
-            "grid": {"n": grid.n, "length": grid.length},
-            "boundary_mass": boundary_mass_fraction(u_t),
-            "params": {"gravity": params.gravity, "depth": params.depth,
-                       "nz": params.nz},
-        },
+    return _evolve_and_probe(
+        right_mover_state(grid, params, psi0, tracks), t0, cfl,
+        [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls, hs_use,
+        {"experiment": "ww_infinite", "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
+         "amplitude": amplitude, "mu_w": 1.0},
     )
-    report.meta["separation"] = report.separation()
-    return report
 
 
 def ramp_surface(grid, amplitude, ramp_width, center=0.0):
@@ -508,7 +495,6 @@ def singularity_experiment_smoothing(
     surface_amplitude,
     ramp_width,
     amplitude=1e-2,
-    mu_probe=0.0,
     cfl=0.5,
     s_max=2000.0,
 ):
@@ -544,29 +530,13 @@ def singularity_experiment_smoothing(
 
     hs_wit = valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
     psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_wit, amplitude)
-    part = make_dyadic_partition(grid)  # raises ConfigError before any DN solve
-    state0 = SurfaceState(eta0, psi0, 0.0, params)
-    ws = _StripWorkspace(state0.domain())
-    hist = integrate(state0, t0, cfl=cfl, track_invariants=False, workspace=ws)
-    u_t = symmetrized_u(hist.final(), mu=mu_probe, part=part, workspace=ws)
-    report = probe_sweep(
-        u_t, [ProbeSpec(x_bent, xi_inf, dp, rp, "predicted")] + controls, hs_use,
-        meta={
-            "experiment": "ww_smoothing",
-            "steps": hist.steps, "rhs_evals": hist.rhs_evals,
-            "dn_fixed_point_iters": hist.dn_fixed_point_iters,
-            "dn_krylov_iters": hist.dn_krylov_iters,
-            "x0": x0, "xi0": xi0, "t0": t0,
-            "xi_inf": xi_inf, "x_bent": x_bent, "x_unbent": x_unbent,
-            "surface_amplitude": surface_amplitude, "ramp_width": ramp_width,
-            "amplitude": amplitude, "mu_w": 1.0,
-            "s_escape": s_escape,
-            "grid": {"n": grid.n, "length": grid.length},
-            "boundary_mass": boundary_mass_fraction(u_t),
-            "params": {"gravity": params.gravity, "depth": params.depth,
-                       "nz": params.nz},
-        },
+    report = _evolve_and_probe(
+        SurfaceState(eta0, psi0, 0.0, params), t0, cfl,
+        [ProbeSpec(x_bent, xi_inf, dp, rp, "predicted")] + controls, hs_use,
+        {"experiment": "ww_smoothing", "x0": x0, "xi0": xi0, "t0": t0,
+         "xi_inf": xi_inf, "x_bent": x_bent, "x_unbent": x_unbent,
+         "surface_amplitude": surface_amplitude, "ramp_width": ramp_width,
+         "amplitude": amplitude, "mu_w": 1.0, "s_escape": s_escape},
     )
     report.meta["bent_margin"] = report.mu("control_unbent") - report.mu("predicted")
-    report.meta["separation"] = report.separation()
     return report

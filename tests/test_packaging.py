@@ -146,9 +146,10 @@ def test_no_module_level_mutable_state():
     assert not hits, f"module-level bindings that are not constants: {hits}"
 
 
-# Options kept without a caller: cfl (the step-size refinement check),
-# mu_probe (the order shift of Lam^mu) and tol_order (the membership slack).
-OPTION_ALLOWLIST = {"cfl", "mu_probe", "tol_order"}
+# Options kept without a caller: cfl (the step-size refinement check) and
+# tol_order (the membership slack), both for the refinement check of the
+# decay-order verdicts.
+OPTION_ALLOWLIST = {"cfl", "tol_order"}
 
 
 def _callee(node):
