@@ -1,7 +1,7 @@
 """microloc: desk-scale numerics for quasi-homogeneous microlocal analysis.
 
-Spectral grids and quantization, dyadic/weighted Sobolev norms, Bony and
-dyadic paradifferential operators, a fractional-dispersion model solver,
+Spectral grids and quantization, dyadic partitions, Bony and dyadic
+paradifferential operators, a fractional-dispersion model solver,
 Hamiltonian/geodesic flows on graph surfaces, the Dirichlet-Neumann operator,
 and a 1D gravity-capillary water-wave solver with wavefront-set experiments.
 """

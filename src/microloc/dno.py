@@ -1,8 +1,4 @@
-"""Dirichlet-Neumann operator G(eta) for the flat-bottom strip, two ways.
-
-dn_taylor expands about eta = 0: G_0 = |D| tanh(b|D|) and the standard
-recursion, built from the vertical-mode multipliers L_{2k} = |D|^{2k},
-L_{2k+1} = |D|^{2k} G_0 of the cosh profile.
+"""Dirichlet-Neumann operator G(eta) for the flat-bottom strip.
 
 dn_elliptic flattens the fluid domain with the full-strip map
 y = z + (1 + z/b) eta(x), z in [-b, 0] (flat image bottom), and discretizes
@@ -36,11 +32,9 @@ workspace, so neither a sweep nor an iteration allocates an array of the
 strip's size.
 
 A complex psi is solved as its real and imaginary parts.  The surface flux
-is (1+eta'^2)/J v_z - eta' v_x at z = 0.
-
-dn_symbols gives the boundary symbols lambda^(1), lambda^(0) and the
-a_+/a_- factorization of the flattened Laplacian in their one-dimensional
-closed forms.
+is (1+eta'^2)/J v_z - eta' v_x at z = 0.  The Taylor expansion of G about
+eta = 0 and its boundary symbols, which check this solver, are test oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -50,20 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EllipticSolveError, TaylorDivergenceError
-from .grid import Field, Grid, l2_norm, multiplier_apply
+from .errors import DomainError, EllipticSolveError
+from .grid import Field, Grid, multiplier_apply
 
 __all__ = [
     "FluidDomain",
-    "dn_taylor",
     "dn_elliptic",
     "StripSolveStats",
     "discrete_flat_symbol",
-    "SurfaceDerivatives",
-    "surface_from_field",
-    "dn_symbols",
     "b_v_fields",
-    "shape_derivative_check",
     "RESTART",
     "MAXITER",
 ]
@@ -112,59 +101,15 @@ def _slopes(eta):
     return etap, etapp
 
 
-def dn_taylor(dom, psi, M=4):
-    """Taylor expansion sum_{k<=M} G_k(eta) psi about the flat surface.
+def _node_sampler(vals, grid):
+    """x -> vals at the grid node nearest to x (periodic), vectorized."""
+    x_first = grid.axis_points()[0]
 
-    Term norms are monitored; a consecutive-term ratio of 1 or more aborts
-    with advice to use the elliptic solver.  Returns the partial sum.
-    """
-    grid = dom.grid
-    b = dom.b
-    eta = np.real(dom.eta.values)
-    absxi = np.abs(grid.axis_frequencies())
-    g0_mult = absxi * np.tanh(b * absxi)
+    def f(x):
+        idx = np.rint((np.asarray(x) - x_first) / grid.spacing).astype(int) % grid.n
+        return vals[idx]
 
-    def L_apply(m, f):
-        # L_m = d_z^m of the flat harmonic profile at z = 0: even powers are
-        # |D|^m, odd powers pick up one factor of G_0 (all even multipliers)
-        if m == 0:
-            return f
-        if m % 2 == 0:
-            mult = absxi ** m
-        else:
-            mult = absxi ** (m - 1) * g0_mult
-        return multiplier_apply(f, lambda xi, mult=mult: mult, nyquist_even=False)
-
-    eta_pows = [np.ones_like(eta)]
-    for m in range(1, M + 1):
-        eta_pows.append(eta_pows[-1] * eta / m)  # eta^m / m!
-
-    eta_x = np.real(_x_derivative(dom.eta).values)
-
-    fs = [psi]
-    for j in range(1, M + 1):
-        acc = np.zeros_like(psi.values)
-        for m in range(1, j + 1):
-            acc += eta_pows[m] * L_apply(m, fs[j - m]).values
-        fs.append(Field(grid, -acc))
-
-    total = np.zeros_like(psi.values)
-    prev = None
-    for k in range(0, M + 1):
-        term = np.zeros_like(psi.values)
-        for m in range(0, k + 1):
-            term += eta_pows[m] * L_apply(m + 1, fs[k - m]).values
-        for m in range(0, k):
-            inner = L_apply(m, fs[k - 1 - m])
-            term -= eta_x * eta_pows[m] * _x_derivative(inner).values
-        total += term
-        nrm = float(np.sqrt(np.sum(np.abs(term) ** 2)) * grid.spacing ** 0.5)
-        if prev is not None and prev > 0 and nrm / prev >= 1.0:
-            raise TaylorDivergenceError(
-                f"term ratio {nrm / prev:.3f} >= 1 at order {k}; use dn_elliptic"
-            )
-        prev = nrm if nrm > 0 else prev
-    return Field(grid, total)
+    return f
 
 
 # -- elliptic solver -------------------------------------------------------------
@@ -312,17 +257,12 @@ class _StripWorkspace:
         self.warm = None
         self.warm_lift = None
         self.stats = None
-        self._eta_ref = None
         self.update_surface(dom)
 
     def update_surface(self, dom):
         if dom.nz != self.nz or dom.b != self.b or not dom.grid.compatible(self.dom.grid):
             raise ValueError("workspace built for a different strip geometry")
-        if dom.eta.values is self._eta_ref:
-            self.dom = dom
-            return
         self.dom = dom
-        self._eta_ref = dom.eta.values
         b = self.b
         eta = np.real(dom.eta.values)
         etap, etapp = _slopes(dom.eta)
@@ -696,93 +636,6 @@ def discrete_flat_symbol(grid, b, nz):
     return _StripWorkspace(flat).flat_symbol()
 
 
-# -- boundary symbols ------------------------------------------------------------
-
-
-@dataclass
-class SurfaceDerivatives:
-    """Vectorized surface derivatives for symbol factories (d = 1)."""
-
-    etap: callable  # x -> eta'(x)
-    etapp: callable  # x -> eta''(x)
-
-
-def _node_sampler(vals, grid):
-    """x -> vals at the grid node nearest to x (periodic), vectorized."""
-    x_first = grid.axis_points()[0]
-
-    def f(x):
-        idx = np.rint((np.asarray(x) - x_first) / grid.spacing).astype(int) % grid.n
-        return vals[idx]
-
-    return f
-
-
-def surface_from_field(eta):
-    """Spectral-derivative adapter: eta', eta'' evaluated at arbitrary x by
-    sampling the nearest grid node."""
-    grid = eta.grid
-    etap, etapp = _slopes(eta)
-    return SurfaceDerivatives(_node_sampler(etap, grid), _node_sampler(etapp, grid))
-
-
-def dn_symbols(surface):
-    """Boundary symbols of G(eta) in one dimension, as callables a(x, xi).
-
-    With c = 1/(1+eta'^2), a_pm^(1) = c (i eta' xi +- |xi|) are the roots of
-    (1+eta'^2) a^2 - 2 i eta' xi a - xi^2, the principal symbol of the
-    flattened Laplacian, and lambda^(1) = |xi|.  a_pm^(0) and lambda^(0) are
-    the order-0 terms of the factorization.  `surface` provides vectorized
-    eta', eta''.  Returns {"lambda1", "lambda0", "a_plus", "a_minus"}, the
-    last two dicts {1: a^(1), 0: a^(0)}.
-    """
-    etap, etapp = surface.etap, surface.etapp
-
-    def a1(sign):
-        def f(x, xi):
-            gp = etap(x)
-            return (1j * gp * xi + sign * np.abs(xi)) / (1.0 + gp ** 2)
-
-        return f
-
-    a1p, a1m = a1(+1.0), a1(-1.0)
-
-    def d_x_a1p(x, xi):
-        gp, gpp = etap(x), etapp(x)
-        c = 1.0 / (1.0 + gp ** 2)
-        return 1j * c * gpp * xi - 2.0 * gp * gpp * c * a1p(x, xi)
-
-    def a0(sign):
-        # -+(i d_xi a_-^(1) d_x a_+^(1) - c eta'' a_pm^(1)) / (a_+^(1) - a_-^(1)), 0 at xi = 0
-        def f(x, xi):
-            gp, gpp = etap(x), etapp(x)
-            c = 1.0 / (1.0 + gp ** 2)
-            d_xi_a1m = c * (1j * gp - np.sign(xi))
-            num = 1j * d_xi_a1m * d_x_a1p(x, xi) - c * gpp * (a1p if sign > 0 else a1m)(x, xi)
-            a = np.abs(xi)
-            safe = np.where(a > 0.0, a, 1.0)
-            return np.where(a > 0.0, -sign * num / (2.0 * c * safe), 0.0)
-
-        return f
-
-    def lam0(x, xi):
-        # (1+eta'^2)/(2 |xi|) { d_x(a_+^(1) eta') + i sign(xi) d_x a_+^(1) }, 0 at xi = 0
-        gp, gpp = etap(x), etapp(x)
-        ax = d_x_a1p(x, xi)
-        a = np.abs(xi)
-        safe = np.where(a > 0.0, a, 1.0)
-        div_term = ax * gp + a1p(x, xi) * gpp
-        lam = (1.0 + gp ** 2) / (2.0 * safe) * (div_term + 1j * np.sign(xi) * ax)
-        return np.where(a > 0.0, lam, 0.0)
-
-    return {
-        "lambda1": lambda x, xi: np.broadcast_to(np.abs(xi), np.broadcast(x, xi).shape),
-        "lambda0": lam0,
-        "a_plus": {1: a1p, 0: a0(+1.0)},
-        "a_minus": {1: a1m, 0: a0(-1.0)},
-    }
-
-
 # -- derived fields ---------------------------------------------------------------
 
 
@@ -795,30 +648,3 @@ def b_v_fields(dom, psi, workspace=None):
     Bv = (etap * psip + G.values) / (1.0 + etap ** 2)
     Vv = psip - Bv * etap
     return Field(dom.grid, Bv), Field(dom.grid, Vv)
-
-
-def shape_derivative_check(dom, psi, phi_dir, h_fd=1e-4):
-    """Relative error of the shape-derivative identity
-    dG(eta)[phi] psi = -G(eta)(B phi) - d_x(V phi), with centered differences."""
-    grid = dom.grid
-    phi = np.real(phi_dir.values)
-
-    def G_at(eta_vals):
-        d = FluidDomain(grid, Field(grid, eta_vals.astype(np.complex128)), dom.b, dom.nz)
-        return dn_elliptic(d, psi)
-
-    eta0 = np.real(dom.eta.values)
-    Gp = G_at(eta0 + h_fd * phi)
-    Gm = G_at(eta0 - h_fd * phi)
-    fd = (Gp.values - Gm.values) / (2.0 * h_fd)
-
-    B, V = b_v_fields(dom, psi)
-    Bphi = Field(grid, B.values * phi)
-    term1 = dn_elliptic(dom, Bphi)
-    Vphi = Field(grid, V.values * phi)
-    term2 = _x_derivative(Vphi)
-    formula = -term1.values - term2.values
-
-    ref = l2_norm(dn_elliptic(dom, psi))
-    err = float(np.sqrt(np.sum(np.abs(fd - formula) ** 2) * grid.spacing))
-    return err / ref

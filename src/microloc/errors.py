@@ -21,10 +21,6 @@ class DomainError(MicrolocError):
     """Fluid domain invariant violated (e.g. surface touches the bottom)."""
 
 
-class TaylorDivergenceError(MicrolocError):
-    """Dirichlet-Neumann Taylor expansion diverges; use the elliptic solver."""
-
-
 class EllipticSolveError(MicrolocError):
     """The strip elliptic solver failed to converge."""
 
@@ -35,10 +31,6 @@ class BlowUpError(MicrolocError):
     def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
-
-
-class SpectrumUnresolvedError(MicrolocError):
-    """Input field spectrum does not decay below tolerance before Nyquist."""
 
 
 class ConfigError(MicrolocError):

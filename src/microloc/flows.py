@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "SurfaceMetric",
-    "flat_metric",
     "gaussian_bump_metric",
     "asymptotic_direction",
 ]
@@ -46,11 +45,6 @@ class SurfaceMetric:
 
     def H(self, x, xi):
         return self.G(x, xi) ** 0.75
-
-
-def flat_metric():
-    zero = lambda x: np.zeros_like(x, dtype=float)
-    return SurfaceMetric(eta=zero, grad_eta=zero)
 
 
 def gaussian_bump_metric(amplitude, width=1.0):

@@ -29,7 +29,6 @@ __all__ = [
     "l2_norm",
     "inner",
     "boundary_mass_fraction",
-    "random_field",
 ]
 
 
@@ -251,14 +250,3 @@ def boundary_mass_fraction(f):
     if total == 0.0:
         return 0.0
     return float(np.sum(np.abs(f.values[mask]) ** 2) / total)
-
-
-def random_field(grid, seed=0, decay=2.0, real=False):
-    """Random field with smoothly decaying spectrum <xi>^-decay."""
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    coeffs *= (1.0 + np.abs(grid.axis_frequencies()) ** 2) ** (-decay / 2.0)
-    vals = np.fft.ifft(coeffs)
-    if real:
-        vals = vals.real.astype(np.complex128)
-    return Field(grid, vals)

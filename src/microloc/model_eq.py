@@ -54,7 +54,6 @@ __all__ = [
     "pick_controls",
     "transport_experiment",
     "smoothing_experiment",
-    "gaussian_free_evolution",
     "geometric_h_grid",
     "group_shift",
 ]
@@ -365,19 +364,3 @@ def smoothing_experiment(
     )
     report.meta["separation"] = report.separation()
     return report
-
-
-# -- free Schroedinger kernel --------------------------------------------------
-
-
-def gaussian_free_evolution(grid, sigma, t_schrodinger):
-    """Closed form of exp(i t Delta / 2) applied to a mass-one Gaussian at 0.
-
-    The half-Laplacian convention matches the explicit kernel
-    exp(-i pi/4) (2 pi t)^{-1/2} exp(i x^2/2t) of the delta evolution; in
-    model time this is propagate_fractional(u0, t/2, gamma=2).
-    """
-    x = grid.axis_points()
-    a = sigma ** 2 + 1j * t_schrodinger
-    vals = np.exp(-(x ** 2) / (2.0 * a)) / np.sqrt(2.0 * np.pi * a)
-    return Field(grid, vals)

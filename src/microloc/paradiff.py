@@ -15,7 +15,8 @@ circular convolutions on the periodic lattice: a coefficient frequency
 theta and an argument frequency eta whose sum passes the Nyquist frequency
 land on the aliased lattice frequency.  P_a = sum_j psi~_j T_{psi_j a}
 psi~_j localizes T on spatial dyadic rings so polynomial weights act ring
-by ring.
+by ring.  The remainders ab - T_a b - T_b a and F(u) - T_{F'(u)} u that
+check this paralinearization are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import math
 
 import numpy as np
 
-from .errors import GridMismatchError, SpectrumUnresolvedError
-from .grid import Field, Grid, spectrum
-from .quantize import weighted_norm
+from .errors import GridMismatchError
+from .grid import Field
 from .symbols import Symbol, dyadic_pieces, plateau_bump, smoothstep
 
 __all__ = [
@@ -35,11 +35,6 @@ __all__ = [
     "paradiff_apply",
     "dyadic_paradiff_apply",
     "dyadic_neighbor_width",
-    "paraproduct_remainder",
-    "paralinearization_remainder",
-    "rough_field_family",
-    "refinement_ratios",
-    "sobolev_slope",
 ]
 
 # Block gap N of S_{k-N}: the admissible choice for the factor-2 blocks.
@@ -123,100 +118,3 @@ def dyadic_paradiff_apply(a, u, part, width=None):
         tj = _paradiff_apply(a, uj, psi, blocks)
         out += tilde * tj.values
     return Field(u.grid, out)
-
-
-# -- remainder diagnostics -------------------------------------------------------
-
-
-def _check_resolved(f):
-    """Raise unless the top eighth of the spectrum, at either end, is below
-    1e-10 times its peak."""
-    spec = np.abs(np.fft.fftshift(spectrum(f)))
-    edge = len(spec) // 8
-    top = max(spec[:edge].max(), spec[-edge:].max())
-    if top > 1e-10 * spec.max():
-        raise SpectrumUnresolvedError(
-            f"spectrum tail {top:.3e} exceeds 1e-10 x peak {spec.max():.3e}"
-        )
-
-
-def sobolev_slope(f):
-    """Fitted d log ||f||_{H^s} / ds over s = 0..4: log of the effective
-    spectral radius."""
-    s_grid = (0.0, 1.0, 2.0, 3.0, 4.0)
-    vals = [max(weighted_norm(f, s, 0.0), 1e-300) for s in s_grid]
-    coef = np.polyfit(np.asarray(s_grid), np.log(vals), 1)
-    return float(coef[0])
-
-
-def paraproduct_remainder(a, b, strict=True):
-    """R = ab - T_a b - T_b a with a single-grid smoothness-gain diagnostic.
-
-    order_gain compares the fitted H^s slope of R against the product ab:
-    positive means the remainder's spectral content sits at lower frequency.
-    Asymptotic remainder orders need the multi-resolution study
-    (refinement_ratios) instead; single-grid norms cannot see past Nyquist.
-    """
-    if strict:
-        _check_resolved(a)
-        _check_resolved(b)
-    prod = Field(a.grid, a.values * b.values)
-    tab = paradiff_apply(a, b)
-    tba = paradiff_apply(b, a)
-    R = Field(a.grid, prod.values - tab.values - tba.values)
-    gain = sobolev_slope(prod) - sobolev_slope(R)
-    return R, gain
-
-
-def paralinearization_remainder(F, Fprime, u, strict=True):
-    """R = F(u) - T_{F'(u)} u for scalar smooth F with F(0) = 0."""
-    if strict:
-        _check_resolved(u)
-    uvals = np.real(u.values)
-    Fu = Field(u.grid, np.asarray(F(uvals), dtype=np.complex128))
-    coeff = Field(u.grid, np.asarray(Fprime(uvals), dtype=np.complex128))
-    TFu = paradiff_apply(coeff, u)
-    R = Field(u.grid, Fu.values - TFu.values)
-    gain = sobolev_slope(Fu) - sobolev_slope(R)
-    return R, gain
-
-
-# -- multi-resolution refinement instruments -------------------------------------
-
-
-def rough_field_family(alpha, length, seed=0, n_max=4096):
-    """Truncations of one real random distribution with spectrum ~ <xi>^{-alpha-1/2}.
-
-    Returns a callable n -> Field; the H^s norms grow like n^{s-alpha} for
-    s > alpha under refinement, which is what the remainder-order diagnostics
-    measure against.
-    """
-    rng = np.random.default_rng(seed)
-    phases = np.exp(2j * np.pi * rng.random(n_max // 2 + 1))
-
-    def make(n):
-        if n > n_max:
-            raise ValueError(f"family defined up to n_max={n_max}")
-        grid = Grid(n, length)
-        coeffs = np.zeros(n, dtype=np.complex128)
-        k = grid.axis_wavenumbers()
-        xi = grid.axis_frequencies()
-        for i in range(n):
-            ki = k[i]
-            if ki == 0:
-                continue
-            if 0 < ki <= n_max // 2:
-                coeffs[i] = phases[ki] * (1.0 + xi[i] ** 2) ** (-(alpha + 0.5) / 2.0)
-        vals = np.fft.ifft(coeffs) * n / length
-        return Field(grid, 2.0 * np.real(vals).astype(np.complex128))
-
-    return make
-
-
-def refinement_ratios(field_at, s):
-    """||field_at(n)||_{H^s} at n = 256, 512, 1024, plus the per-doubling log2 growth."""
-    resolutions = (256, 512, 1024)
-    norms = [weighted_norm(field_at(n), s, 0.0) for n in resolutions]
-    doublings = math.log2(resolutions[-1] / resolutions[0])
-    growth = math.log2(max(norms[-1], 1e-300) / max(norms[0], 1e-300)) / doublings
-    return norms, growth

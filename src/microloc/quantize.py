@@ -1,4 +1,4 @@
-"""Quasi-homogeneous quantization, weighted norms, and wavefront probing.
+"""Quasi-homogeneous quantization, dyadic partitions and wavefront probing.
 
 op_quantize realizes the Kohn-Nirenberg action of a(h^delta x, h^rho xi):
 
@@ -26,17 +26,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError, MultiplierError
-from .grid import Field, Grid, l2_norm, multiplier_apply, spectrum
+from .errors import ConfigError, MultiplierError
+from .grid import Field, Grid, l2_norm, spectrum
 from .symbols import Symbol, dyadic_pieces, window_radii, window_symbol
 
 __all__ = [
     "op_quantize",
-    "weighted_norm",
     "DyadicPartition",
     "make_dyadic_partition",
-    "dyadic_norm",
-    "default_h_grid",
     "valid_h_grid",
     "shared_h_grid",
     "estimate_decay_order",
@@ -230,28 +227,15 @@ def op_quantize(a, u, h, delta=0.0, rho=0.0):
     return Field(grid, out)
 
 
-def weighted_norm(u, nu=0.0, k=0.0):
-    """Weighted Sobolev norm || <x>^k <D>^nu u ||_L2."""
-    if nu == 0.0:
-        smoothed = u
-    else:
-        smoothed = multiplier_apply(u, lambda xi: (1.0 + xi ** 2) ** (nu / 2.0))
-    if k == 0.0:
-        return l2_norm(smoothed)
-    w = (1.0 + u.grid.axis_points() ** 2) ** (k / 2.0)
-    return l2_norm(Field(u.grid, w * smoothed.values))
-
-
 # -- dyadic partitions ---------------------------------------------------------
 
 
 @dataclass
 class DyadicPartition:
-    """Dyadic partition of unity: supp psi_j in {2^j/C <= |x| <= C 2^j}."""
+    """Dyadic partition of unity: supp psi_j in {2^(j-1) <= |x| <= 2^(j+1)}."""
 
     grid: Grid
     pieces: list = dc_field(repr=False)  # list of ndarray samples, index j = 0..J
-    C: float = 2.0
 
     @property
     def J(self):
@@ -267,16 +251,14 @@ class DyadicPartition:
         return acc
 
 
-def make_dyadic_partition(grid, C=2.0):
+def make_dyadic_partition(grid):
     """Build the telescoped partition psi_0 + psi_1 + ... = 1.
 
     Uses theta_j(x) = Theta(|x| / 2^j) with Theta = 1 on r <= 1 and 0 on
-    r >= C, and psi_j = theta_j - theta_{j-1}; the telescoping makes the sum
-    exactly 1.  This construction needs C >= 2 (the ring lower edge is the
-    previous plateau edge 2^{j-1} = 2^j / 2).
+    r >= 2, and psi_j = theta_j - theta_{j-1}; the telescoping makes the sum
+    exactly 1, and psi_j lives on the ring from the previous plateau edge
+    2^(j-1) to the support edge 2^(j+1).
     """
-    if C < 2.0:
-        raise ConfigError("telescoped partition requires C >= 2")
     r = np.abs(grid.axis_points())
     J = max(0, math.ceil(math.log2(0.5 * grid.length)))
     if J < 3:
@@ -284,26 +266,10 @@ def make_dyadic_partition(grid, C=2.0):
             f"grid too small for a dyadic partition: needs >= 3 rings, box gives J={J}"
         )
 
-    return DyadicPartition(grid, dyadic_pieces(r, J, C), C)
-
-
-def dyadic_norm(u, nu, k, part):
-    """sqrt( sum_j 2^{2jk} || psi_j u ||_{H^nu}^2 ), the dyadic H^nu_k norm."""
-    if not part.grid.compatible(u.grid):
-        raise GridMismatchError("partition built on a different grid")
-    total = 0.0
-    for j, psi in enumerate(part.pieces):
-        piece = Field(u.grid, psi * u.values)
-        total += 4.0 ** (j * k) * weighted_norm(piece, nu, 0.0) ** 2
-    return math.sqrt(total)
+    return DyadicPartition(grid, dyadic_pieces(r, J))
 
 
 # -- wavefront probing ---------------------------------------------------------
-
-
-def default_h_grid():
-    """h = 2^-2 ... 2^-9, geometric ratio 1/2."""
-    return [2.0 ** (-j) for j in range(2, 10)]
 
 
 def valid_h_grid(grid, x0, xi0, delta, rho, h_grid):
@@ -383,7 +349,7 @@ def _decay_fit(u_fft, u_norm, grid, x0, xi0, delta, rho, h_grid, zoom):
     return DecayFit(*_fit_loglog(hs, norms), hs, norms)
 
 
-def estimate_decay_order(u, x0, xi0, delta, rho, h_grid=None):
+def estimate_decay_order(u, x0, xi0, delta, rho, h_grid):
     """Fit log ||op_h(window) u||_L2 against log h; slope = decay order mu_hat.
 
     The window is window_symbol(x0, xi0).  Returns a DecayFit of the h values
@@ -393,8 +359,6 @@ def estimate_decay_order(u, x0, xi0, delta, rho, h_grid=None):
     measured norm.  Raises ConfigError when fewer than 3 h values fit the box
     and Nyquist budget.
     """
-    if h_grid is None:
-        h_grid = default_h_grid()
     return _decay_fit(
         np.fft.fft(u.values), l2_norm(u), u.grid, x0, xi0, delta, rho, h_grid, _ZoomContext(u.grid.n)
     )
@@ -507,10 +471,8 @@ class WavefrontReport:
         return cls.from_dict(json.loads(text))
 
 
-def probe_sweep(u, specs, h_grid=None, meta=None):
+def probe_sweep(u, specs, h_grid, meta=None):
     """Run estimate_decay_order, with the default window, for each ProbeSpec."""
-    if h_grid is None:
-        h_grid = default_h_grid()
     u_fft, u_norm, zoom = np.fft.fft(u.values), l2_norm(u), _ZoomContext(u.grid.n)
     results = []
     for spec in specs:

@@ -20,9 +20,6 @@ __all__ = [
     "dyadic_pieces",
     "window_radii",
     "window_symbol",
-    "constant_symbol",
-    "multiplier_symbol",
-    "x_function_symbol",
 ]
 
 
@@ -46,14 +43,14 @@ def plateau_bump(r, r_plateau=0.5, r_support=1.0):
     return smoothstep((r_support - r) / (r_support - r_plateau))
 
 
-def dyadic_pieces(r, J, C=2.0):
+def dyadic_pieces(r, J):
     """Telescoped dyadic partition [theta_0, theta_1 - theta_0, ..., theta_J - theta_{J-1}]
-    of the samples r, with theta_j = plateau_bump(r / 2^j, 1, C); the pieces sum to
+    of the samples r, with theta_j = plateau_bump(r / 2^j, 1, 2); the pieces sum to
     theta_J, which is 1 wherever |r| <= 2^J."""
     pieces = []
     prev = None
     for j in range(J + 1):
-        cur = plateau_bump(np.asarray(r) / 2.0 ** j, 1.0, C)
+        cur = plateau_bump(np.asarray(r) / 2.0 ** j, 1.0, 2.0)
         pieces.append(cur if prev is None else cur - prev)
         prev = cur
     return pieces
@@ -72,18 +69,6 @@ class Symbol:
 
     def __call__(self, x, xi):
         return sum(np.asarray(c(x)) * np.asarray(m(xi)) for c, m in self.separable)
-
-
-def constant_symbol(c):
-    return Symbol([(lambda x: c * np.ones_like(x), lambda xi: np.ones_like(xi))])
-
-
-def multiplier_symbol(m):
-    return Symbol([(lambda x: np.ones_like(x), m)])
-
-
-def x_function_symbol(c):
-    return Symbol([(c, lambda xi: np.ones_like(xi))])
 
 
 def _dist(z, z0):

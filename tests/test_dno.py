@@ -6,21 +6,13 @@ import numpy as np
 import pytest
 
 from microloc import dno
-from microloc.errors import DomainError, EllipticSolveError, TaylorDivergenceError
-from microloc.dno import (
-    FluidDomain,
-    b_v_fields,
-    discrete_flat_symbol,
-    dn_elliptic,
-    dn_symbols,
-    dn_taylor,
-    shape_derivative_check,
-    surface_from_field,
-)
-from microloc.grid import Field, Grid, inner, l2_norm, multiplier_apply, random_field, wave_packet
-from microloc.paradiff import paradiff_apply, rough_field_family
-from microloc.quantize import weighted_norm
+from microloc.errors import DomainError, EllipticSolveError
+from microloc.dno import FluidDomain, b_v_fields, discrete_flat_symbol, dn_elliptic
+from microloc.grid import Field, Grid, inner, l2_norm, multiplier_apply, wave_packet
+from microloc.paradiff import paradiff_apply
 from microloc.waterwave import ramp_surface
+from oracles import (SurfaceDerivatives, TaylorDivergenceError, dn_symbols, dn_taylor, random_field,
+                     rough_field_family, shape_derivative_check, surface_from_field, weighted_norm)
 
 
 B_DEPTH = 1.0
@@ -658,8 +650,8 @@ def test_a_pm_are_the_roots_of_the_principal_symbol():
     # a_pm^(1) solve (1+eta'^2) a^2 - 2 i eta' xi a - xi^2 = 0, the principal
     # symbol of the flattened Laplacian, as its two distinct roots (Vieta:
     # product -xi^2/(1+eta'^2)), at off-grid (x, xi) where eta' != 0
-    surf = dno.SurfaceDerivatives(lambda x: 0.4 * np.cos(1.3 * x) + 0.6,
-                                  lambda x: -0.52 * np.sin(1.3 * x))
+    surf = SurfaceDerivatives(lambda x: 0.4 * np.cos(1.3 * x) + 0.6,
+                              lambda x: -0.52 * np.sin(1.3 * x))
     syms = dn_symbols(surf)
     rng = np.random.default_rng(4)
     x, xi = rng.uniform(-5.0, 5.0, 200), rng.uniform(-40.0, 40.0, 200)

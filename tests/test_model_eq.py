@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from microloc.errors import ConfigError, MultiplierError
-from microloc.grid import Field, Grid, l2_norm, multiplier_apply, random_field, wave_packet
+from microloc.grid import Field, Grid, l2_norm, multiplier_apply, wave_packet
 from microloc.model_eq import (
-    gaussian_free_evolution,
     geometric_h_grid,
     near_delta_field,
     pick_controls,
@@ -17,6 +16,7 @@ from microloc.model_eq import (
     smoothing_experiment,
     transport_experiment,
 )
+from oracles import gaussian_free_evolution, random_field
 
 
 @pytest.fixture(scope="module")

@@ -3,21 +3,14 @@
 import numpy as np
 import pytest
 
-from microloc.errors import GridMismatchError, SpectrumUnresolvedError
-from microloc.grid import Field, Grid, l2_norm, multiplier_apply, random_field, spectrum, wave_packet
+from microloc.errors import GridMismatchError
+from microloc.grid import Field, Grid, l2_norm, multiplier_apply, spectrum, wave_packet
 from microloc import paradiff
-from microloc.paradiff import (
-    dyadic_neighbor_width,
-    dyadic_paradiff_apply,
-    paradiff_apply,
-    pi_cutoff,
-    paralinearization_remainder,
-    paraproduct_remainder,
-    refinement_ratios,
-    rough_field_family,
-)
+from microloc.paradiff import dyadic_neighbor_width, dyadic_paradiff_apply, paradiff_apply, pi_cutoff
 from microloc.quantize import make_dyadic_partition
 from microloc.symbols import Symbol, dyadic_pieces, plateau_bump, smoothstep
+from oracles import (SpectrumUnresolvedError, paralinearization_remainder, paraproduct_remainder,
+                     random_field, refinement_ratios, rough_field_family)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from microloc.errors import ConfigError, MultiplierError
-from microloc.grid import Field, Grid, l2_norm, multiplier_apply, random_field, transform, wave_packet
+from microloc.grid import Field, Grid, l2_norm, multiplier_apply, transform, wave_packet
 from microloc.model_eq import geometric_h_grid, scaled_singularity_witness
 import microloc.quantize as quantize
 from microloc.quantize import (
@@ -15,7 +15,6 @@ from microloc.quantize import (
     _smooth_length,
     _support_runs,
     _ZoomContext,
-    dyadic_norm,
     estimate_decay_order,
     is_singular_at_order,
     make_dyadic_partition,
@@ -26,9 +25,10 @@ from microloc.quantize import (
     shared_h_grid,
     valid_h_grid,
     WavefrontReport,
-    weighted_norm,
 )
-from microloc.symbols import Symbol, constant_symbol, multiplier_symbol, window_symbol, x_function_symbol
+from microloc.symbols import Symbol, window_symbol
+from oracles import (constant_symbol, dyadic_norm, multiplier_symbol, random_field, weighted_norm,
+                     x_function_symbol)
 
 
 @pytest.fixture(scope="module")
@@ -388,11 +388,11 @@ def test_partition_sums_to_one():
 
 def test_partition_ring_support():
     g = Grid(512, 120.0)
-    part = make_dyadic_partition(g, C=2.0)
+    part = make_dyadic_partition(g)
     x = np.abs(g.axis_points())
     psi3 = part.pieces[3]
-    inside = x < (2 ** 3) / part.C
-    outside = x > part.C * 2 ** 3
+    inside = x < (2 ** 3) / 2.0
+    outside = x > 2.0 * 2 ** 3
     assert np.max(np.abs(psi3[inside])) == 0.0
     assert np.max(np.abs(psi3[outside])) == 0.0
     assert np.all(psi3 >= -1e-15)

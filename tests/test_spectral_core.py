@@ -12,10 +12,10 @@ from microloc.grid import (
     inner,
     l2_norm,
     multiplier_apply,
-    random_field,
     transform,
     wave_packet,
 )
+from oracles import random_field
 
 
 @pytest.fixture
