@@ -17,8 +17,17 @@ mean removed, in two stages:
   d_zz.  On the few low modes, where the shift xi^2 competes with a lam_k,
   it inverts a_j lam_k - xi^2 exactly at a few depth nodes a_j and blends
   the results in x; on the others, where a lam_k dominates, it inverts at
-  one node a0 and scales by a0/a(x).  GMRES stops on the residual of the
-  strip equations.
+  one node a0 and scales by a0/a(x).  GMRES orthogonalizes by classical
+  Gram-Schmidt with delayed reorthogonalization, two reads of the Arnoldi
+  basis per step, and stops on the residual of the strip equations.
+
+Both stages start from the flat harmonic extension of the data (one z
+profile per xi, times the data's spectrum) plus a combination of the
+corrections of the last solves on the workspace, with the weights that fit
+the new data best by the old (least squares in data space, Fischer 1998).
+Along a time step the data of a solve lie close to the span of the last
+few, so the start carries most of the answer; the Krylov stage keeps the
+flat lift instead when that has the smaller strip residual.
 
 The strip residual lives in unitary half-spectrum coordinates: sqrt(2/n)
 times the rfft of each residual row, the zero and Nyquist columns divided by
@@ -125,12 +134,16 @@ class StripSolveStats:
     preconditioner of the surface.  residual is the Krylov stage's final
     strip residual ||L v||_2 / ||L v_lift||_2, recomputed at its exit (the
     largest over the real solves); None when that stage did not run.
+    start_residual is that stage's start residual over the flat lift's,
+    1.0 when the lift is the start (the largest over the real solves); None
+    when that stage did not run.
     """
 
     nodes: int
     fixed_point_iters: int = 0
     krylov_iters: int = 0
     residual: float | None = None
+    start_residual: float | None = None
 
 
 class _StripWorkspace:
@@ -140,11 +153,15 @@ class _StripWorkspace:
     G(eta) is real-linear, so the solver works on real data only: the
     unknown v is a real (nz+1, n) array in physical space, row nz holding
     the Dirichlet data, and the flat solves act on rfft half spectra.  The
-    z-eigenfactors depend only on (grid, b, nz).  update_surface refreshes
-    the eta-dependent coefficients (into buffers held here) and the
-    preconditioner, so a time stepper can reuse one workspace (and its
-    warm-start solution) across stages, and flat_symbol gives the flat
-    surface's discrete DN symbol from the same factors.
+    z-eigenfactors, and the flat lift's z-profile per xi built from them,
+    depend only on (grid, b, nz).  update_surface refreshes the
+    eta-dependent coefficients (into buffers held here) and the
+    preconditioner, so a time stepper can reuse one workspace across
+    stages, and flat_symbol gives the flat surface's discrete DN symbol from
+    the same profile.  The workspace keeps the last HISTORY solves, each as
+    its mean-free data and its correction v - v_lift (HISTORY (n + nz n)
+    floats, about 1 MB at n = 256, nz = 64); history_start combines them
+    into the next solve's start, on this surface or the next.
 
     strip_op's residual, on rows 0..nz-1, is a complex (nz, n/2+1) array in
     unitary half-spectrum coordinates R = rfft(r) / _to_rfft, with
@@ -176,14 +193,15 @@ class _StripWorkspace:
 
     The fixed point and the Krylov stage work in buffers held here: the
     scratch arrays of precondition, strip_op and krylov_op, allocated here
-    and in _build_preconditioner, which fixed_point_sweep reuses, and the
-    Arnoldi basis, allocated at the first Krylov solve (a workspace whose
-    solves all end in the fixed point never holds one).  Their ufuncs take
-    full-shape operands only, since a broadcast operand makes numpy
-    allocate an iteration buffer.
+    and in _build_preconditioner (again only when the node count changes),
+    which fixed_point_sweep reuses, and the Arnoldi basis, allocated at the
+    first Krylov solve (a workspace whose solves all end in the fixed point
+    never holds one).  Their ufuncs take full-shape operands only, since a
+    broadcast operand makes numpy allocate an iteration buffer.
     """
 
     NODE_RATIO = 3.0
+    HISTORY = 8
 
     def __init__(self, dom):
         grid, b, nz = dom.grid, dom.b, dom.nz
@@ -253,19 +271,32 @@ class _StripWorkspace:
         self.Cxz, self.W, self.Czz, self._Czz1 = (np.empty((nz, self.n)) for _ in range(4))
         self._pc_blend = np.empty((nz, self.n))
         self._lifted = np.zeros((nz + 1, self.n))  # P^-1 y; row nz (Dirichlet) stays 0
+        # i xi (Nyquist zeroed, as in _slopes) and -xi^2
+        self._slope_mult = np.array([self.ixi, -self._xi2])
+        # the flat harmonic extension of top data 1, per xi: v_lift-hat =
+        # profile * psi-hat
+        top = np.ones(m, dtype=np.complex128)
+        profile = self._mode_solve(np.zeros((nz, m), dtype=np.complex128), top, dz2,
+                                   self._shift_inv, np.empty((nz + 1, m), dtype=np.complex128))
+        self._lift_profile = np.ascontiguousarray(profile.real)
+        # the last HISTORY solves: mean-free data and correction v - v_lift
+        # (rows 0..nz-1; row nz is the data in both), a ring of rows
+        self._hist_data = np.empty((self.HISTORY, self.n))
+        self._hist_corr = np.empty((self.HISTORY, nz * self.n))
+        self._solves = 0
         self.basis = None
-        self.warm = None
-        self.warm_lift = None
+        self._node_hat = self._node_y = None
         self.stats = None
         self.update_surface(dom)
 
     def update_surface(self, dom):
         if dom.nz != self.nz or dom.b != self.b or not dom.grid.compatible(self.dom.grid):
-            raise ValueError("workspace built for a different strip geometry")
+            raise DomainError("workspace built for a different strip geometry")
         self.dom = dom
         b = self.b
         eta = np.real(dom.eta.values)
-        etap, etapp = _slopes(dom.eta)
+        # eta' and eta'' from one rfft on the workspace's xi lattice
+        etap, etapp = np.fft.irfft(self._slope_mult * np.fft.rfft(eta), n=self.n, axis=1)
         self.etap = etap
         J = 1.0 + eta / b  # dy/dz, independent of z
         self.J = J
@@ -322,24 +353,17 @@ class _StripWorkspace:
         self._node_inv = np.repeat(inv * self._to_rfft, 2, axis=-1)
         self._weights = weights  # (m, n)
         self._high_factor = a0 / a
-        self._node_hat = np.empty((len(inv), self.n // 2 + 1), dtype=np.complex128)
-        self._node_y = np.empty((len(inv), self.n))
-
-    def flat_solve_half(self, rhs, top):
-        """Solve (d_zz - xi^2) v = rhs per mode, v_z(-b)=0 ghost, v(0)=top.
-
-        rhs (nz, n//2+1) and top (n//2+1,) are rfft half spectra; rhs is
-        overwritten, and v (nz+1, n//2+1) is returned.
-        """
-        v = np.empty((self.nz + 1, rhs.shape[1]), dtype=np.complex128)
-        return self._mode_solve(rhs, top, self.dz ** 2, self._shift_inv, v)
+        if self._node_hat is None or len(self._node_hat) != len(inv):
+            self._node_hat = np.empty((len(inv), self.nh), dtype=np.complex128)
+            self._node_y = np.empty((len(inv), self.n))
 
     def _mode_solve(self, rhs, top, top_div, inv, out):
-        """The flat solve of flat_solve_half for the rhs c * rhs, c a factor
-        per xi column, into out (nz+1, n//2+1): inv = c / (lam - xi^2) and
-        top_div = c dz^2.  The real z-factors act on the real and
-        imaginary parts at once through a float view, the mode coefficients
-        in precondition's scratch."""
+        """The flat solve (d_zz - xi^2) v = c * rhs per mode, v_z(-b) = 0
+        (ghost), v(0) = top, c a factor per xi column, into out
+        (nz+1, n//2+1): inv = c / (lam - xi^2) and top_div = c dz^2.  rhs
+        (nz, n//2+1) and top are rfft half spectra; rhs is overwritten.  The
+        real z-factors act on the real and imaginary parts at once through a
+        float view, the mode coefficients in precondition's scratch."""
         nz = self.nz
         rhs[nz - 1] -= top / top_div
         w = self._pc_modes.view(np.float64)
@@ -438,11 +462,35 @@ class _StripWorkspace:
 
     def flat_symbol(self):
         """The discrete flat-surface DN multiplier of the strip scheme, in
-        FFT order: v_z at the top of the flat solve with top data 1."""
-        nh = self.nh
-        v = self.flat_solve_half(np.zeros((self.nz, nh), dtype=np.complex128),
-                                 np.ones(nh, dtype=np.complex128))
-        return np.real(self.v_z_top(v))[np.abs(self.dom.grid.axis_wavenumbers())]
+        FFT order: v_z at the top of the flat lift's profile."""
+        return self.v_z_top(self._lift_profile)[np.abs(self.dom.grid.axis_wavenumbers())]
+
+    def lift(self, psi_half):
+        """The flat harmonic extension v_lift (nz+1, n), real and physical,
+        of the Dirichlet data with rfft half spectrum psi_half."""
+        return np.fft.irfft(self._lift_profile * psi_half, n=self.n, axis=1)
+
+    def history_start(self, data, v_lift):
+        """The start v_lift + sum_k alpha_k c_k of a solve with mean-free
+        physical data, from the stored solves (data_k, correction c_k):
+        alpha is the least-squares fit of data by the data_k (Fischer 1998,
+        in data space, so it takes no operator apply).  v_lift itself while
+        the history is empty."""
+        k = min(self._solves, self.HISTORY)
+        if k == 0:
+            return v_lift
+        alpha = np.linalg.lstsq(self._hist_data[:k].T, data, rcond=None)[0]
+        v = v_lift.copy()
+        v[:self.nz] += (alpha @ self._hist_corr[:k]).reshape(self.nz, self.n)
+        return v
+
+    def remember(self, data, v, v_lift):
+        """Store a solve's mean-free data and correction v - v_lift, in
+        place of the oldest once HISTORY are held."""
+        i = self._solves % self.HISTORY
+        self._hist_data[i] = data
+        np.subtract(v[:self.nz], v_lift[:self.nz], out=self._hist_corr[i].reshape(self.nz, self.n))
+        self._solves += 1
 
     def v_z_top(self, v):
         """Third-order one-sided v_z at z = 0."""
@@ -494,28 +542,24 @@ def _strip_solve(ws, psi, tol):
 
     A constant solves the strip equations exactly and has no flux, so the
     stages solve for psi minus its mean (the zero mode of psi_half), and the
-    mean is added back to v; the warm start stays mean-free.  The start is
-    the flat harmonic extension v_lift of the data plus, after an earlier
-    solve on the workspace, that solve's correction warm - warm_lift.
+    mean is added back to v; the history stays mean-free.  The start is the
+    flat harmonic extension v_lift of the data plus the combination of the
+    workspace's stored corrections whose data best fit this data
+    (ws.history_start); the solve then joins the history.
     """
-    nz = ws.nz
     psi_half = np.fft.rfft(psi)
     mean = psi_half[0].real / ws.n
     psi_half[0] = 0.0
-    zeros = np.zeros((nz, len(psi_half)), dtype=np.complex128)
-    v_lift = np.fft.irfft(ws.flat_solve_half(zeros, psi_half), n=ws.n, axis=1)
-    v = v_lift
-    if ws.warm is not None and ws.warm.shape == v.shape:
-        v = ws.warm - ws.warm_lift
-        v += v_lift
-        v[nz] = v_lift[nz]  # the current Dirichlet data, exactly
+    data = psi - mean
+    v_lift = ws.lift(psi_half)
+    v = ws.history_start(data, v_lift)
 
     converged = False
     if len(ws.nodes) == 1:
         scale = max(float(np.max(np.abs(v))), 1e-300)
         prev_delta = None
         if v is v_lift:
-            v = v_lift.copy()  # v_lift stays the warm start's reference
+            v = v_lift.copy()  # v_lift stays the correction's reference
         v_new = np.empty_like(v)  # the sweeps write into v_new and v in turn
         for it in range(50):
             delta = ws.fixed_point_sweep(v, psi_half, v_new) / scale
@@ -528,7 +572,7 @@ def _strip_solve(ws, psi, tol):
 
     if not converged:
         v = _krylov_solve(ws, v_lift, v, tol)
-    ws.warm, ws.warm_lift = v, v_lift
+    ws.remember(data, v, v_lift)
     return ws.flux(v), v + mean
 
 
@@ -537,7 +581,8 @@ def _krylov_solve(ws, v_lift, v0, tol):
 
     v = v0 + P^-1 y with L P^-1 y = -L v0, where v0 carries the Dirichlet
     data and P^-1 y does not; v0 is the given start or the flat lift
-    v_lift, whichever has the smaller strip residual.  The GMRES residual is
+    v_lift, whichever has the smaller strip residual, and the ratio of the
+    two residuals goes to ws.stats.start_residual.  The GMRES residual is
     the strip residual itself, in strip_op's unitary coordinates (their
     float view): it stops at ||L v||_2 <= tol ||L v_lift||_2,
     and the ratio it recomputes at exit goes to ws.stats.residual.  The
@@ -547,10 +592,14 @@ def _krylov_solve(ws, v_lift, v0, tol):
     """
     nz = ws.nz
     r_lift = ws.strip_op(v_lift, flat=False)
-    r0 = ws.strip_op(v0)
     lift_norm = np.linalg.norm(r_lift)
-    if lift_norm <= np.linalg.norm(r0):
-        v0, r0 = v_lift, r_lift
+    r0 = ws.strip_op(v0) if v0 is not v_lift else r_lift
+    start_norm = np.linalg.norm(r0)
+    if lift_norm <= start_norm:
+        v0, r0, start = v_lift, r_lift, 1.0
+    else:
+        start = float(start_norm / lift_norm)
+    ws.stats.start_residual = max(start, ws.stats.start_residual or 0.0)
     if ws.basis is None:
         ws.basis = np.empty((RESTART + 1, 2 * nz * ws.nh))
     iters = ws.stats.krylov_iters
@@ -569,19 +618,47 @@ def _gmres(apply, b, atol, basis, stats):
     """Restarted GMRES(RESTART) for A x = b from x = 0 (Saad 2003, ch. 6).
 
     apply(u, out) writes A u into out; basis is the (RESTART + 1, len(b))
-    Arnoldi basis, whose row 0 also holds the residual.  Each Arnoldi step
-    orthogonalizes by classical Gram-Schmidt with one reorthogonalization
-    (two matrix-vector products against the basis per pass), updates the
-    residual norm by a Givens rotation and adds one to stats.krylov_iters.
-    The residual b - A x is recomputed at every restart and at exit.
-    Returns x and ||b - A x||_2 once that is at most atol; raises
-    EllipticSolveError when MAXITER steps do not get there.
+    Arnoldi basis, whose row 0 also holds the residual.  The Arnoldi steps
+    orthogonalize by classical Gram-Schmidt with delayed reorthogonalization
+    (DCGS2; Bielich et al., Parallel Comput. 112, 2022), two reads of the
+    basis per step.  Step j applies A to u_j, basis row j after one
+    Gram-Schmidt pass, takes one block product [Q_j, u_j]^T [u_j, A u_j]
+    (Q_j the final rows q_0..q_{j-1}, s = Q_j^T u_j, and the norm nu of
+    u_j - Q_j s by Pythagoras) and one block update by [Q_j, u_j].  They
+    reorthogonalize u_j into q_j, which finishes Hessenberg column j - 1,
+    and give the first pass of A q_j = (A u_j - A Q_j s) / nu into u_{j+1}:
+    A Q_j s lies in the span of q_0..q_j.  The stop test is column j's
+    Givens-rotated residual with the first pass's values; once it passes,
+    or the cycle or MAXITER ends, u_{j+1} is reorthogonalized without an
+    apply.  Each step adds one to stats.krylov_iters.  The residual b - A x
+    is recomputed at every restart and at exit.  Returns x and
+    ||b - A x||_2 once that is at most atol; raises EllipticSolveError when
+    MAXITER steps do not get there, or when nu^2 comes out nonpositive (u_j
+    in the span of Q_j: the basis lost orthogonality).
     """
     x = np.zeros_like(b)
-    tmp = np.empty_like(b)
-    H = np.zeros((RESTART + 1, RESTART))
-    rot = np.zeros((RESTART, 2))  # (cos, sin) of each step's rotation
-    g = np.zeros(RESTART + 1)
+    tmp = np.empty((2, len(b)))
+    hess = np.zeros((RESTART + 1, RESTART))  # Arnoldi's Hessenberg matrix
+    R = np.zeros((RESTART, RESTART))  # its Givens-rotated, triangular form
+    omega = np.empty((RESTART + 1, RESTART + 1))  # the product of the rotations
+    coef = np.empty((RESTART + 1, 2))  # of the block update
+
+    def finish(j, s, nu):
+        """Hessenberg column j gets the reorthogonalization s of u_{j+1}
+        and the norm nu of its result; it is rotated into R, and its
+        rotation into omega."""
+        hess[:j + 1, j] += s
+        hess[j + 1, j] = nu
+        c = omega[:j + 1, :j + 1] @ hess[:j + 1, j]
+        rho = math.hypot(c[j], nu)
+        cs, sn = c[j] / rho, nu / rho
+        R[:j, j], R[j, j] = c[:j], rho
+        top = omega[j, :j + 1].copy()  # row j + 1 of omega is e_{j+1} so far
+        np.multiply(cs, top, out=omega[j, :j + 1])
+        omega[j, j + 1] = sn
+        np.multiply(-sn, top, out=omega[j + 1, :j + 1])
+        omega[j + 1, j + 1] = cs
+
     r = basis[0]
     r[:] = b
     steps = 0
@@ -592,35 +669,48 @@ def _gmres(apply, b, atol, basis, stats):
         if steps >= MAXITER:
             raise EllipticSolveError(
                 f"GMRES did not converge in {MAXITER} iterations: residual {beta:.3e} > {atol:.3e}")
-        r /= beta
-        g[:] = 0.0
-        g[0] = beta
+        r *= 1.0 / beta
+        omega[:] = np.eye(RESTART + 1)
         for j in range(RESTART):
-            V, w = basis[:j + 1], basis[j + 1]
-            apply(basis[j], w)
-            H[:j + 1, j] = 0.0
-            for _ in range(2):
-                c = V @ w
-                w -= np.matmul(c, V, out=tmp)
-                H[:j + 1, j] += c
-            H[j + 1, j] = np.linalg.norm(w)
-            if H[j + 1, j] > 0.0:
-                w /= H[j + 1, j]
-            for i in range(j):  # the earlier rotations
-                cs, sn = rot[i]
-                hi, hn = H[i, j], H[i + 1, j]
-                H[i, j], H[i + 1, j] = cs * hi + sn * hn, cs * hn - sn * hi
-            rho = math.hypot(H[j, j], H[j + 1, j])
-            rot[j] = H[j, j] / rho, H[j + 1, j] / rho
-            H[j, j], H[j + 1, j] = rho, 0.0
-            g[j + 1] = -rot[j, 1] * g[j]
-            g[j] *= rot[j, 0]
+            u, w = basis[j], basis[j + 1]
+            apply(u, w)
+            if j == 0:  # q_0 = r / beta is final
+                c = float(u @ w)
+                w -= np.multiply(c, u, out=tmp[0])
+                hess[0, 0] = c
+            else:
+                P = basis[:j + 1] @ basis[j:j + 2].T  # (j + 1, 2)
+                s, z = P[:j, 0], P[:j, 1]
+                nu2 = P[j, 0] - s @ s  # ||u_j - Q_j s||^2
+                if nu2 <= 0.0:
+                    raise EllipticSolveError(f"Arnoldi step {steps} lost orthogonality")
+                nu = math.sqrt(nu2)
+                cj = (P[j, 1] - s @ z) / nu  # q_j . A u_j
+                # nu q_j = u_j - Q_j s and nu A q_j = A u_j - Q_j z - cj q_j
+                # modulo the span of q_0..q_j, in one read of [Q_j, u_j]
+                coef[:j, 0], coef[j, 0] = s, 0.0
+                coef[:j, 1], coef[j, 1] = z - (cj / nu) * s, cj / nu
+                np.matmul(coef[:j + 1].T, basis[:j + 1], out=tmp)
+                u -= tmp[0]
+                u *= 1.0 / nu  # q_j
+                w -= tmp[1]
+                w *= 1.0 / nu
+                finish(j - 1, s, nu)
+                hess[:j, j] = (z - hess[:j, :j] @ s) / nu
+                hess[j, j] = (cj - nu * s[j - 1]) / nu  # hess[j, :j] is nu e_{j-1}
+            sub = float(np.linalg.norm(w))
+            d = float(omega[j, :j + 1] @ hess[:j + 1, j])
             steps += 1
             stats.krylov_iters += 1
-            if abs(g[j + 1]) <= atol or steps == MAXITER:
+            if (beta * abs(omega[j, 0]) * sub <= atol * math.hypot(d, sub)
+                    or steps == MAXITER or j == RESTART - 1):
+                s = basis[:j + 1] @ w
+                w -= np.matmul(s, basis[:j + 1], out=tmp[0])
+                finish(j, s, float(np.linalg.norm(w)))
                 break
         k = j + 1
-        x += np.matmul(np.linalg.solve(H[:k, :k], g[:k]), basis[:k], out=tmp)
+        y = np.linalg.solve(R[:k, :k], beta * omega[:k, 0])
+        x += np.matmul(y, basis[:k], out=tmp[0])
         apply(x, r)
         np.subtract(b, r, out=r)
 

@@ -210,7 +210,8 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=Tr
     final states and the fixed-point and Krylov iteration totals of the
     zcs_rhs DN solves.  The DN solves run on workspace, a dno strip
     workspace for the state's geometry (a new one when None), which g0 is
-    also read from; it leaves there the warm start of the last solve.
+    also read from; it leaves there the history of its last solves, which
+    later solves on it start from.
     """
     grid = state0.grid
     p = state0.params
@@ -328,7 +329,8 @@ def symmetrized_u(state, part=None, workspace=None):
     """u = P_p eta - i P_q omega (dyadic paradifferential), the unknown of
     Alazard, Burq & Zuily that solves d_t u = i T_gamma u + lower order, with
     gamma = (1+eta'^2)^{-3/4} |xi|^{3/2}.  The DN solve of omega runs on
-    workspace, as the experiments pass integrate's, warm from its last solve."""
+    workspace, as the experiments pass integrate's, started from the span of
+    its last solves."""
     if part is None:
         part = make_dyadic_partition(state.grid)
     syms = symmetrizer_symbols(state.eta, state.params.kappa)

@@ -270,8 +270,7 @@ def test_strip_op_is_the_written_out_strip_operator():
     scale = max(np.max(np.abs(t)) for t in terms)
     assert np.max(np.abs(_physical(ws, ws.strip_op(v)) - sum(terms))) <= 1e-14 * scale
     psi_half = np.fft.rfft(np.real(random_field(g, seed=2, decay=3.0, real=True).values))
-    lift_half = ws.flat_solve_half(np.zeros((nz, len(psi_half)), dtype=complex), psi_half)
-    lift = np.fft.irfft(lift_half, n=g.n, axis=1)
+    lift = ws.lift(psi_half)
     scale = max(np.max(np.abs(t)) for t in _strip_equation_terms(dom, lift))
     flat_part = _physical(ws, ws.strip_op(lift) - ws.strip_op(lift, flat=False))
     assert np.max(np.abs(flat_part)) <= 1e-10 * scale
@@ -293,20 +292,65 @@ def test_strip_op_coordinates_are_unitary(n):
     assert np.linalg.norm(_coordinates(ws, r)) == pytest.approx(np.linalg.norm(r), rel=1e-13)
 
 
-def test_elliptic_stalled_fixed_point_solves_strip_equations():
+def _basis_orthogonality(basis, u, errors):
+    """When u is Arnoldi row j of basis, append max |Q Q^T - I| over the
+    rows 0..j-1, which are final when step j applies the operator."""
+    if np.shares_memory(u, basis):
+        j = (u.__array_interface__["data"][0] - basis.__array_interface__["data"][0]) // basis.strides[0]
+        Q = basis[:j]
+        errors.append(float(np.max(np.abs(Q @ Q.T - np.eye(j)))) if j else 0.0)
+
+
+def test_elliptic_stalled_fixed_point_solves_strip_equations(monkeypatch):
     # the slope-0.5 ramp of the smoothing experiment: a = 1/J^2 varies 9x, so
     # the fixed point is skipped and the Krylov stage (three preconditioner
-    # nodes) delivers the answer, checked against the equations themselves
+    # nodes) delivers the answer, checked against the equations themselves;
+    # its Arnoldi basis stays orthonormal
     g = Grid(256, 64.0)
     dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 64)
     psi = random_field(g, seed=2, decay=3.0, real=True)
     ws = dno._StripWorkspace(dom)
+    errors, krylov_op = [], ws.krylov_op
+
+    def recording(y, out):
+        _basis_orthogonality(ws.basis, y, errors)
+        krylov_op(y, out)
+
+    monkeypatch.setattr(ws, "krylov_op", recording)
     G, v = dn_elliptic(dom, psi, return_solution=True, workspace=ws)
     assert ws.stats.nodes == 3
     assert ws.stats.fixed_point_iters == 0 and ws.stats.krylov_iters > 0
     assert np.isrealobj(v) and v.shape == (65, g.n)
     assert np.max(np.abs(v[-1] - np.real(psi.values))) < 1e-12
     assert _strip_equation_residual(dom, v) <= 1e-8
+    assert len(errors) == ws.stats.krylov_iters and max(errors) <= 1e-12
+
+
+def test_elliptic_starts_from_the_span_of_recent_solves():
+    # G is linear and the surface is the same: the solve of 0.3 psi1 - 2 psi2
+    # after those of psi1 and psi2 starts at their combination, which the
+    # data-space fit recovers, and the Krylov stage has next to nothing to do
+    g = Grid(256, 64.0)
+    dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 64)
+    ws = dno._StripWorkspace(dom)
+    psi1 = random_field(g, seed=2, decay=3.0, real=True)
+    psi2 = random_field(g, seed=5, decay=3.0, real=True)
+    dn_elliptic(dom, psi1, workspace=ws)
+    assert ws.stats.start_residual == 1.0  # an empty history: the flat lift
+    dn_elliptic(dom, psi2, workspace=ws)
+    G, v = dn_elliptic(dom, Field(g, 0.3 * psi1.values - 2.0 * psi2.values), workspace=ws,
+                       return_solution=True)
+    assert ws.stats.start_residual <= 1e-8
+    assert ws.stats.krylov_iters <= 2
+    assert _strip_equation_residual(dom, v) <= 1e-8
+
+
+def test_workspace_of_another_strip_geometry_is_rejected():
+    g = Grid(256, 64.0)
+    ws = dno._StripWorkspace(FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 32))
+    dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 64)
+    with pytest.raises(DomainError, match="different strip geometry"):
+        dn_elliptic(dom, random_field(g, seed=2, decay=3.0, real=True), workspace=ws)
 
 
 def test_elliptic_slope_one_and_a_half_ramp():
@@ -323,13 +367,16 @@ def test_elliptic_slope_one_and_a_half_ramp():
     assert ws.stats.residual <= 1e-10  # the default tol
 
 
-def _gmres_on(A, b, atol, stats, steps):
+def _gmres_on(A, b, atol, stats, steps, errors=None):
     """dno._gmres on the matrix A; steps records, per product, whether it
-    multiplied a basis vector (an Arnoldi step) or the iterate."""
+    multiplied a basis vector (an Arnoldi step) or the iterate, and errors,
+    when given, the orthogonality of the final basis rows at each step."""
     basis = np.empty((dno.RESTART + 1, len(b)))
 
     def apply(u, out):
         steps.append(np.shares_memory(u, basis))
+        if errors is not None:
+            _basis_orthogonality(basis, u, errors)
         np.matmul(A, u, out=out)
 
     return dno._gmres(apply, b, atol, basis, stats)
@@ -350,16 +397,18 @@ def test_gmres_small_nonsymmetric_system():
 
 def test_gmres_restarts():
     # eigenvalues 1..100: more than RESTART steps to reach 1e-12; the
-    # residual is recomputed once per cycle, at its restart or at exit
+    # residual is recomputed once per cycle, at its restart or at exit, and
+    # the Arnoldi basis stays orthonormal
     rng = np.random.default_rng(1)
     n = 200
     A = np.diag(np.linspace(1.0, 100.0, n)) + np.diag(np.full(n - 1, 0.5), 1)
     b = rng.standard_normal(n)
-    stats, steps = dno.StripSolveStats(nodes=0), []
-    x, res = _gmres_on(A, b, 1e-12 * np.linalg.norm(b), stats, steps)
+    stats, steps, errors = dno.StripSolveStats(nodes=0), [], []
+    x, res = _gmres_on(A, b, 1e-12 * np.linalg.norm(b), stats, steps, errors)
     exact = np.linalg.solve(A, b)
     assert stats.krylov_iters == sum(steps) and dno.RESTART < sum(steps) < dno.MAXITER
     assert len(steps) - sum(steps) == -(-sum(steps) // dno.RESTART)
+    assert len(errors) == sum(steps) and max(errors) <= 1e-12
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
     assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
 
