@@ -62,10 +62,13 @@ __all__ = [
     "StripSolveStats",
     "discrete_flat_symbol",
     "b_v_fields",
+    "TOL",
     "RESTART",
     "MAXITER",
 ]
 
+# Relative tolerance of both stages (see dn_elliptic).
+TOL = 1e-10
 # GMRES of the Krylov stage: Arnoldi steps per restart cycle, and in all.
 RESTART = 50
 MAXITER = 400
@@ -132,8 +135,9 @@ class StripSolveStats:
     complex psi); the fixed point runs only when nodes is 1, and before the
     Krylov stage.  nodes is m, the node count of the frozen-depth
     preconditioner of the surface.  residual is the Krylov stage's final
-    strip residual ||L v||_2 / ||L v_lift||_2, recomputed at its exit (the
-    largest over the real solves); None when that stage did not run.
+    strip residual ||L v||_2 / ||L v_lift||_2, recomputed at its exit and so
+    at most TOL (the largest over the real solves); None when that stage did
+    not run.
     start_residual is that stage's start residual over the flat lift's,
     1.0 when the lift is the start (the largest over the real solves); None
     when that stage did not run.
@@ -503,7 +507,7 @@ class _StripWorkspace:
         return (1.0 + self.etap ** 2) / self.J * self.v_z_top(v) - self.etap * v_x_top
 
 
-def dn_elliptic(dom, psi, tol=1e-10, workspace=None, return_solution=False):
+def dn_elliptic(dom, psi, workspace=None):
     """G(eta) psi via the flattened variable-coefficient strip problem.
 
     Two stages.  On a surface whose a = 1/J^2 varies by at most 3x (one
@@ -516,28 +520,24 @@ def dn_elliptic(dom, psi, tol=1e-10, workspace=None, return_solution=False):
     stats record what ran.  Raises EllipticSolveError if neither stage
     converges.
 
-    tol bounds, for the fixed point, its max-norm update relative to
+    TOL bounds, for the fixed point, its max-norm update relative to
     max |v| of that mean-free solve (G ignores the mean of psi); for the
     Krylov stage, the L2 residual of the flattened strip equations relative
     to that of the flat harmonic extension.  The fixed point's test is on the
     flat-preconditioned problem, so the strip residual of its answer can be
-    larger than tol.
+    larger than TOL.  _strip_solve returns the strip solution v with the flux.
     """
     ws = workspace if workspace is not None else _StripWorkspace(dom)
     if workspace is not None:
         ws.update_surface(dom)
     ws.stats = StripSolveStats(nodes=len(ws.nodes))
-    flux, v = _strip_solve(ws, np.real(psi.values), tol)
+    flux, _ = _strip_solve(ws, np.real(psi.values))
     if not psi.is_real(1e-12):
-        flux_im, v_im = _strip_solve(ws, np.imag(psi.values), tol)
-        flux, v = flux + 1j * flux_im, v + 1j * v_im
-    out = Field(dom.grid, flux)
-    if return_solution:
-        return out, v
-    return out
+        flux = flux + 1j * _strip_solve(ws, np.imag(psi.values))[0]
+    return Field(dom.grid, flux)
 
 
-def _strip_solve(ws, psi, tol):
+def _strip_solve(ws, psi):
     """Real strip solve for real Dirichlet data psi: (surface flux, v).
 
     A constant solves the strip equations exactly and has no flux, so the
@@ -565,18 +565,18 @@ def _strip_solve(ws, psi, tol):
             delta = ws.fixed_point_sweep(v, psi_half, v_new) / scale
             ws.stats.fixed_point_iters += 1
             v, v_new = v_new, v
-            converged = delta < tol
+            converged = delta < TOL
             if converged or (prev_delta is not None and delta > 0.9 * prev_delta and it >= 4):
                 break  # done, or stalling: switch to GMRES
             prev_delta = delta
 
     if not converged:
-        v = _krylov_solve(ws, v_lift, v, tol)
+        v = _krylov_solve(ws, v_lift, v)
     ws.remember(data, v, v_lift)
     return ws.flux(v), v + mean
 
 
-def _krylov_solve(ws, v_lift, v0, tol):
+def _krylov_solve(ws, v_lift, v0):
     """Right-preconditioned GMRES (_gmres) on the strip equations L v = 0.
 
     v = v0 + P^-1 y with L P^-1 y = -L v0, where v0 carries the Dirichlet
@@ -584,7 +584,7 @@ def _krylov_solve(ws, v_lift, v0, tol):
     v_lift, whichever has the smaller strip residual, and the ratio of the
     two residuals goes to ws.stats.start_residual.  The GMRES residual is
     the strip residual itself, in strip_op's unitary coordinates (their
-    float view): it stops at ||L v||_2 <= tol ||L v_lift||_2,
+    float view): it stops at ||L v||_2 <= TOL ||L v_lift||_2,
     and the ratio it recomputes at exit goes to ws.stats.residual.  The
     operator is ws.krylov_op and the Arnoldi basis ws.basis, so the
     iterations run in the workspace's buffers.  The flat Laplacian L0
@@ -604,7 +604,7 @@ def _krylov_solve(ws, v_lift, v0, tol):
         ws.basis = np.empty((RESTART + 1, 2 * nz * ws.nh))
     iters = ws.stats.krylov_iters
     b = np.negative(r0.view(np.float64)).ravel()
-    _, res = _gmres(ws.krylov_op, b, tol * lift_norm, ws.basis, ws.stats)
+    _, res = _gmres(ws.krylov_op, b, TOL * lift_norm, ws.basis, ws.stats)
     residual = float(res / lift_norm) if res > 0 else 0.0
     ws.stats.residual = max(residual, ws.stats.residual or 0.0)
     v = v0.copy()

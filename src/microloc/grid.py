@@ -137,36 +137,24 @@ def spectrum(f):
     return f.grid.spacing * _phase(f.grid) * np.fft.fft(f.values)
 
 
-def _evaluate_multiplier(grid, m):
+def multiplier_apply(f, m):
+    """Apply the Fourier multiplier m(xi): inverse(m * forward(f)).
+
+    m is called with the FFT-ordered frequency array.  The Nyquist bin keeps
+    only the even part of m, (m(-xi_N) + m(xi_N)) / 2: the lattice carries a
+    single bin for +-xi_N, so an odd component would alias asymmetrically.
+    The boundary-offset phases cancel for diagonal multipliers, so this is a
+    plain fft/ifft sandwich.  A multiplier that is not finite on the lattice
+    raises MultiplierError.
+    """
+    grid = f.grid
     xi = grid.axis_frequencies()
     vals = np.asarray(m(xi), dtype=np.complex128)
     vals = np.broadcast_to(vals, (grid.n,)).copy()
-
-    # The Nyquist bin keeps only the even part of m: the lattice carries a
-    # single bin for +-xi_N, so any odd component would alias asymmetrically.
     x_nyq = xi[grid.n // 2]  # k = -n/2
     vals[grid.n // 2] = 0.5 * (np.complex128(m(np.array(x_nyq))) + np.complex128(m(np.array(-x_nyq))))
-
     if not np.all(np.isfinite(vals)):
         raise MultiplierError("multiplier is not finite on the dual lattice")
-    return vals
-
-
-def multiplier_apply(f, m, nyquist_even=True):
-    """Apply the Fourier multiplier m(xi): inverse(m * forward(f)).
-
-    m is called with the FFT-ordered frequency array.  The boundary-offset
-    phases cancel for diagonal multipliers, so this is a plain fft/ifft
-    sandwich.
-    """
-    grid = f.grid
-    if nyquist_even:
-        vals = _evaluate_multiplier(grid, m)
-    else:
-        vals = np.asarray(m(grid.axis_frequencies()), dtype=np.complex128)
-        vals = np.broadcast_to(vals, (grid.n,))
-        if not np.all(np.isfinite(vals)):
-            raise MultiplierError("multiplier is not finite on the dual lattice")
     out = np.fft.ifft(vals * np.fft.fft(f.values))
     return Field(grid, out)
 

@@ -146,10 +146,9 @@ def scaled_singularity_witness(grid, x0, xi0, delta, rho, h_list, mu=0.0, amplit
     return Field(grid, vals), tracks
 
 
-def near_delta_field(grid, width=None):
+def near_delta_field(grid):
     """Mass-one Gaussian at 0 of width 2dx: the lattice surrogate of a delta."""
-    if width is None:
-        width = 2.0 * grid.spacing
+    width = 2.0 * grid.spacing
     x = grid.axis_points()
     vals = np.exp(-(x ** 2) / (2.0 * width ** 2)) / (math.sqrt(2.0 * math.pi) * width)
     return Field(grid, vals.astype(np.complex128))

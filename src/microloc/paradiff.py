@@ -55,27 +55,25 @@ def _lp_blocks(xi):
             for k, psi in enumerate(dyadic_pieces(r, J)) if np.any(psi)]
 
 
-def paradiff_apply(a, u, x_window=None):
+def paradiff_apply(a, u):
     """Apply the paradifferential operator T_a to u.
 
     a may be a Symbol (applied term by term, one FFT product per dyadic
     block), a Field/array of x-samples (purely x-dependent symbol, e.g.
     T_B), or a callable a(x, eta), whose frequency columns are low-passed
     in x one by one (a dense n x n path, the oracle of the Symbol path).
-    x_window, when given, multiplies the symbol by a spatial window (used
-    by P_a).
     """
-    return _paradiff_apply(a, u, x_window, _lp_blocks(u.grid.axis_frequencies()))
+    return _paradiff_apply(a, u, np.ones(u.grid.n), _lp_blocks(u.grid.axis_frequencies()))
 
 
-def _paradiff_apply(a, u, x_window, blocks):
-    """paradiff_apply with the frequency blocks of u's grid (_lp_blocks)
-    given, so P_a builds them once for all its rings."""
+def _paradiff_apply(a, u, window, blocks):
+    """paradiff_apply with the symbol multiplied by the spatial window (P_a's
+    ring psi_j; ones for T_a itself) and the frequency blocks of u's grid
+    (_lp_blocks) given, so P_a builds them once for all its rings."""
     grid = u.grid
     x = grid.axis_points()
     eta = grid.axis_frequencies()
     uhat = pi_cutoff(eta) * np.fft.fft(u.values)
-    window = np.ones(grid.n) if x_window is None else x_window
     if isinstance(a, (Field, np.ndarray)):
         terms = [(a.values if isinstance(a, Field) else a, 1.0)]
     elif isinstance(a, Symbol):
@@ -102,12 +100,12 @@ def dyadic_neighbor_width(J):
     return 10 if J >= 12 else max(2, J // 2)
 
 
-def dyadic_paradiff_apply(a, u, part, width=None):
-    """P_a u = sum_j psi~_j T_{psi_j a} (psi~_j u) over the rings of `part`."""
+def dyadic_paradiff_apply(a, u, part):
+    """P_a u = sum_j psi~_j T_{psi_j a} (psi~_j u) over the rings of `part`,
+    psi~_j the sum of the dyadic_neighbor_width(J) rings on either side."""
     if not part.grid.compatible(u.grid):
         raise GridMismatchError("partition built on a different grid")
-    if width is None:
-        width = dyadic_neighbor_width(part.J)
+    width = dyadic_neighbor_width(part.J)
     blocks = _lp_blocks(u.grid.axis_frequencies())
     out = np.zeros(u.grid.n, dtype=np.complex128)
     for j, psi in enumerate(part.pieces):

@@ -202,7 +202,7 @@ def _quantize_run(a, u_fft, grid, h, delta, rho, zoom):
     return j0, acc
 
 
-def op_quantize(a, u, h, delta=0.0, rho=0.0):
+def op_quantize(a, u, h, delta, rho):
     """Apply op_h^{delta,rho}(a) to u.
 
     A Symbol takes the fast path sum_m c_m(h^delta x) m_m(h^rho xi): each

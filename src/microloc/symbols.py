@@ -80,19 +80,17 @@ def window_radii(x0, xi0):
     return 0.25 * max(abs(float(x0)), 1.0), 0.25 * abs(float(xi0))
 
 
-def window_symbol(x0, xi0, r_x=None, r_xi=None):
+def window_symbol(x0, xi0):
     """Compactly supported window elliptic at (x0, xi0), value 1 at the center.
 
-    Radii default to window_radii(x0, xi0).  Separable single-term product of
-    plateau bumps; support is exactly {|x - x0| <= r_x} x {|xi - xi0| <= r_xi}.
+    Separable single-term product of plateau bumps of the radii
+    (r_x, r_xi) = window_radii(x0, xi0); support is exactly
+    {|x - x0| <= r_x} x {|xi - xi0| <= r_xi}.  xi0 = 0, whose r_xi is 0,
+    raises ValueError.
     """
-    d_x, d_xi = window_radii(x0, xi0)
-    if r_x is None:
-        r_x = d_x
-    if r_xi is None:
-        if d_xi == 0.0:
-            raise ValueError("xi0 = 0 needs an explicit r_xi")
-        r_xi = d_xi
+    r_x, r_xi = window_radii(x0, xi0)
+    if r_xi == 0.0:
+        raise ValueError("xi0 = 0 has no probing window")
 
     def bx(x):
         return plateau_bump(_dist(x, x0) / r_x)

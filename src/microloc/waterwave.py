@@ -9,7 +9,7 @@ State is the surface pair (eta, psi) with surface tension kappa:
 stepped by integrating-factor (Lawson) RK4: the flat linear flow, whose
 capillary dispersion |xi|^{3/2} makes explicit stepping stiff, is integrated
 exactly per mode and RK4 steps only the remainder, under the step rule of
-cfl_dt; an optional exp(-eps dt |xi|^{3/2}) mollifier follows each step.
+cfl_dt; an exp(-MOLLIFY dt |xi|^{3/2}) mollifier follows each step.
 The symmetrizer symbols p and q, the good unknown omega = psi - T_B eta,
 and the symmetrized unknown u = P_p eta - i P_q omega feed the wavefront
 experiments: transport of (1/2,1)-singularities at spatial infinity, and the
@@ -56,6 +56,10 @@ __all__ = [
     "singularity_experiment_infinite",
     "singularity_experiment_smoothing",
 ]
+
+
+# Mollifier rate of integrate: each step damps mode xi by exp(-MOLLIFY dt |xi|^{3/2}).
+MOLLIFY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,7 @@ class WaveHistory:
 
 
 def cfl_dt(grid, params, eta, c=0.5):
-    """Default step of integrate: c / max(xi_N, sigma sqrt(kappa) xi_N^{3/2}).
+    """Step bound of integrate: c / max(xi_N, sigma sqrt(kappa) xi_N^{3/2}).
 
     With the flat linear flow integrated exactly, xi_N bounds what is left of
     the advection; sigma = 1 - (1 + max eta_x^2)^{-3/4} caps the capillary
@@ -192,8 +196,7 @@ def _flat_flow(g0, disp, tau):
     return flow
 
 
-def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=True,
-              workspace=None):
+def integrate(state0, T, cfl=0.5, track_invariants=True, workspace=None):
     """Integrating-factor (Lawson) RK4 on zcs_rhs with a post-step mollifier.
 
     zcs_rhs = L u + N(u): L is the flat linear flow of the solver's own
@@ -202,10 +205,11 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=Tr
     Nyquist mode zeroed), and is integrated exactly per mode; classical RK4
     steps the remainder N(u) = zcs_rhs(u) - L u in the frame that L moves
     (Hou, Lowengrub & Shelley 1994; Kassam & Trefethen 2005).  Each step costs
-    four zcs_rhs evaluations.  dt defaults to cfl_dt(grid, params, eta0, cfl).
-    After every step the exp(-eps dt |xi|^{3/2}) mollifier is applied, so the
-    total damping exp(-eps T |xi|^{3/2}) does not depend on the step count,
-    and realness is re-imposed; a non-finite state, or one above 1e6 in max
+    four zcs_rhs evaluations.  The step is T over the fewest steps no longer
+    than cfl_dt(grid, params, eta0, cfl).  After every step the
+    exp(-MOLLIFY dt |xi|^{3/2}) mollifier is applied, so the total damping
+    exp(-MOLLIFY T |xi|^{3/2}) does not depend on the step count, and
+    realness is re-imposed; a non-finite state, or one above 1e6 in max
     norm, raises BlowUpError.  Returns a WaveHistory with the initial and
     final states and the fixed-point and Krylov iteration totals of the
     zcs_rhs DN solves.  The DN solves run on workspace, a dno strip
@@ -215,8 +219,7 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=Tr
     """
     grid = state0.grid
     p = state0.params
-    if dt is None:
-        dt = cfl_dt(grid, p, state0.eta, cfl)
+    dt = cfl_dt(grid, p, state0.eta, cfl)
     nsteps = max(1, int(math.ceil(abs(T) / dt - 1e-12)))
     dt = T / nsteps
 
@@ -225,7 +228,7 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=Tr
     disp = _flat_dispersion(grid, p)
     half = _flat_flow(g0, disp, 0.5 * dt)
     absxi = np.abs(grid.axis_frequencies())
-    moll = np.exp(-eps_mollify * abs(dt) * absxi ** 1.5) if eps_mollify > 0 else None
+    moll = np.exp(-MOLLIFY * abs(dt) * absxi ** 1.5)
     rhs_evals = fp_iters = kr_iters = 0
 
     def nonlinear(eh, ph):
@@ -259,9 +262,7 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=Tr
         # u_new = E(dt) u + dt/6 (E(dt) a + 2 E(dt/2) (b + c) + d)
         ve, vp = half(eh + dt / 6.0 * ae, ph + dt / 6.0 * ap)
         ve, vp = half(ve + dt / 3.0 * (be + ce), vp + dt / 3.0 * (bp + cp))
-        eh, ph = ve + dt / 6.0 * de, vp + dt / 6.0 * dp
-        if moll is not None:
-            eh, ph = moll * eh, moll * ph
+        eh, ph = moll * (ve + dt / 6.0 * de), moll * (vp + dt / 6.0 * dp)
         eta_v, psi_v = _real_ifft(eh), _real_ifft(ph)
         if not (np.all(np.isfinite(eta_v)) and np.all(np.isfinite(psi_v))):
             raise BlowUpError("non-finite state", t=state0.t + k * dt)
@@ -274,23 +275,17 @@ def integrate(state0, T, dt=None, eps_mollify=1e-6, cfl=0.5, track_invariants=Tr
                        rhs_evals, fp_iters, kr_iters)
 
 
-def linearized_evolution(state0, T, discrete_symbol=None):
+def linearized_evolution(state0, T):
     """Exact per-mode solution of the linearization about the rest state.
 
-    eta_tt = -(g + kappa xi^2) g0(xi) eta with g0 the flat DN symbol and the
-    Nyquist entry of the dispersion g, as in integrate's linear flow;
-    `discrete_symbol` (from dno.discrete_flat_symbol) makes the oracle match
-    the solver's own discrete operator, isolating the O(amplitude^2)
-    nonlinear deviation.
+    eta_tt = -(g + kappa xi^2) g0(xi) eta with g0 = |xi| tanh(b |xi|) the flat
+    DN symbol and the Nyquist entry of the dispersion g, as in integrate's
+    linear flow (_flat_flow), which takes the strip scheme's own g0 instead.
     """
     grid = state0.grid
     p = state0.params
-    if discrete_symbol is None:
-        absxi = np.abs(grid.axis_frequencies())
-        g0 = absxi * np.tanh(p.depth * absxi)
-    else:
-        g0 = discrete_symbol
-    flow = _flat_flow(g0, _flat_dispersion(grid, p), T)
+    absxi = np.abs(grid.axis_frequencies())
+    flow = _flat_flow(absxi * np.tanh(p.depth * absxi), _flat_dispersion(grid, p), T)
     eh_T, ph_T = flow(np.fft.fft(np.real(state0.eta.values)), np.fft.fft(np.real(state0.psi.values)))
     return SurfaceState(Field(grid, _real_ifft(eh_T)), Field(grid, _real_ifft(ph_T)),
                         state0.t + T, p)
@@ -299,15 +294,21 @@ def linearized_evolution(state0, T, discrete_symbol=None):
 # -- symmetrizer symbols ---------------------------------------------------------
 
 
-def symmetrizer_symbols(eta, kappa=1.0):
+def _require_unit_tension(params):
+    """The symmetrizer symbols are derived for kappa = 1: raise ConfigError
+    for any other surface tension."""
+    if params.kappa != 1.0:
+        raise ConfigError("symmetrizer symbols assume unit surface tension")
+
+
+def symmetrizer_symbols(eta):
     """Symbols p^(1/2) = (1+eta'^2)^{-1/2} |xi|^{1/2} and
-    q^(0) = (1+eta'^2)^{1/4} of the symmetrizer, the two symmetrized_u applies.
+    q^(0) = (1+eta'^2)^{1/4} of the symmetrizer at kappa = 1, the two
+    symmetrized_u applies.
 
     One-dimensional closed forms on top of lambda^(1) = |xi|, each one term
     of a Symbol, which the dyadic paradifferential applications exploit.
     """
-    if kappa != 1.0:
-        raise ConfigError("symmetrizer symbols assume unit surface tension")
     ex, _ = _slopes(eta)
     m2 = 1.0 + ex ** 2
     return {
@@ -330,10 +331,12 @@ def symmetrized_u(state, part=None, workspace=None):
     Alazard, Burq & Zuily that solves d_t u = i T_gamma u + lower order, with
     gamma = (1+eta'^2)^{-3/4} |xi|^{3/2}.  The DN solve of omega runs on
     workspace, as the experiments pass integrate's, started from the span of
-    its last solves."""
+    its last solves.  A surface tension other than 1 raises ConfigError
+    before the DN solve."""
+    _require_unit_tension(state.params)
     if part is None:
         part = make_dyadic_partition(state.grid)
-    syms = symmetrizer_symbols(state.eta, state.params.kappa)
+    syms = symmetrizer_symbols(state.eta)
     omega = good_unknown(state, workspace=workspace)
     Pp_eta = dyadic_paradiff_apply(syms["p12"], state.eta, part)
     Pq_om = dyadic_paradiff_apply(syms["q0"], omega, part)
@@ -383,10 +386,12 @@ def right_mover_state(grid, params, psi0, tracks):
 def _evolve_and_probe(state0, t0, cfl, specs, hs_use, meta):
     """Evolve state0 to t0 on one strip workspace and probe u(t0) at specs.
 
-    A box too small for the dyadic partition raises ConfigError before any
-    DN solve.  The report's meta is meta plus what both experiments record.
+    A surface tension other than 1, or a box too small for the dyadic
+    partition, raises ConfigError before any DN solve.  The report's meta is
+    meta plus what both experiments record.
     """
     grid, params = state0.grid, state0.params
+    _require_unit_tension(params)
     part = make_dyadic_partition(grid)
     ws = _StripWorkspace(state0.domain())
     hist = integrate(state0, t0, cfl=cfl, track_invariants=False, workspace=ws)

@@ -14,7 +14,7 @@ from microloc.errors import GridMismatchError, MicrolocError
 from microloc.flows import SurfaceMetric
 from microloc.grid import Field, Grid, l2_norm, multiplier_apply, spectrum
 from microloc.paradiff import paradiff_apply
-from microloc.symbols import Symbol
+from microloc.symbols import Symbol, plateau_bump
 
 
 class TaylorDivergenceError(MicrolocError):
@@ -46,6 +46,23 @@ def multiplier_symbol(m):
 
 def x_function_symbol(c):
     return Symbol([(c, lambda xi: np.ones_like(xi))])
+
+
+def lattice_multiplier_apply(f, m):
+    """ifft(m(xi) fft(f)) with m sampled as is at every FFT lattice frequency,
+    the Nyquist bin -xi_N included (multiplier_apply keeps only the even
+    part of m there)."""
+    vals = np.broadcast_to(np.asarray(m(f.grid.axis_frequencies()), dtype=np.complex128),
+                           (f.grid.n,))
+    return Field(f.grid, np.fft.ifft(vals * np.fft.fft(f.values)))
+
+
+def window_with_radii(x0, xi0, r_x, r_xi):
+    """window_symbol's plateau window at (x0, xi0), with the radii r_x and
+    r_xi in place of window_radii(x0, xi0)."""
+    return Symbol([(lambda x: plateau_bump(np.abs(x - x0) / r_x),
+                    lambda xi: plateau_bump(np.abs(xi - xi0) / r_xi))],
+                  support=((x0, r_x), (xi0, r_xi)))
 
 
 def flat_metric():
@@ -204,7 +221,7 @@ def dn_taylor(dom, psi, M=4):
             mult = absxi ** m
         else:
             mult = absxi ** (m - 1) * g0_mult
-        return multiplier_apply(f, lambda xi, mult=mult: mult, nyquist_even=False)
+        return lattice_multiplier_apply(f, lambda xi, mult=mult: mult)
 
     eta_pows = [np.ones_like(eta)]
     for m in range(1, M + 1):

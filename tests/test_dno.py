@@ -11,8 +11,9 @@ from microloc.dno import FluidDomain, b_v_fields, discrete_flat_symbol, dn_ellip
 from microloc.grid import Field, Grid, inner, l2_norm, multiplier_apply, wave_packet
 from microloc.paradiff import paradiff_apply
 from microloc.waterwave import ramp_surface
-from oracles import (SurfaceDerivatives, TaylorDivergenceError, dn_symbols, dn_taylor, random_field,
-                     rough_field_family, shape_derivative_check, surface_from_field, weighted_norm)
+from oracles import (SurfaceDerivatives, TaylorDivergenceError, dn_symbols, dn_taylor,
+                     lattice_multiplier_apply, random_field, rough_field_family,
+                     shape_derivative_check, surface_from_field, weighted_norm)
 
 
 B_DEPTH = 1.0
@@ -159,8 +160,8 @@ def test_elliptic_galilean(unit_grid):
     eta = Field(unit_grid, (0.1 * np.cos(x)).astype(complex))
     dom = FluidDomain(unit_grid, eta, B_DEPTH, 128)
     psi = Field(unit_grid, np.sin(x).astype(complex))
-    G1 = dn_elliptic(dom, psi, tol=1e-11)
-    G2 = dn_elliptic(dom, Field(unit_grid, psi.values + 1.0), tol=1e-11)
+    G1 = dn_elliptic(dom, psi)
+    G2 = dn_elliptic(dom, Field(unit_grid, psi.values + 1.0))
     assert np.max(np.abs(G1.values - G2.values)) < 1e-10
 
 
@@ -201,6 +202,20 @@ def test_elliptic_complex_plane_waves_flat(unit_grid):
         G = dn_elliptic(dom, psi)
         err = np.max(np.abs(G.values - sym[idx] * psi.values))
         assert err <= 1e-12 * max(1.0, abs(sym[idx]))
+
+
+def _dn_and_solution(monkeypatch, dom, psi, ws):
+    """dn_elliptic(dom, psi, workspace=ws) of a real psi, and the strip
+    solution v that its _strip_solve returned."""
+    solutions, strip_solve = [], dno._strip_solve
+
+    def keeping(*args):
+        flux, v = strip_solve(*args)
+        solutions.append(v)
+        return flux, v
+
+    monkeypatch.setattr(dno, "_strip_solve", keeping)
+    return dn_elliptic(dom, psi, workspace=ws), solutions[-1]
 
 
 def _strip_equation_residual(dom, v):
@@ -317,7 +332,7 @@ def test_elliptic_stalled_fixed_point_solves_strip_equations(monkeypatch):
         krylov_op(y, out)
 
     monkeypatch.setattr(ws, "krylov_op", recording)
-    G, v = dn_elliptic(dom, psi, return_solution=True, workspace=ws)
+    G, v = _dn_and_solution(monkeypatch, dom, psi, ws)
     assert ws.stats.nodes == 3
     assert ws.stats.fixed_point_iters == 0 and ws.stats.krylov_iters > 0
     assert np.isrealobj(v) and v.shape == (65, g.n)
@@ -326,7 +341,7 @@ def test_elliptic_stalled_fixed_point_solves_strip_equations(monkeypatch):
     assert len(errors) == ws.stats.krylov_iters and max(errors) <= 1e-12
 
 
-def test_elliptic_starts_from_the_span_of_recent_solves():
+def test_elliptic_starts_from_the_span_of_recent_solves(monkeypatch):
     # G is linear and the surface is the same: the solve of 0.3 psi1 - 2 psi2
     # after those of psi1 and psi2 starts at their combination, which the
     # data-space fit recovers, and the Krylov stage has next to nothing to do
@@ -338,8 +353,7 @@ def test_elliptic_starts_from_the_span_of_recent_solves():
     dn_elliptic(dom, psi1, workspace=ws)
     assert ws.stats.start_residual == 1.0  # an empty history: the flat lift
     dn_elliptic(dom, psi2, workspace=ws)
-    G, v = dn_elliptic(dom, Field(g, 0.3 * psi1.values - 2.0 * psi2.values), workspace=ws,
-                       return_solution=True)
+    G, v = _dn_and_solution(monkeypatch, dom, Field(g, 0.3 * psi1.values - 2.0 * psi2.values), ws)
     assert ws.stats.start_residual <= 1e-8
     assert ws.stats.krylov_iters <= 2
     assert _strip_equation_residual(dom, v) <= 1e-8
@@ -353,18 +367,18 @@ def test_workspace_of_another_strip_geometry_is_rejected():
         dn_elliptic(dom, random_field(g, seed=2, decay=3.0, real=True), workspace=ws)
 
 
-def test_elliptic_slope_one_and_a_half_ramp():
+def test_elliptic_slope_one_and_a_half_ramp(monkeypatch):
     # A = 0.75, w = 0.5 at depth 1: the column runs from depth 0.25 to 1.75,
     # a varies 49x (five nodes); the Krylov stage meets the strip equations
     g = Grid(256, 64.0)
     dom = FluidDomain(g, ramp_surface(g, 0.75, 0.5), B_DEPTH, 64)
     psi = random_field(g, seed=2, decay=3.0, real=True)
     ws = dno._StripWorkspace(dom)
-    G, v = dn_elliptic(dom, psi, return_solution=True, workspace=ws)
+    G, v = _dn_and_solution(monkeypatch, dom, psi, ws)
     assert ws.stats.nodes == 5 and ws.stats.fixed_point_iters == 0
     assert _strip_equation_residual(dom, v) <= 1e-8
     assert 0 < ws.stats.krylov_iters <= 45
-    assert ws.stats.residual <= 1e-10  # the default tol
+    assert ws.stats.residual <= 1e-10  # dno.TOL
 
 
 def _gmres_on(A, b, atol, stats, steps, errors=None):
@@ -446,7 +460,7 @@ def test_krylov_operator_allocates_no_strip_array():
     assert peak < nz * g.n * 8
 
 
-def test_fixed_point_sweep_allocates_no_strip_array(unit_grid):
+def test_fixed_point_sweep_allocates_no_strip_array(unit_grid, monkeypatch):
     # after a warm-up solve that ends in the fixed point, one sweep runs in
     # the workspace's buffers: it traces less than one (nz, n) array
     nz = 64
@@ -454,7 +468,7 @@ def test_fixed_point_sweep_allocates_no_strip_array(unit_grid):
     dom = FluidDomain(unit_grid, Field(unit_grid, (0.1 * np.cos(x)).astype(complex)), B_DEPTH, nz)
     ws = dno._StripWorkspace(dom)
     psi = random_field(unit_grid, seed=2, decay=3.0, real=True)
-    _, v = dn_elliptic(dom, psi, workspace=ws, return_solution=True)
+    _, v = _dn_and_solution(monkeypatch, dom, psi, ws)
     assert ws.stats.fixed_point_iters > 0 and ws.stats.krylov_iters == 0
     psi_half = np.fft.rfft(np.real(psi.values))
     psi_half[0] = 0.0  # the stages solve for psi minus its mean
@@ -517,7 +531,7 @@ def test_krylov_solve_reuses_the_last_preconditioner_apply(monkeypatch):
     for name in calls:
         monkeypatch.setattr(ws, name, counting(name))
     psi = random_field(ws.dom.grid, seed=2, decay=3.0, real=True)
-    _, v = dn_elliptic(ws.dom, psi, workspace=ws, return_solution=True)
+    _, v = _dn_and_solution(monkeypatch, ws.dom, psi, ws)
     assert ws.stats.krylov_iters > 0
     assert calls["precondition"] == calls["krylov_op"] > ws.stats.krylov_iters
     assert _strip_equation_residual(ws.dom, v) <= 1e-8
@@ -720,8 +734,7 @@ def test_high_frequency_paralinearization_structure():
     g = Grid(1024, 4 * np.pi)
     fam = rough_field_family(2.0, g.length, seed=7, n_max=1024)
     eta_r = fam(1024)
-    lp = multiplier_apply(eta_r, lambda xi: np.exp(-((xi / (g.nyquist / 3)) ** 8)),
-                          nyquist_even=False)
+    lp = lattice_multiplier_apply(eta_r, lambda xi: np.exp(-((xi / (g.nyquist / 3)) ** 8)))
     prof = np.real(lp.values)
     eta = Field(g, (0.1 * prof / np.max(np.abs(prof))).astype(complex))
     surf = surface_from_field(eta)
@@ -741,7 +754,7 @@ def test_high_frequency_paralinearization_structure():
         good = Field(g, psi.values - paradiff_apply(B, eta).values)
         Tlam = paradiff_apply(lam_sym, good)
         TV = paradiff_apply(V, Field(g, etax.astype(complex)))
-        corr = multiplier_apply(psi, lambda xi, defect=defect: defect, nyquist_even=False)
+        corr = lattice_multiplier_apply(psi, lambda xi, defect=defect: defect)
         r = Field(g, Gp.values - (Tlam.values - TV.values) - corr.values)
         errs.append(l2_norm(r) / weighted_norm(psi, 1.0, 0.0))
     slope = np.polyfit(np.log(ks), np.log(errs), 1)[0]

@@ -8,12 +8,14 @@ import pytest
 from microloc.errors import ConfigError, MultiplierError
 from microloc.grid import Field, Grid, l2_norm, multiplier_apply, wave_packet
 from microloc.model_eq import (
+    PacketTrack,
     geometric_h_grid,
-    near_delta_field,
+    group_shift,
     pick_controls,
     propagate_fractional,
     scaled_singularity_witness,
     smoothing_experiment,
+    track_clean,
     transport_experiment,
 )
 from oracles import gaussian_free_evolution, random_field
@@ -64,11 +66,58 @@ def test_propagate_equals_multiplier_apply(grid, gamma):
         propagate_fractional(u, np.inf, gamma)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("xi0", [2.0, -2.0])
+def test_packet_centroid_moves_by_group_shift(gamma, xi0):
+    # u_t + i |D|^gamma u = 0 moves a packet at xi0 along its ray, by
+    # +group_shift(xi0, t, gamma): right for xi0 > 0, left for xi0 < 0.  The
+    # |u|^2 centroid moves by the packet's mean group velocity, exactly
+    # group_shift's at gamma = 1 and 2 and 2.4e-4 of it off at gamma = 3/2
+    # (the curvature of |xi|^{3/2} over the packet's frequency spread)
+    g = Grid(4096, 400.0)
+    x = g.axis_points()
+    t = 15.0
+    u = wave_packet(g, -20.0 * np.sign(xi0), xi0, 8.0)
+
+    def centroid(f):
+        w = np.abs(f.values) ** 2
+        return np.sum(x * w) / np.sum(w)
+
+    moved = centroid(propagate_fractional(u, t, gamma)) - centroid(u)
+    shift = group_shift(xi0, t, gamma)
+    assert np.sign(shift) == np.sign(xi0)
+    assert abs(moved - shift) <= 1e-3 * abs(shift)
+
+
+def test_track_clean_is_the_scaled_window_plus_two_and_a_half_sigma():
+    # at h = 1/4 the (1/2,1) window of (4, 1), radii (1, 1/4), scales to
+    # x in [6, 10], xi in [3, 5]; a packet of width 1 (sigma_xi = 1) is
+    # clean when its distance to that box, in its own standard deviations,
+    # is at least 2.5
+    win = dict(xc=4.0, xic=1.0, delta=0.5, rho=1.0, h_grid=[0.25])
+
+    def clean(x, xi, width=1.0):
+        return track_clean(tracks=[PacketTrack(x, xi, width, 1.0)], **win)
+
+    assert not clean(8.0, 4.0)  # inside the scaled window
+    assert not clean(10.0, 4.0)  # at its edge
+    assert not clean(12.4, 4.0)  # 2.4 sigma beyond the edge in x
+    assert not clean(8.0, 6.2, width=2.0)  # 2.4 sigma_xi beyond it in xi
+    assert clean(12.5, 4.0)  # 2.5 sigma: clean
+    assert clean(13.0, 4.0)  # beyond
+    assert not clean(12.0, 6.0) and clean(12.0, 7.0)  # (2, 1) and (2, 2) sigma apart
+    assert clean(4.0, 1.0)  # the unscaled window's centre lies outside the scaled one
+    # one packet inside is enough to make the point unclean
+    tracks = [PacketTrack(13.0, 4.0, 1.0, 1.0), PacketTrack(8.0, 4.0, 1.0, 1.0)]
+    assert not track_clean(tracks=tracks, **win)
+    assert track_clean(tracks=tracks[:1], **win)
+
+
 def test_gaussian_closed_form():
     # gamma=2 at model time t/2 realizes exp(i t Delta / 2); Gaussian integral oracle
     g = Grid(16384, 400.0)
     sigma, t = 0.05, 1.0
-    u0 = near_delta_field(g, width=sigma)
+    u0 = gaussian_free_evolution(g, sigma, 0.0)  # the mass-one Gaussian of width sigma
     out = propagate_fractional(u0, 0.5 * t, 2.0)
     exact = gaussian_free_evolution(g, sigma, t)
     scale = np.max(np.abs(exact.values))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from microloc.errors import GridMismatchError
-from microloc.grid import Field, Grid, l2_norm, multiplier_apply, spectrum, wave_packet
+from microloc.grid import Field, Grid, l2_norm, spectrum, wave_packet
 from microloc import paradiff
 from microloc.paradiff import dyadic_neighbor_width, dyadic_paradiff_apply, paradiff_apply, pi_cutoff
 from microloc.quantize import make_dyadic_partition
 from microloc.symbols import Symbol, dyadic_pieces, plateau_bump, smoothstep
-from oracles import (SpectrumUnresolvedError, paralinearization_remainder, paraproduct_remainder,
-                     random_field, refinement_ratios, rough_field_family)
+from oracles import (SpectrumUnresolvedError, lattice_multiplier_apply, paralinearization_remainder,
+                     paraproduct_remainder, random_field, refinement_ratios, rough_field_family)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def test_paradiff_matches_double_sum():
 def test_constant_symbol_is_pi_cutoff(grid):
     u = random_field(grid, seed=1)
     out = paradiff_apply(Field(grid, 2.5 * np.ones(grid.n, dtype=complex)), u)
-    oracle = multiplier_apply(u, lambda xi: 2.5 * pi_cutoff(xi), nyquist_even=False)
+    oracle = lattice_multiplier_apply(u, lambda xi: 2.5 * pi_cutoff(xi))
     assert np.max(np.abs(out.values - oracle.values)) < 1e-10
 
 
@@ -105,7 +105,7 @@ def test_pure_multiplier_oracle(grid):
     m = lambda xi: np.exp(-np.abs(xi) / 3.0)
     a = Symbol([(lambda x: np.ones_like(x), m)])
     out = paradiff_apply(a, u)
-    oracle = multiplier_apply(u, lambda xi: m(xi) * pi_cutoff(xi), nyquist_even=False)
+    oracle = lattice_multiplier_apply(u, lambda xi: m(xi) * pi_cutoff(xi))
     assert np.max(np.abs(out.values - oracle.values)) < 1e-10
 
 
@@ -190,13 +190,15 @@ def test_neighbor_width_rule():
     assert dyadic_neighbor_width(4) == 2
 
 
-def test_dyadic_constant_collapses_to_cutoff(dyadic_setup):
+def test_dyadic_constant_collapses_to_cutoff(dyadic_setup, monkeypatch):
     # with full neighbor width the ring sum telescopes to the pi multiplier
     g, part = dyadic_setup
     u = wave_packet(g, 3.0, 5.0, 2.0, normalize=True)
     one = Field(g, np.ones(g.n, dtype=complex))
-    oracle = multiplier_apply(u, lambda xi: pi_cutoff(xi), nyquist_even=False)
-    full = dyadic_paradiff_apply(one, u, part, width=part.J)
+    oracle = lattice_multiplier_apply(u, lambda xi: pi_cutoff(xi))
+    with monkeypatch.context() as m:
+        m.setattr(paradiff, "dyadic_neighbor_width", lambda J: part.J)
+        full = dyadic_paradiff_apply(one, u, part)
     assert np.max(np.abs(full.values - oracle.values)) < 1e-6
     # the desk-scale default width keeps a small, reported ring leakage
     dflt = dyadic_paradiff_apply(one, u, part)
@@ -224,18 +226,20 @@ def test_dyadic_homogeneous_multiplier_bounded(dyadic_setup):
     assert worst < 10.0
 
 
-def test_dyadic_single_ring_truncated_sum(dyadic_setup):
+def test_dyadic_single_ring_truncated_sum(dyadic_setup, monkeypatch):
     # support locality: only rings within 2*width of the data contribute
     g, part = dyadic_setup
     u = wave_packet(g, 8.0, 4.0, 0.5, normalize=True)  # inside ring 3
     one = Field(g, np.ones(g.n, dtype=complex))
     w = 3
-    full = dyadic_paradiff_apply(one, u, part, width=w)
+    monkeypatch.setattr(paradiff, "dyadic_neighbor_width", lambda J: w)
+    full = dyadic_paradiff_apply(one, u, part)
+    blocks = paradiff._lp_blocks(g.axis_frequencies())
     out = np.zeros(g.n, dtype=complex)
     for j in range(max(0, 3 - 2 * w), min(part.J, 3 + 2 * w) + 1):
         psi = part.pieces[j]
         tilde = part.neighbor_sum(j, w)
-        tj = paradiff_apply(one, Field(g, tilde * u.values), x_window=psi)
+        tj = paradiff._paradiff_apply(one, Field(g, tilde * u.values), psi, blocks)
         out += tilde * tj.values
     assert np.max(np.abs(full.values - out)) == 0.0
 

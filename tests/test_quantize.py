@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from microloc.errors import ConfigError, MultiplierError
-from microloc.grid import Field, Grid, l2_norm, multiplier_apply, transform, wave_packet
+from microloc.grid import Field, Grid, l2_norm, transform, wave_packet
 from microloc.model_eq import geometric_h_grid, scaled_singularity_witness
 import microloc.quantize as quantize
 from microloc.quantize import (
@@ -26,9 +26,9 @@ from microloc.quantize import (
     valid_h_grid,
     WavefrontReport,
 )
-from microloc.symbols import Symbol, window_symbol
-from oracles import (constant_symbol, dyadic_norm, multiplier_symbol, random_field, weighted_norm,
-                     x_function_symbol)
+from microloc.symbols import Symbol, window_radii, window_symbol
+from oracles import (constant_symbol, dyadic_norm, lattice_multiplier_apply, multiplier_symbol,
+                     random_field, weighted_norm, window_with_radii, x_function_symbol)
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +55,14 @@ def test_op_frequency_symbol_multiplier_oracle(grid):
     a = multiplier_symbol(lambda xi: xi)
     h = 0.37
     out = op_quantize(a, u, h=h, delta=0.0, rho=1.0)
-    oracle = multiplier_apply(u, lambda xi: xi, nyquist_even=False)
+    oracle = lattice_multiplier_apply(u, lambda xi: xi)
     assert np.max(np.abs(out.values - h * oracle.values)) < 1e-10
 
 
 def test_op_rejects_bad_h(grid):
     u = random_field(grid, seed=4)
     with pytest.raises(ValueError):
-        op_quantize(constant_symbol(1.0), u, h=0.0)
+        op_quantize(constant_symbol(1.0), u, h=0.0, delta=0.0, rho=0.0)
 
 
 def test_dense_equals_separable_on_random_symbols(grid):
@@ -127,7 +127,8 @@ def test_support_restricted_window_across_zero_frequency(grid):
     # the mode run -k..k' crosses mode 0: it is gathered from both ends of
     # the FFT-ordered spectrum
     u = random_field(grid, seed=11)
-    _assert_support_restriction_exact(u, window_symbol(1.5, 0.5, r_xi=2.0), 0.3, 0.0, 1.0)
+    r_x, _ = window_radii(1.5, 0.5)
+    _assert_support_restriction_exact(u, window_with_radii(1.5, 0.5, r_x, 2.0), 0.3, 0.0, 1.0)
 
 
 def test_support_restricted_nan_multiplier_raises(grid):
@@ -203,7 +204,7 @@ def test_support_runs_cover_the_balls():
     x_all, modes = g.axis_points(), np.arange(-n // 2, n // 2)
     for _ in range(200):
         x0, xi0 = rng.uniform(-30.0, 30.0), rng.uniform(-60.0, 60.0)
-        window = window_symbol(x0, xi0, r_x=rng.uniform(0.01, 30.0), r_xi=rng.uniform(0.01, 60.0))
+        window = window_with_radii(x0, xi0, rng.uniform(0.01, 30.0), rng.uniform(0.01, 60.0))
         (_, r_x), (_, r_xi) = window.support
         h = float(rng.uniform(0.05, 1.0))
         hx, hxi = h ** float(rng.uniform(0, 1)), h ** float(rng.uniform(0, 1))
@@ -533,7 +534,7 @@ def test_garding_lower_bound(grid):
     worst_c = 0.0
     for trial in range(10):
         xc, fc = rng.uniform(-4, 4), rng.uniform(-3, 3)
-        a = window_symbol(xc, fc, r_x=3.0, r_xi=2.0)
+        a = window_with_radii(xc, fc, 3.0, 2.0)
         u = random_field(grid, seed=100 + trial)
         nrm2 = l2_norm(u) ** 2
         for h in hs:

@@ -116,7 +116,12 @@ def test_cfl_dt_capillary_cap_scales_with_sqrt_kappa():
     assert dts[0] == pytest.approx(0.5 / (sigma * g.nyquist ** 1.5), rel=1e-3)
 
 
-def test_integrate_matches_linear_flow_at_small_amplitude():
+def _cfl_for_steps(state, T, steps):
+    """The cfl at which integrate takes `steps` steps of T / steps to T."""
+    return T / steps / cfl_dt(state.grid, state.params, state.eta, 1.0)
+
+
+def test_integrate_matches_linear_flow_at_small_amplitude(monkeypatch):
     # from rest, the deviation from the exact discrete linear flow is the
     # nonlinear O(A^2) remainder: it quadruples with 2A.  The mollifier and
     # the linear flow are both diagonal, so the per-step mollifier must add up
@@ -126,15 +131,16 @@ def test_integrate_matches_linear_flow_at_small_amplitude():
     x = g.axis_points()
     g0 = discrete_flat_symbol(g, 1.0, 64)
     eps, T = 1e-2, 1.0
+    monkeypatch.setattr(waterwave, "MOLLIFY", eps)
     damp = np.exp(-eps * T * np.abs(g.axis_frequencies()) ** 1.5)
+    flow = waterwave._flat_flow(g0, waterwave._flat_dispersion(g, WaveParams()), T)
     errs = []
     for A in (1e-6, 2e-6):
         eta = A * (np.exp(-x ** 2) + 0.1 * np.cos(g.nyquist * x))
         s0 = SurfaceState(_field(g, eta), _field(g, np.zeros(g.n)))
-        hist = integrate(s0, T, eps_mollify=eps, track_invariants=False)
-        lin = linearized_evolution(s0, T, discrete_symbol=g0)
-        lin = SurfaceState(*(_field(g, np.real(np.fft.ifft(damp * np.fft.fft(f.values))))
-                             for f in (lin.eta, lin.psi)))
+        hist = integrate(s0, T, track_invariants=False)
+        lin = flow(np.fft.fft(np.real(s0.eta.values)), np.fft.fft(np.real(s0.psi.values)))
+        lin = SurfaceState(*(_field(g, np.real(np.fft.ifft(damp * f))) for f in lin))
         assert hist.final().t == pytest.approx(T, abs=1e-12)
         errs.append(_max_diff(hist.final(), lin))
     assert errs[0] <= 0.5 * 1e-6 ** 2
@@ -173,9 +179,9 @@ def test_integrate_fourth_order_on_ramp_surface():
     g = Grid(128, 32.0)
     s0 = _ramp_state(g)
     T = 0.125
-    coarse = integrate(s0, T, dt=T / 2, track_invariants=False)
+    coarse = integrate(s0, T, cfl=_cfl_for_steps(s0, T, 2), track_invariants=False)
     default = integrate(s0, T, track_invariants=False)
-    ref = integrate(s0, T, dt=T / 16, track_invariants=False)
+    ref = integrate(s0, T, cfl=_cfl_for_steps(s0, T, 16), track_invariants=False)
     assert default.steps == 4 and default.rhs_evals == 4 * default.steps
     e2 = _max_diff(coarse.final(), ref.final())
     e4 = _max_diff(default.final(), ref.final())
@@ -196,7 +202,8 @@ def test_integrate_mass_drift_is_the_strip_schemes():
     T = 0.25
     drift, energy_drift = {}, {}
     for nz, dt in ((64, None), (64, T / 14), (128, None)):
-        hist = integrate(SurfaceState(eta, psi, params=WaveParams(nz=nz)), T, dt=dt)
+        s0 = SurfaceState(eta, psi, params=WaveParams(nz=nz))
+        hist = integrate(s0, T) if dt is None else integrate(s0, T, cfl=_cfl_for_steps(s0, T, 14))
         drift[nz, dt] = (hist.mass[-1] - hist.mass[0]) / hist.mass[0]
         energy_drift[nz, dt] = (hist.energy[-1] - hist.energy[0]) / hist.energy[0]
     d64 = drift[64, None]
@@ -220,13 +227,14 @@ def test_energy_carries_surface_tension():
     assert abs(hist.energy[-1] - hist.energy[0]) <= 1e-5 * hist.energy[0]
 
 
-def test_integrate_time_reversal():
+def test_integrate_time_reversal(monkeypatch):
     # without the mollifier, T then -T returns to the start up to twice the
     # 4-step truncation error (2.5e-8 one way on this grid)
     g = Grid(128, 32.0)
     s0 = _ramp_state(g)
-    fwd = integrate(s0, 0.125, eps_mollify=0, track_invariants=False).final()
-    back = integrate(fwd, -0.125, eps_mollify=0, track_invariants=False).final()
+    monkeypatch.setattr(waterwave, "MOLLIFY", 0.0)
+    fwd = integrate(s0, 0.125, track_invariants=False).final()
+    back = integrate(fwd, -0.125, track_invariants=False).final()
     assert back.t == pytest.approx(0.0, abs=1e-15)
     assert _max_diff(back, s0) <= 1e-7
 
@@ -383,6 +391,21 @@ def test_smoothing_experiment_with_zero_frequency_raises_before_stepping(monkeyp
     with pytest.raises(ConfigError, match="escapes at s = inf"):
         singularity_experiment_smoothing(
             Grid(256, 64.0), WaveParams(nz=64), x0=0.0, xi0=0.0, t0=0.125,
+            h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
+            surface_amplitude=0.5, ramp_width=1.0, s_max=150.0)
+
+
+def test_experiments_with_non_unit_surface_tension_raise_before_stepping(monkeypatch):
+    # the symmetrizer symbols hold for kappa = 1 only: the ww_flat and
+    # ww_ramp configurations at kappa = 2 fail before the first DN solve,
+    # not after a whole evolution
+    monkeypatch.setattr(waterwave, "integrate", _no_integrate)
+    with pytest.raises(ConfigError, match="unit surface tension"):
+        singularity_experiment_infinite(Grid(512, 64.0), WaveParams(kappa=2.0), x0=4.0, xi0=1.0,
+                                        t0=0.5, h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14))
+    with pytest.raises(ConfigError, match="unit surface tension"):
+        singularity_experiment_smoothing(
+            Grid(256, 64.0), WaveParams(kappa=2.0), x0=0.0, xi0=1.0, t0=0.125,
             h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
             surface_amplitude=0.5, ramp_width=1.0, s_max=150.0)
 
