@@ -8,9 +8,11 @@ a(x) + (1 + z/b)^2 eta'^2/J^2 with a = 1/J^2.  G(eta) is real-linear and
 ignores the mean of psi, so there is one solve path, on real data with the
 mean removed, in two stages:
 
-- a fixed point on the non-flat terms, each sweep an exact flat-strip solve
-  on rfft half spectra.  It runs only where a varies by at most 3x
-  (near-flat surfaces), where it converges in a few sweeps;
+- a fixed point preconditioned by the flat strip, each sweep
+  v + L0^-1 (-L v) with L the strip operator of the Krylov stage and L0^-1
+  the exact flat-strip solve with zero Dirichlet data, on rfft half
+  spectra.  It runs only where a varies by at most 3x (near-flat surfaces),
+  where it converges in a few sweeps;
 - restarted GMRES (_gmres, numpy) on the strip equations, right-
   preconditioned, when the fixed point stalls or is skipped (sloped
   surfaces).  Its frozen-depth preconditioner works per z-eigenmode of
@@ -18,8 +20,8 @@ mean removed, in two stages:
   it inverts a_j lam_k - xi^2 exactly at a few depth nodes a_j and blends
   the results in x; on the others, where a lam_k dominates, it inverts at
   one node a0 and scales by a0/a(x).  GMRES orthogonalizes by classical
-  Gram-Schmidt with delayed reorthogonalization, two reads of the Arnoldi
-  basis per step, and stops on the residual of the strip equations.
+  Gram-Schmidt with one reorthogonalization and stops on the residual of
+  the strip equations.
 
 Both stages start from the flat harmonic extension of the data (one z
 profile per xi, times the data's spectrum) plus a combination of the
@@ -107,9 +109,14 @@ def _x_derivative(f):
 
 
 def _slopes(eta):
-    """eta' and eta'' of a surface Field, real parts of spectral derivatives."""
-    etap = np.real(_x_derivative(eta).values)
-    etapp = np.real(multiplier_apply(eta, lambda xi: -(xi ** 2)).values)
+    """eta' and eta'' of a surface Field, from one rfft of its real part:
+    the multipliers i xi (odd: Nyquist zeroed) and -xi^2."""
+    grid = eta.grid
+    xi = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
+    ixi = 1j * xi
+    ixi[-1] = 0.0
+    etap, etapp = np.fft.irfft(np.array([ixi, -xi ** 2]) * np.fft.rfft(np.real(eta.values)),
+                               n=grid.n, axis=1)
     return etap, etapp
 
 
@@ -172,8 +179,8 @@ class _StripWorkspace:
     _to_rfft = sqrt(n/2) except sqrt(n) on the zero and Nyquist columns
     (Grid keeps n even): ||R||_2 = ||r||_2, so GMRES, on the float view of R,
     runs the orthogonally equivalent problem.  sqrt(2/n) is folded into the
-    coefficients W, Cxz, Czz, Czz1 and the v_xx multiplier, _to_rfft into
-    the per-mode inverses of precondition and of the fixed-point sweep.
+    coefficients W, Cxz, Czz1 and the v_xx multiplier, _to_rfft into the
+    per-mode inverses of precondition and of the fixed-point sweep.
 
     The z-eigenvectors diagonalize a(x) d_zz for any a depending on x alone;
     they are ordered by |lam_k| ascending.  With a = 1/J^2, the x-only part
@@ -193,7 +200,7 @@ class _StripWorkspace:
     Per Krylov iteration that is m K + nz - K row irffts in precondition;
     strip_op adds the rfft of the nz + 1 rows of v, the irfft of the nz
     v_xz rows and the rfft of the nz residual rows.  A fixed-point sweep
-    takes strip_op without v_xx and one irfft of its nz + 1 output rows.
+    takes strip_op and one irfft of the nz + 1 rows of its correction.
 
     The fixed point and the Krylov stage work in buffers held here: the
     scratch arrays of precondition, strip_op and krylov_op, allocated here
@@ -253,10 +260,9 @@ class _StripWorkspace:
         self._edges = slice(0, m, m - 1)
         self._to_rfft = np.full(m, 1.0 / self._unit)
         self._to_rfft[self._edges] = math.sqrt(self.n)
-        # the fixed-point sweep's flat solve reads -rfft(E v) off strip_op's
-        # E v in these coordinates: the factor -_to_rfft rides on its inverse
+        # the fixed-point sweep's flat solve reads -rfft(L v) off strip_op's
+        # L v in these coordinates: the factor -_to_rfft rides on its inverse
         self._fp_inv = self._shift_inv * np.repeat(-self._to_rfft, 2)
-        self._fp_top_div = -self._to_rfft * dz2
         # strip_op's x-derivatives of the v spectra: -xi^2 for v_xx, scaled
         # and added in the residual's coordinates (on the float view), and
         # i xi 0.5/dz on the centred z-differences for v_xz
@@ -269,19 +275,19 @@ class _StripWorkspace:
         self._rows_hat[0] = 0.0  # v_z = 0 at the bottom row
         self._rows_dx = np.empty((nz, self.n))  # v_xz
         self._scratch = np.empty((nz, self.n))
-        # a residual spectrum: strip_op's v_xx term, or the fixed point's E v
+        # strip_op's v_xx term, then _mode_solve's mode coefficients
         self._res_hat = np.empty((nz, m), dtype=np.complex128)
+        # precondition's mode coefficients, or the fixed point's L v
         self._pc_modes = np.empty((nz, m), dtype=np.complex128)
-        self.Cxz, self.W, self.Czz, self._Czz1 = (np.empty((nz, self.n)) for _ in range(4))
+        self.Cxz, self.W, self._Czz1 = (np.empty((nz, self.n)) for _ in range(3))
         self._pc_blend = np.empty((nz, self.n))
         self._lifted = np.zeros((nz + 1, self.n))  # P^-1 y; row nz (Dirichlet) stays 0
-        # i xi (Nyquist zeroed, as in _slopes) and -xi^2
-        self._slope_mult = np.array([self.ixi, -self._xi2])
         # the flat harmonic extension of top data 1, per xi: v_lift-hat =
-        # profile * psi-hat
-        top = np.ones(m, dtype=np.complex128)
-        profile = self._mode_solve(np.zeros((nz, m), dtype=np.complex128), top, dz2,
-                                   self._shift_inv, np.empty((nz + 1, m), dtype=np.complex128))
+        # profile * psi-hat; the data moves to row nz - 1's right-hand side
+        rhs = np.zeros((nz, m), dtype=np.complex128)
+        rhs[nz - 1] = -1.0 / dz2
+        profile = self._mode_solve(rhs, self._shift_inv, np.empty((nz + 1, m), dtype=np.complex128))
+        profile[nz] = 1.0
         self._lift_profile = np.ascontiguousarray(profile.real)
         # the last HISTORY solves: mean-free data and correction v - v_lift
         # (rows 0..nz-1; row nz is the data in both), a ring of rows
@@ -298,11 +304,9 @@ class _StripWorkspace:
             raise DomainError("workspace built for a different strip geometry")
         self.dom = dom
         b = self.b
-        eta = np.real(dom.eta.values)
-        # eta' and eta'' from one rfft on the workspace's xi lattice
-        etap, etapp = np.fft.irfft(self._slope_mult * np.fft.rfft(eta), n=self.n, axis=1)
+        etap, etapp = _slopes(dom.eta)
         self.etap = etap
-        J = 1.0 + eta / b  # dy/dz, independent of z
+        J = 1.0 + np.real(dom.eta.values) / b  # dy/dz, independent of z
         self.J = J
         # the z-dependence of every coefficient is a power of (1 + z/b), so
         # only x-profiles are rebuilt per surface update
@@ -311,18 +315,15 @@ class _StripWorkspace:
         a = 1.0 / J ** 2
         c1 = (etap / J) ** 2
         zf = self.zfac
-        # coefficients of v_xz, v_z and v_zz in E = L - L0, rows 0..nz-1;
-        # W and Czz carry the denominators 2 dz and dz^2 of strip_op's
-        # unscaled z-differences, and all four the residual's sqrt(2/n)
+        # coefficients of v_xz, v_z and v_zz in L, rows 0..nz-1; W and Czz1
+        # carry the denominators 2 dz and dz^2 of strip_op's unscaled
+        # z-differences, and all three the residual's sqrt(2/n)
         s = self._unit
-        zz = s / self.dz ** 2
         np.multiply(zf, (-2.0 * s) * f1, out=self.Cxz)
         np.multiply(zf, ((0.5 * s / self.dz) * w1), out=self.W)
-        czz = np.multiply(zf ** 2, c1, out=self.Czz)
-        czz += a - 1.0
-        np.add(czz, 1.0, out=self._Czz1)  # with the flat d_zz
-        self._Czz1 *= zz
-        czz *= zz
+        czz = np.multiply(zf ** 2, c1, out=self._Czz1)
+        czz += a
+        czz *= s / self.dz ** 2
         self._build_preconditioner(a)
 
     def _build_preconditioner(self, a):
@@ -361,39 +362,36 @@ class _StripWorkspace:
             self._node_hat = np.empty((len(inv), self.nh), dtype=np.complex128)
             self._node_y = np.empty((len(inv), self.n))
 
-    def _mode_solve(self, rhs, top, top_div, inv, out):
+    def _mode_solve(self, rhs, inv, out):
         """The flat solve (d_zz - xi^2) v = c * rhs per mode, v_z(-b) = 0
-        (ghost), v(0) = top, c a factor per xi column, into out
-        (nz+1, n//2+1): inv = c / (lam - xi^2) and top_div = c dz^2.  rhs
-        (nz, n//2+1) and top are rfft half spectra; rhs is overwritten.  The
-        real z-factors act on the real and imaginary parts at once through a
-        float view, the mode coefficients in precondition's scratch."""
-        nz = self.nz
-        rhs[nz - 1] -= top / top_div
-        w = self._pc_modes.view(np.float64)
+        (ghost), v(0) = 0, c a factor per xi column, into rows 0..nz-1 of out
+        (nz+1, n//2+1): inv = c / (lam - xi^2).  rhs (nz, n//2+1) is an rfft
+        half spectrum.  The real z-factors act on the real and imaginary
+        parts at once through a float view, the mode coefficients in
+        strip_op's v_xx scratch."""
+        w = self._res_hat.view(np.float64)
         np.matmul(self._QTs, rhs.view(np.float64), out=w)
         w *= inv
-        np.matmul(self._Qd, w, out=out[:nz].view(np.float64))
-        out[nz] = top
+        np.matmul(self._Qd, w, out=out[:self.nz].view(np.float64))
         return out
 
-    def fixed_point_sweep(self, v, top, out):
-        """One fixed-point sweep: out = the flat solve of -E v with the
-        Dirichlet data top (an rfft half spectrum), for real physical v and
-        out (nz+1, n).  Returns max |out - v|.
+    def fixed_point_sweep(self, v, out):
+        """One fixed-point sweep: out = v + L0^-1 (-L v), L0^-1 the flat
+        solve with zero Dirichlet data, for real physical v and out
+        (nz+1, n); row nz, the data, is v's.  Returns max |out - v|, the
+        correction's.
 
-        strip_op gives E v in the residual's coordinates; the flat solve
+        strip_op gives L v in the residual's coordinates; the flat solve
         takes them with -_to_rfft folded into its inverses.  It runs in the
         scratch of strip_op and precondition, which the fixed point does not
         use otherwise.
         """
-        nz = self.nz
-        rhs = self.strip_op(v, flat=False, out=self._res_hat)
-        half = self._mode_solve(rhs, top, self._fp_top_div, self._fp_inv, self._v_hat)
-        np.fft.irfft(half, n=self.n, axis=1, out=out)
-        diff = np.subtract(out[:nz], v[:nz], out=self._rows_dx)
-        top_diff = float(np.max(np.abs(out[nz] - v[nz])))
-        return max(float(np.max(np.abs(diff, out=diff))), top_diff)
+        half = self._mode_solve(self.strip_op(v, out=self._pc_modes), self._fp_inv, self._v_hat)
+        half[self.nz] = 0.0
+        corr = np.fft.irfft(half, n=self.n, axis=1, out=out)
+        delta = float(np.max(np.abs(corr[:self.nz], out=self._scratch)))
+        corr += v
+        return delta
 
     def precondition(self, r, out=None):
         """P^-1 r for a residual r (nz, n//2+1) in strip_op's coordinates,
@@ -419,14 +417,13 @@ class _StripWorkspace:
         np.einsum("x,kx->kx", self._high_factor, y[mK:], out=blend[K:])
         return np.matmul(self._Qd, blend, out=out)
 
-    def strip_op(self, v, flat=True, out=None):
-        """The flattened strip operator on v (nz+1, n), rows 0..nz-1, in the
-        residual's unitary half-spectrum coordinates: a complex
+    def strip_op(self, v, out=None):
+        """The flattened strip operator L on v (nz+1, n), rows 0..nz-1, in
+        the residual's unitary half-spectrum coordinates: a complex
         (nz, n//2+1) array, into out (a new array when out is None).
 
         Row 0 is the ghost-eliminated bottom (v_z = 0 there), row nz is
-        Dirichlet (no equation).  flat=False leaves out the flat Laplacian
-        d_zz + d_xx: that is E = L - L0, the fixed point's residual operator.
+        Dirichlet (no equation).
         v_z and v_zz come unscaled from the forward z-differences of v, the
         coefficients carrying 0.5/dz and 1/dz^2.  One rfft of the v rows
         0..nz gives the spectra of v_xx and, by their centred z-differences,
@@ -445,15 +442,14 @@ class _StripWorkspace:
         np.subtract(v_hat[2:], v_hat[:nz - 1], out=spec[1:])
         spec[1:] *= self._xz_mult
         v_xz = np.fft.irfft(spec, n=self.n, axis=1, out=self._rows_dx)
-        res = np.multiply(self._Czz1 if flat else self.Czz, v_zz, out=d)  # d is used up
+        res = np.multiply(self._Czz1, v_zz, out=d)  # d is used up
         term = self._scratch  # v_zz is used up
         res += np.multiply(self.W, v_z, out=term)
         res += np.multiply(self.Cxz, v_xz, out=term)
         out = np.fft.rfft(res, axis=1, out=out)
-        if flat:
-            xx = self._res_hat
-            np.multiply(v_hat[:nz].view(np.float64), self._xx_mult, out=xx.view(np.float64))
-            out += xx
+        xx = self._res_hat
+        np.multiply(v_hat[:nz].view(np.float64), self._xx_mult, out=xx.view(np.float64))
+        out += xx
         out[:, self._edges] *= math.sqrt(0.5)
         return out
 
@@ -511,7 +507,7 @@ def dn_elliptic(dom, psi, workspace=None):
     """G(eta) psi via the flattened variable-coefficient strip problem.
 
     Two stages.  On a surface whose a = 1/J^2 varies by at most 3x (one
-    preconditioner node), a fixed-point iteration on the non-flat terms,
+    preconditioner node), a fixed-point iteration on the strip equations,
     preconditioned by the exact per-mode flat solve, runs first (at most 50
     sweeps).  If it stalls, or on a surface with more nodes,
     GMRES, right-preconditioned by the frozen-depth preconditioner, solves
@@ -562,7 +558,7 @@ def _strip_solve(ws, psi):
             v = v_lift.copy()  # v_lift stays the correction's reference
         v_new = np.empty_like(v)  # the sweeps write into v_new and v in turn
         for it in range(50):
-            delta = ws.fixed_point_sweep(v, psi_half, v_new) / scale
+            delta = ws.fixed_point_sweep(v, v_new) / scale
             ws.stats.fixed_point_iters += 1
             v, v_new = v_new, v
             converged = delta < TOL
@@ -587,11 +583,10 @@ def _krylov_solve(ws, v_lift, v0):
     float view): it stops at ||L v||_2 <= TOL ||L v_lift||_2,
     and the ratio it recomputes at exit goes to ws.stats.residual.  The
     operator is ws.krylov_op and the Arnoldi basis ws.basis, so the
-    iterations run in the workspace's buffers.  The flat Laplacian L0
-    annihilates v_lift, so L v_lift = E v_lift.
+    iterations run in the workspace's buffers.
     """
     nz = ws.nz
-    r_lift = ws.strip_op(v_lift, flat=False)
+    r_lift = ws.strip_op(v_lift)
     lift_norm = np.linalg.norm(r_lift)
     r0 = ws.strip_op(v0) if v0 is not v_lift else r_lift
     start_norm = np.linalg.norm(r0)
@@ -618,47 +613,20 @@ def _gmres(apply, b, atol, basis, stats):
     """Restarted GMRES(RESTART) for A x = b from x = 0 (Saad 2003, ch. 6).
 
     apply(u, out) writes A u into out; basis is the (RESTART + 1, len(b))
-    Arnoldi basis, whose row 0 also holds the residual.  The Arnoldi steps
-    orthogonalize by classical Gram-Schmidt with delayed reorthogonalization
-    (DCGS2; Bielich et al., Parallel Comput. 112, 2022), two reads of the
-    basis per step.  Step j applies A to u_j, basis row j after one
-    Gram-Schmidt pass, takes one block product [Q_j, u_j]^T [u_j, A u_j]
-    (Q_j the final rows q_0..q_{j-1}, s = Q_j^T u_j, and the norm nu of
-    u_j - Q_j s by Pythagoras) and one block update by [Q_j, u_j].  They
-    reorthogonalize u_j into q_j, which finishes Hessenberg column j - 1,
-    and give the first pass of A q_j = (A u_j - A Q_j s) / nu into u_{j+1}:
-    A Q_j s lies in the span of q_0..q_j.  The stop test is column j's
-    Givens-rotated residual with the first pass's values; once it passes,
-    or the cycle or MAXITER ends, u_{j+1} is reorthogonalized without an
-    apply.  Each step adds one to stats.krylov_iters.  The residual b - A x
-    is recomputed at every restart and at exit.  Returns x and
-    ||b - A x||_2 once that is at most atol; raises EllipticSolveError when
-    MAXITER steps do not get there, or when nu^2 comes out nonpositive (u_j
-    in the span of Q_j: the basis lost orthogonality).
+    Arnoldi basis, whose row 0 also holds the residual.  Each Arnoldi step
+    orthogonalizes by classical Gram-Schmidt with one reorthogonalization
+    (two matrix-vector products against the basis per pass), updates the
+    residual norm by a Givens rotation and adds one to stats.krylov_iters;
+    a step whose new basis vector vanishes (an invariant Krylov space) ends
+    the cycle with the exact answer.  The residual b - A x is recomputed at
+    every restart and at exit.  Returns x and ||b - A x||_2 once that is at
+    most atol; raises EllipticSolveError when MAXITER steps do not get there.
     """
     x = np.zeros_like(b)
-    tmp = np.empty((2, len(b)))
-    hess = np.zeros((RESTART + 1, RESTART))  # Arnoldi's Hessenberg matrix
-    R = np.zeros((RESTART, RESTART))  # its Givens-rotated, triangular form
-    omega = np.empty((RESTART + 1, RESTART + 1))  # the product of the rotations
-    coef = np.empty((RESTART + 1, 2))  # of the block update
-
-    def finish(j, s, nu):
-        """Hessenberg column j gets the reorthogonalization s of u_{j+1}
-        and the norm nu of its result; it is rotated into R, and its
-        rotation into omega."""
-        hess[:j + 1, j] += s
-        hess[j + 1, j] = nu
-        c = omega[:j + 1, :j + 1] @ hess[:j + 1, j]
-        rho = math.hypot(c[j], nu)
-        cs, sn = c[j] / rho, nu / rho
-        R[:j, j], R[j, j] = c[:j], rho
-        top = omega[j, :j + 1].copy()  # row j + 1 of omega is e_{j+1} so far
-        np.multiply(cs, top, out=omega[j, :j + 1])
-        omega[j, j + 1] = sn
-        np.multiply(-sn, top, out=omega[j + 1, :j + 1])
-        omega[j + 1, j + 1] = cs
-
+    tmp = np.empty_like(b)
+    H = np.zeros((RESTART + 1, RESTART))
+    rot = np.zeros((RESTART, 2))  # (cos, sin) of each step's rotation
+    g = np.zeros(RESTART + 1)
     r = basis[0]
     r[:] = b
     steps = 0
@@ -669,48 +637,35 @@ def _gmres(apply, b, atol, basis, stats):
         if steps >= MAXITER:
             raise EllipticSolveError(
                 f"GMRES did not converge in {MAXITER} iterations: residual {beta:.3e} > {atol:.3e}")
-        r *= 1.0 / beta
-        omega[:] = np.eye(RESTART + 1)
+        r /= beta
+        g[:] = 0.0
+        g[0] = beta
         for j in range(RESTART):
-            u, w = basis[j], basis[j + 1]
-            apply(u, w)
-            if j == 0:  # q_0 = r / beta is final
-                c = float(u @ w)
-                w -= np.multiply(c, u, out=tmp[0])
-                hess[0, 0] = c
-            else:
-                P = basis[:j + 1] @ basis[j:j + 2].T  # (j + 1, 2)
-                s, z = P[:j, 0], P[:j, 1]
-                nu2 = P[j, 0] - s @ s  # ||u_j - Q_j s||^2
-                if nu2 <= 0.0:
-                    raise EllipticSolveError(f"Arnoldi step {steps} lost orthogonality")
-                nu = math.sqrt(nu2)
-                cj = (P[j, 1] - s @ z) / nu  # q_j . A u_j
-                # nu q_j = u_j - Q_j s and nu A q_j = A u_j - Q_j z - cj q_j
-                # modulo the span of q_0..q_j, in one read of [Q_j, u_j]
-                coef[:j, 0], coef[j, 0] = s, 0.0
-                coef[:j, 1], coef[j, 1] = z - (cj / nu) * s, cj / nu
-                np.matmul(coef[:j + 1].T, basis[:j + 1], out=tmp)
-                u -= tmp[0]
-                u *= 1.0 / nu  # q_j
-                w -= tmp[1]
-                w *= 1.0 / nu
-                finish(j - 1, s, nu)
-                hess[:j, j] = (z - hess[:j, :j] @ s) / nu
-                hess[j, j] = (cj - nu * s[j - 1]) / nu  # hess[j, :j] is nu e_{j-1}
-            sub = float(np.linalg.norm(w))
-            d = float(omega[j, :j + 1] @ hess[:j + 1, j])
+            V, w = basis[:j + 1], basis[j + 1]
+            apply(basis[j], w)
+            H[:j + 1, j] = 0.0
+            for _ in range(2):
+                c = V @ w
+                w -= np.matmul(c, V, out=tmp)
+                H[:j + 1, j] += c
+            H[j + 1, j] = np.linalg.norm(w)
+            if H[j + 1, j] > 0.0:
+                w /= H[j + 1, j]
+            for i in range(j):  # the earlier rotations
+                cs, sn = rot[i]
+                hi, hn = H[i, j], H[i + 1, j]
+                H[i, j], H[i + 1, j] = cs * hi + sn * hn, cs * hn - sn * hi
+            rho = math.hypot(H[j, j], H[j + 1, j])
+            rot[j] = H[j, j] / rho, H[j + 1, j] / rho
+            H[j, j], H[j + 1, j] = rho, 0.0
+            g[j + 1] = -rot[j, 1] * g[j]
+            g[j] *= rot[j, 0]
             steps += 1
             stats.krylov_iters += 1
-            if (beta * abs(omega[j, 0]) * sub <= atol * math.hypot(d, sub)
-                    or steps == MAXITER or j == RESTART - 1):
-                s = basis[:j + 1] @ w
-                w -= np.matmul(s, basis[:j + 1], out=tmp[0])
-                finish(j, s, float(np.linalg.norm(w)))
+            if abs(g[j + 1]) <= atol or steps == MAXITER:
                 break
         k = j + 1
-        y = np.linalg.solve(R[:k, :k], beta * omega[:k, 0])
-        x += np.matmul(y, basis[:k], out=tmp[0])
+        x += np.matmul(np.linalg.solve(H[:k, :k], g[:k]), basis[:k], out=tmp)
         apply(x, r)
         np.subtract(b, r, out=r)
 

@@ -1,6 +1,7 @@
 """Dirichlet-Neumann operator: Taylor vs elliptic, symbols, shape derivative."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -273,9 +274,9 @@ def _coordinates(ws, r):
 def test_strip_op_is_the_written_out_strip_operator():
     # strip_op takes v_xz from z-differences of the v spectra; the
     # written-out equations, decoded from its residual coordinates, are its
-    # oracle.  The flat lift solves the flat part d_zz + d_xx, to the
-    # rounding of its eigen-solve (4e-12 here), so the Krylov stage's
-    # L v_lift is E v_lift
+    # oracle.  The flat lift, which depends on (grid, b, nz) alone, solves
+    # the flat strip equations d_zz + d_xx, strip_op on the flat surface, to
+    # the rounding of its eigen-solve (1.4e-11 of the largest term here)
     g = Grid(256, 64.0)
     nz = 64
     dom = FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, nz)
@@ -285,10 +286,11 @@ def test_strip_op_is_the_written_out_strip_operator():
     scale = max(np.max(np.abs(t)) for t in terms)
     assert np.max(np.abs(_physical(ws, ws.strip_op(v)) - sum(terms))) <= 1e-14 * scale
     psi_half = np.fft.rfft(np.real(random_field(g, seed=2, decay=3.0, real=True).values))
-    lift = ws.lift(psi_half)
-    scale = max(np.max(np.abs(t)) for t in _strip_equation_terms(dom, lift))
-    flat_part = _physical(ws, ws.strip_op(lift) - ws.strip_op(lift, flat=False))
-    assert np.max(np.abs(flat_part)) <= 1e-10 * scale
+    flat = dno._StripWorkspace(flat_domain(g, nz))
+    lift = flat.lift(psi_half)
+    assert np.array_equal(lift, ws.lift(psi_half))
+    scale = max(np.max(np.abs(t)) for t in _strip_equation_terms(flat.dom, lift))
+    assert np.max(np.abs(_physical(flat, flat.strip_op(lift)))) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("n", [256, 64])
@@ -427,6 +429,25 @@ def test_gmres_restarts():
     assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
+@pytest.mark.parametrize("b, steps_taken", [
+    (np.eye(8)[2] * 3.0, 1),  # an eigenvector of A
+    (np.r_[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], 2),  # two eigenvalues of A
+])
+def test_gmres_lucky_breakdown(b, steps_taken):
+    # b in an invariant subspace of A: the Arnoldi vector after steps_taken
+    # steps vanishes exactly (the entries are exact in binary), and the cycle
+    # ends with the answer, to rounding, without dividing by its zero norm
+    A = np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 5.0, 6.0, 7.0])
+    stats, steps = dno.StripSolveStats(nodes=0), []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, res = _gmres_on(A, b, 1e-14 * np.linalg.norm(b), stats, steps)
+    assert stats.krylov_iters == sum(steps) == steps_taken
+    exact = b / np.diag(A)
+    assert res <= 1e-15 * np.linalg.norm(b)
+    assert np.linalg.norm(x - exact) <= 1e-15 * np.linalg.norm(exact) and np.all(x[b == 0] == 0)
+
+
 def test_gmres_stagnation_raises():
     # the cyclic shift with b = e_0: no Krylov space shorter than n reduces
     # the residual, so restarted GMRES stagnates at 1
@@ -470,19 +491,36 @@ def test_fixed_point_sweep_allocates_no_strip_array(unit_grid, monkeypatch):
     psi = random_field(unit_grid, seed=2, decay=3.0, real=True)
     _, v = _dn_and_solution(monkeypatch, dom, psi, ws)
     assert ws.stats.fixed_point_iters > 0 and ws.stats.krylov_iters == 0
-    psi_half = np.fft.rfft(np.real(psi.values))
-    psi_half[0] = 0.0  # the stages solve for psi minus its mean
-    v = v - np.mean(np.real(psi.values))
+    v = v - np.mean(np.real(psi.values))  # the stages solve for psi minus its mean
     out = np.empty_like(v)
     tracemalloc.start()
     try:
-        delta = ws.fixed_point_sweep(v, psi_half, out)
+        delta = ws.fixed_point_sweep(v, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < nz * unit_grid.n * 8
     # the converged solve is a fixed point of the sweep
     assert delta <= 1e-9 * np.max(np.abs(v))
+
+
+def test_fixed_point_solves_strip_equations(unit_grid, monkeypatch):
+    # the near-flat surface of the sweep tests: the fixed point's answer
+    # meets the strip equations themselves, and its G is the Krylov stage's,
+    # which NODE_RATIO 1.2 forces (four preconditioner nodes)
+    x = unit_grid.axis_points()
+    dom = FluidDomain(unit_grid, Field(unit_grid, (0.1 * np.cos(x)).astype(complex)), B_DEPTH, 64)
+    psi = random_field(unit_grid, seed=2, decay=3.0, real=True)
+    ws = dno._StripWorkspace(dom)
+    G, v = _dn_and_solution(monkeypatch, dom, psi, ws)
+    assert ws.stats.fixed_point_iters > 0 and ws.stats.krylov_iters == 0
+    assert _strip_equation_residual(dom, v) <= 1e-8
+    monkeypatch.setattr(dno._StripWorkspace, "NODE_RATIO", 1.2)
+    krylov = dno._StripWorkspace(dom)
+    G_krylov = dn_elliptic(dom, psi, workspace=krylov)
+    assert krylov.stats.nodes == 4
+    assert krylov.stats.fixed_point_iters == 0 and krylov.stats.krylov_iters > 0
+    assert np.linalg.norm(G.values - G_krylov.values) <= 1e-9 * np.linalg.norm(G_krylov.values)
 
 
 def _ramp_workspace():
@@ -569,17 +607,16 @@ def test_krylov_operator_transforms_269_rows(monkeypatch):
 
 def test_fixed_point_sweep_transforms_258_rows(monkeypatch, unit_grid):
     # one sweep at nz = 64: rfft of the nz + 1 rows of v, irfft of the nz
-    # rows of v_xz, rfft of the nz rows of E v and irfft of the nz + 1 rows
-    # of the flat solve
+    # rows of v_xz, rfft of the nz rows of L v and irfft of the nz + 1 rows
+    # of the flat solve's correction
     nz = 64
     x = unit_grid.axis_points()
     dom = FluidDomain(unit_grid, Field(unit_grid, (0.1 * np.cos(x)).astype(complex)), B_DEPTH, nz)
     ws = dno._StripWorkspace(dom)
     assert len(ws.nodes) == 1
     v = np.random.default_rng(3).standard_normal((nz + 1, unit_grid.n))
-    top = np.fft.rfft(v[nz])
     rows = _count_fft_rows(monkeypatch)
-    ws.fixed_point_sweep(v, top, np.empty_like(v))
+    ws.fixed_point_sweep(v, np.empty_like(v))
     assert sum(rows) == 4 * nz + 2 == 258
 
 
