@@ -15,9 +15,8 @@ packet per probed scale h, placed at (h^-delta x0, h^-rho xi0) and weighted
 h^mu, which realizes decay order mu at the probe and rapid decay elsewhere.
 
 Every experiment here and in waterwave follows the same straight-line script:
-shared_h_grid fixes the h values valid at the prediction and at every other
-point that must share them (the witness's initial point, or the unbent
-control of the water-wave smoothing experiment); pick_controls places the
+shared_h_grid fixes the h values valid at the prediction and, in the
+transport experiments, at the witness's initial point; pick_controls places the
 controls; the field is evolved; probe_sweep measures mu_hat at the prediction
 and the controls, and meta["boundary_mass"] records boundary_mass_fraction of
 the probed field; WavefrontReport.separation() is the verdict.  Control

@@ -358,9 +358,10 @@ def real_scaled_witness(grid, x0, xi0, delta, rho, h_list, amplitude):
     return Field(grid, 2.0 * np.real(field.values).astype(np.complex128)), tracks
 
 
-def _ww_group_shift(xi, t):
-    # high-frequency water-wave rays: the |xi|^{3/2} model flow
-    return group_shift(xi, t, 1.5)
+def _u_ray(x, xi, t):
+    # where u carries (x, xi) after time t: u_t = i T_gamma u runs the model
+    # flow u_t + i|D|^{3/2} u = 0 backwards, so u's right-movers sit on xi < 0
+    return x - group_shift(xi, t, 1.5), xi
 
 
 def right_mover_state(grid, params, psi0, tracks):
@@ -422,44 +423,35 @@ def singularity_experiment_infinite(
     """Embed a (1/2,1)-singularity witness in psi, evolve, probe u(t0).
 
     The witness, of weights amplitude h^1 on at least 6 shared h values, is
-    paired with the eta of a right-moving linear wave.  The predicted
-    singular point is x0 + (3/2) t0 |xi0|^{-1/2} xi0 under the (1/2,1)
-    scaling; the verdict uses the first 4 controls clean against every rail
-    the real witness can populate (right/left movers at +-xi).
+    paired with the eta of a right-moving linear wave, which u carries on
+    -|xi0| to _u_ray(x0, -|xi0|, t0); the verdict uses the first 4 controls
+    on that branch clean against the _u_ray images of the packets at +-xi.
     """
     delta, rho = 0.5, 1.0
-    x_pred = x0 + _ww_group_shift(xi0, t0)
-    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi0)], delta, rho, h_grid, 6)
+    x_pred, xi_pred = _u_ray(x0, -abs(xi0), t0)
+    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi_pred)], delta, rho, h_grid, 6)
     psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_use, amplitude)
 
-    # rails the data can populate: both chiralities at +-xi (the right-mover
-    # pairing empties the left-movers, but keep them in the clean-check)
-    moved = []
-    for tr in tracks:
-        for sgn_xi in (+1.0, -1.0):
-            for sgn_v in (+1.0, -1.0):
-                t_eff = PacketTrack(tr.x, sgn_xi * tr.xi, tr.width, tr.weight)
-                m = t_eff.at_time(sgn_v * sgn_xi * t0, 1.5)
-                moved.append(m)
+    # at_time(-t0, 1.5) is _u_ray(x, xi, t0) with the packet's spreading
+    moved = [PacketTrack(tr.x, s * tr.xi, tr.width, tr.weight).at_time(-t0, 1.5)
+             for tr in tracks for s in (1.0, -1.0)]
     candidates = [
-        (-x_pred, xi0, "control_reflected"),
-        (-x0, xi0, "control_mirror_initial"),
-        (-0.4 * x_pred, xi0, "control_reflected_near_x"),
-        (-x_pred, -xi0, "control_reflected_neg_xi"),
-        (x0, xi0, "control_initial"),
-        (2.5 * x_pred, xi0, "control_far_x"),
+        (-x_pred, xi_pred, "control_reflected"),
+        (-x0, xi_pred, "control_mirror_initial"),
+        (-0.4 * x_pred, xi_pred, "control_reflected_near_x"),
+        (2.5 * x_pred, xi_pred, "control_far_x"),
     ]
     controls = pick_controls(
-        grid, (x_pred, xi0), candidates, delta, rho, hs_use,
+        grid, (x_pred, xi_pred), candidates, delta, rho, hs_use,
         clean=lambda xc, xic, hs: track_clean(xc, xic, delta, rho, moved, hs),
         want=4,
     )
 
     return _evolve_and_probe(
         right_mover_state(grid, params, psi0, tracks), t0, cfl,
-        [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls, hs_use,
+        [ProbeSpec(x_pred, xi_pred, delta, rho, "predicted")] + controls, hs_use,
         {"experiment": "ww_infinite", "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
-         "amplitude": amplitude, "mu_w": 1.0},
+         "xi_pred": xi_pred, "amplitude": amplitude, "mu_w": 1.0},
     )
 
 
@@ -505,13 +497,15 @@ def singularity_experiment_smoothing(
     cfl=0.5,
     s_max=2000.0,
 ):
-    """(0,1)-singularity on a rampy initial surface: probe the bent prediction.
+    """(0,1)-singularity on a rampy initial surface: probe where u carries it.
 
     xi_inf comes from the co-geodesic flow of the initial surface alone; the
-    bent prediction (3/2) t0 |xi_inf|^{-1/2} xi_inf is probed against the
-    unbent control that uses xi0 instead, on at least 6 shared h values.
-    The witness weights are amplitude h^1.  A ray that escapes after flow
-    time s_max (xi0 = 0 never does) raises ConfigError before any DN solve.
+    real witness puts right-movers on u's branch -|xi_inf|, and the prediction
+    _u_ray(0, -|xi_inf|, t0) = ((3/2) t0 |xi_inf|^{1/2}, -|xi_inf|) under the
+    (1/2,1) scaling is probed on at least 6 shared h values against controls
+    on the same branch at -1, 2 and 3 times its x.  The witness weights are
+    amplitude h^1.  A ray that escapes after flow time s_max
+    (xi0 = 0 never does) raises ConfigError before any DN solve.
     """
     delta, rho = 0.0, 1.0
     eta0 = ramp_surface(grid, surface_amplitude, ramp_width, center=x0)
@@ -523,27 +517,23 @@ def singularity_experiment_smoothing(
                           f" s_max = {s_max}; no asymptotic direction")
 
     dp, rp = 0.5, 1.0  # (1/2, 1) probing of the evolved field
-    x_bent = _ww_group_shift(xi_inf, t0)
-    x_unbent = _ww_group_shift(xi0, t0)
-    hs_use = shared_h_grid(grid, [(x_bent, xi_inf), (x_unbent, xi0)], dp, rp, h_grid, 6)
-    # every control is needed: control_unbent carries the bent margin
+    x_pred, xi_pred = _u_ray(0.0, -abs(xi_inf), t0)
+    hs_use = shared_h_grid(grid, [(x_pred, xi_pred)], dp, rp, h_grid, 6)
     candidates = [
-        (x_unbent, xi0, "control_unbent"),
-        (-x_bent, xi_inf, "control_reflected"),
-        (2.0 * x_bent, xi_inf, "control_far_x"),
+        (-x_pred, xi_pred, "control_reflected"),
+        (2.0 * x_pred, xi_pred, "control_far_x"),
+        (3.0 * x_pred, xi_pred, "control_farther_x"),
     ]
-    controls = pick_controls(grid, (x_bent, xi_inf), candidates, dp, rp, hs_use,
+    controls = pick_controls(grid, (x_pred, xi_pred), candidates, dp, rp, hs_use,
                              want=len(candidates))
 
     hs_wit = valid_h_grid(grid, x0, xi0, delta, rho, h_grid)
-    psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_wit, amplitude)
-    report = _evolve_and_probe(
+    psi0, _ = real_scaled_witness(grid, x0, xi0, delta, rho, hs_wit, amplitude)
+    return _evolve_and_probe(
         SurfaceState(eta0, psi0, 0.0, params), t0, cfl,
-        [ProbeSpec(x_bent, xi_inf, dp, rp, "predicted")] + controls, hs_use,
+        [ProbeSpec(x_pred, xi_pred, dp, rp, "predicted")] + controls, hs_use,
         {"experiment": "ww_smoothing", "x0": x0, "xi0": xi0, "t0": t0,
-         "xi_inf": xi_inf, "x_bent": x_bent, "x_unbent": x_unbent,
+         "xi_inf": xi_inf, "x_pred": x_pred, "xi_pred": xi_pred,
          "surface_amplitude": surface_amplitude, "ramp_width": ramp_width,
          "amplitude": amplitude, "mu_w": 1.0, "s_escape": s_escape},
     )
-    report.meta["bent_margin"] = report.mu("control_unbent") - report.mu("predicted")
-    return report

@@ -2,6 +2,7 @@
 step rule, the Lawson-RK4 time stepper and the two singularity experiments."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from microloc.flows import asymptotic_direction
 from microloc.grid import Field, Grid, wave_packet
 from microloc.model_eq import geometric_h_grid
 from microloc.paradiff import paradiff_apply
-from microloc.quantize import estimate_decay_order, shared_h_grid
+from microloc.quantize import TOL_ORDER, ProbeSpec, estimate_decay_order, probe_sweep, shared_h_grid
 from microloc.symbols import Symbol
 from microloc import waterwave
 from microloc.waterwave import (
@@ -338,24 +339,86 @@ def _no_integrate(*args, **kwargs):
     raise AssertionError("integrate called for a configuration without a verdict")
 
 
-def test_infinite_experiment_flat_verdict():
-    # the ww_flat configuration: 26 Lawson steps, four clean controls, and the
-    # predicted point singular by more than two orders against all of them
+def _assert_flat_verdict(amplitude):
     g = Grid(512, 64.0)
     rep = singularity_experiment_infinite(g, WaveParams(), x0=4.0, xi0=1.0, t0=0.5,
-                                          h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14))
+                                          h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14),
+                                          amplitude=amplitude)
     assert [p.label for p in rep.probes] == [
         "predicted", "control_reflected", "control_mirror_initial",
-        "control_reflected_near_x", "control_reflected_neg_xi"]
-    assert rep.meta["separation"] == rep.separation() >= 2.0  # 2.4706
+        "control_reflected_near_x", "control_far_x"]
+    assert (rep.meta["x_pred"], rep.meta["xi_pred"]) == (4.75, -1.0)
+    assert all(p.xi0 == -1.0 for p in rep.probes)
+    assert abs(rep.mu("predicted") - rep.meta["mu_w"]) <= TOL_ORDER
+    assert rep.meta["separation"] == rep.separation() >= 2.0
     assert (rep.meta["steps"], rep.meta["rhs_evals"]) == (26, 104)
     # near-flat surface (a varies 1.015x): every DN solve ends in the fixed point
     assert rep.meta["dn_fixed_point_iters"] > 0 and rep.meta["dn_krylov_iters"] == 0
-    assert 0.0 < rep.meta["boundary_mass"] < 1e-4  # 9.7e-7
+    assert 0.0 < rep.meta["boundary_mass"] < 1e-4  # 9.7e-7, 8.9e-7 at 0.2
+
+
+def test_infinite_experiment_flat_verdict():
+    # the ww_flat configuration: 26 Lawson steps, four clean controls on u's
+    # branch -xi0, the prediction (4.75, -1) within TOL_ORDER of the witness
+    # order 1 (0.615), and singular by more than two orders against every
+    # control (2.854)
+    _assert_flat_verdict(1e-2)
+
+
+def test_infinite_experiment_quasilinear_verdict():
+    # the same at witness amplitude 0.2 (max |eta'| 0.27 at t0, u 12.9% off
+    # the linearized flow's): the prediction reads 0.609, the separation is
+    # 2.658, and the fixed point takes 1,079 sweeps (366 at 1e-2)
+    _assert_flat_verdict(0.2)
+
+
+@pytest.mark.parametrize("amplitude", [1e-2, 0.2])
+def test_eta_and_psi_carry_the_symmetrizer_index_shift(amplitude):
+    # u = P_p eta - i P_q omega with p of order 1/2 and q of order 0, so on
+    # the singular branch mu(eta) = mu(u) + 1/2 and mu(psi) = mu(u) under the
+    # (1/2,1) scaling (0.490 and 0.042 at amplitude 1e-2, 0.490 and 0.040 at
+    # 0.2).  At 0.2 the run is quasilinear: u(t0) is 12.9% off the u of the
+    # linearized flow
+    g, params = Grid(512, 64.0), WaveParams()
+    x0, xi0, t0 = 4.0, 1.0, 0.5
+    hs = shared_h_grid(g, [(x0, xi0), (4.75, -xi0)], 0.5, 1.0,
+                       geometric_h_grid(0.5, 2 ** -0.5, 14), 6)
+    psi0, tracks = real_scaled_witness(g, x0, xi0, 0.5, 1.0, hs, amplitude)
+    state0 = right_mover_state(g, params, psi0, tracks)
+    final = integrate(state0, t0, track_invariants=False).final()
+    u = symmetrized_u(final)
+    spec = [ProbeSpec(4.75, -xi0, 0.5, 1.0, "predicted")]
+    mu = {name: probe_sweep(f, spec, hs).mu("predicted")
+          for name, f in (("eta", final.eta), ("psi", final.psi), ("u", u))}
+    assert abs(mu["eta"] - mu["u"] - 0.5) <= 0.1
+    assert abs(mu["psi"] - mu["u"]) <= 0.1
+    if amplitude == 0.2:
+        u_lin = symmetrized_u(linearized_evolution(state0, t0)).values
+        assert np.linalg.norm(u.values - u_lin) / np.linalg.norm(u_lin) >= 0.1
+
+
+def test_smoothing_experiment_ramp_verdict():
+    # the slope-0.5 ramp to t0 = 0.75 at cfl 1.0: the witness's right-movers
+    # reach u's branch at (x_b, -xi_inf) = (1.064, -0.894), which reads
+    # within TOL_ORDER of the witness order 1 (0.745, stderr 0.206) and more
+    # than two TOL_ORDER below every control on that branch (separation
+    # 1.762); 19 steps and 951 Krylov iterations, about 2 s
+    g = Grid(512, 64.0)
+    start = time.perf_counter()
+    rep = singularity_experiment_smoothing(
+        g, WaveParams(), x0=0.0, xi0=1.0, t0=0.75,
+        h_grid=geometric_h_grid(0.5, 2 ** -0.25, 18),
+        surface_amplitude=0.5, ramp_width=1.0, cfl=1.0, s_max=150.0)
+    assert time.perf_counter() - start < 10.0
+    assert [p.label for p in rep.probes] == [
+        "predicted", "control_reflected", "control_far_x", "control_farther_x"]
+    assert rep.meta["xi_pred"] == -rep.meta["xi_inf"]
+    assert abs(rep.mu("predicted") - rep.meta["mu_w"]) <= TOL_ORDER
+    assert rep.separation() >= 2 * TOL_ORDER
 
 
 def test_infinite_experiment_without_clean_controls_raises_before_stepping(monkeypatch):
-    # the wide h = 0.5 packets on four rails cover every control candidate
+    # the wide h = 0.5 packets on their two rails cover every control candidate
     monkeypatch.setattr(waterwave, "integrate", _no_integrate)
     with pytest.raises(ConfigError):
         singularity_experiment_infinite(Grid(256, 64.0), WaveParams(), x0=1.0, xi0=0.5,
@@ -408,13 +471,3 @@ def test_experiments_with_non_unit_surface_tension_raise_before_stepping(monkeyp
             Grid(256, 64.0), WaveParams(kappa=2.0), x0=0.0, xi0=1.0, t0=0.125,
             h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
             surface_amplitude=0.5, ramp_width=1.0, s_max=150.0)
-
-
-def test_smoothing_experiment_on_flat_surface_raises_before_stepping(monkeypatch):
-    # xi_inf = xi0: the unbent control is the prediction, so no bent margin exists
-    monkeypatch.setattr(waterwave, "integrate", _no_integrate)
-    with pytest.raises(ConfigError):
-        singularity_experiment_smoothing(
-            Grid(256, 64.0), WaveParams(), x0=0.0, xi0=1.0, t0=0.125,
-            h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
-            surface_amplitude=0.0, ramp_width=1.0, s_max=150.0)
