@@ -18,8 +18,8 @@ Every experiment here and in waterwave follows the same straight-line script:
 shared_h_grid fixes the h values valid at the prediction and, in the
 transport experiments, at the witness's initial point; pick_controls places the
 controls; the field is evolved; probe_sweep measures mu_hat at the prediction
-and the controls, and meta["boundary_mass"] records boundary_mass_fraction of
-the probed field; WavefrontReport.separation() is the verdict.  Control
+and the controls and finishes the report, whose meta gains the grid, the
+boundary mass of the probed field and the verdict, separation().  Control
 policy: each experiment lists its candidate points in order of preference,
 and pick_controls walks that list, skipping a candidate that repeats an
 earlier one or the prediction (to 9 digits), has fewer than 3 valid h, or
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MultiplierError
-from .grid import Field, _packet_run, boundary_mass_fraction
+from .grid import Field, _packet_run
 from .quantize import ProbeSpec, probe_sweep, shared_h_grid, valid_h_grid
 from .symbols import window_radii
 
@@ -225,8 +225,8 @@ def transport_experiment(
     """Propagate a (delta,rho)-singularity witness and probe the transported point.
 
     Requires rho*gamma = delta + rho (the scaling under which the wavefront is
-    carried by the Hamiltonian flow of |xi|^gamma) and at least 6 shared h
-    values.  The verdict uses the first 4 clean controls.
+    carried by the Hamiltonian flow of |xi|^gamma) and at least quantize.MIN_H
+    shared h values.  The verdict uses the first 4 clean controls.
     """
     if abs(rho * gamma - (delta + rho)) > 1e-12:
         raise ConfigError(f"transport scaling needs rho*gamma = delta+rho, got "
@@ -237,7 +237,7 @@ def transport_experiment(
 
     # witness scales and the main probes share the h values that keep both the
     # initial and the transported window inside the box/Nyquist budget
-    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi0)], delta, rho, h_grid, 6)
+    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi0)], delta, rho, h_grid)
     u0, tracks = scaled_singularity_witness(grid, x0, xi0, delta, rho, hs_use, mu=mu)
     moved = [tr.at_time(t0, gamma) for tr in tracks]
 
@@ -259,21 +259,13 @@ def transport_experiment(
         want=4,
     )
 
-    u_t = propagate_fractional(u0, t0, gamma)
-    report = probe_sweep(
-        u_t, [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls, hs_use,
-        meta={
-            "experiment": "model_transport",
-            "requested_h_grid": list(h_grid),
-            "gamma": gamma, "delta": delta, "rho": rho,
-            "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred,
-            "witness_mu": mu,
-            "grid": {"n": grid.n, "length": grid.length},
-            "boundary_mass": boundary_mass_fraction(u_t),
-        },
+    return probe_sweep(
+        propagate_fractional(u0, t0, gamma),
+        [ProbeSpec(x_pred, xi0, delta, rho, "predicted")] + controls, hs_use,
+        meta={"experiment": "model_transport", "requested_h_grid": list(h_grid),
+              "gamma": gamma, "delta": delta, "rho": rho,
+              "x0": x0, "xi0": xi0, "t0": t0, "x_pred": x_pred, "witness_mu": mu},
     )
-    report.meta["separation"] = report.separation()
-    return report
 
 
 def _locus_clean(xc, xic, x_pred, xi0, gamma):
@@ -310,9 +302,9 @@ def smoothing_experiment(
 ):
     """Evolve near-delta data at x = 0 and probe the (rho(gamma-1), rho) wavefront.
 
-    Requires gamma > 1, rho*gamma > delta + rho and at least 6 valid h
-    values; the singular locus of the evolved field is the dispersive ray
-    (t0 gamma |xi|^{gamma-2} xi, xi).
+    Requires gamma > 1, rho*gamma > delta + rho and at least quantize.MIN_H
+    valid h values; the singular locus of the evolved field is the dispersive
+    ray (t0 gamma |xi|^{gamma-2} xi, xi).
     """
     if gamma <= 1.0:
         raise ConfigError("smoothing needs gamma > 1")
@@ -329,7 +321,7 @@ def smoothing_experiment(
         raise ConfigError("xi0 rounds to zero on this lattice")
 
     x_pred = group_shift(xi0, t0, gamma)
-    hs_use = shared_h_grid(grid, [(x_pred, xi0)], dp, rho, h_grid, 6)
+    hs_use = shared_h_grid(grid, [(x_pred, xi0)], dp, rho, h_grid)
 
     candidates = [
         (x_pred, 2.0 * xi0, "control_double_xi"),
@@ -345,20 +337,10 @@ def smoothing_experiment(
         clean=lambda xc, xic, hs: _locus_clean(xc, xic, x_pred, xi0, gamma),
     )
 
-    u0 = near_delta_field(grid)
-    u_t = propagate_fractional(u0, t0, gamma)
-    report = probe_sweep(
-        u_t, [ProbeSpec(x_pred, xi0, dp, rho, "predicted")] + controls, hs_use,
-        meta={
-            "experiment": "model_smoothing",
-            "gamma": gamma, "delta": delta, "rho": rho,
-            "probe_delta": dp, "probe_rho": rho,
-            "xi0": xi0, "t0": t0, "x_pred": x_pred,
-            "source_x": 0.0,
-            "delta_width": 2.0 * grid.spacing,
-            "grid": {"n": grid.n, "length": grid.length},
-            "boundary_mass": boundary_mass_fraction(u_t),
-        },
+    return probe_sweep(
+        propagate_fractional(near_delta_field(grid), t0, gamma),
+        [ProbeSpec(x_pred, xi0, dp, rho, "predicted")] + controls, hs_use,
+        meta={"experiment": "model_smoothing", "gamma": gamma, "delta": delta, "rho": rho,
+              "probe_delta": dp, "probe_rho": rho, "xi0": xi0, "t0": t0, "x_pred": x_pred,
+              "source_x": 0.0, "delta_width": 2.0 * grid.spacing},
     )
-    report.meta["separation"] = report.separation()
-    return report

@@ -6,28 +6,29 @@ op_quantize realizes the Kohn-Nirenberg action of a(h^delta x, h^rho xi):
 
 Wavefront orders are estimated by sweeping h over a geometric grid, applying
 a window symbol elliptic at the probe point, and regressing log L2-norm
-against log h: decay O(h^mu) shows up as slope mu.
+against log h: decay O(h^mu) shows up as slope mu.  probe_sweep, the one
+probe loop, returns a ProbeResult per ProbeSpec and finishes the report.
 
 Probe-loop cost: one forward FFT, one L2 norm of u and one chirp table of n
-(n even) or 2n (n odd) phases per probe_sweep (per estimate_decay_order
-call).  For each h the window's factors are evaluated only on the index runs
-its support balls cover (nk frequencies, nm points); one chirp-z zoom, a
-circular convolution at the least 5-smooth length >= nk + nm - 1, takes
-them from frequency to space in two FFTs, and the windowed norm sums those
-nm values: no inverse FFT or Field over the whole lattice.  The kernel
-spectrum of each distinct (nk, nm) is one more FFT per sweep.
+(n even) or 2n (n odd) phases per probe_sweep.  For each h the window's
+factors are evaluated only on the index runs its support balls cover (nk
+frequencies, nm points); one chirp-z zoom, a circular convolution at the
+least 5-smooth length >= nk + nm - 1, takes them from frequency to space in
+two FFTs, and the windowed norm sums those nm values: no inverse FFT or
+Field over the whole lattice.  The kernel spectrum of each distinct
+(nk, nm) is one more FFT per sweep.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import ConfigError, MultiplierError
-from .grid import Field, Grid, l2_norm, spectrum
+from .grid import Field, Grid, boundary_mass_fraction, l2_norm, spectrum
 from .symbols import Symbol, dyadic_pieces, window_radii, window_symbol
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "valid_h_grid",
     "shared_h_grid",
     "estimate_decay_order",
-    "DecayFit",
     "ProbeSpec",
     "ProbeResult",
     "WavefrontReport",
@@ -49,6 +49,7 @@ __all__ = [
 
 TOL_ORDER = 0.5  # membership tolerance: regression slopes on 6-8 points carry ~0.2-0.4 noise
 NORM_FLOOR = 1e-14
+MIN_H = 6  # the fewest shared h values an experiment probes on
 
 
 def _dense_apply(a, u, h, delta, rho):
@@ -290,29 +291,20 @@ def valid_h_grid(grid, x0, xi0, delta, rho, h_grid):
     return keep
 
 
-def shared_h_grid(grid, points, delta, rho, h_grid, min_h):
+def shared_h_grid(grid, points, delta, rho, h_grid):
     """The h values of h_grid that valid_h_grid keeps at every (x, xi) in points.
 
-    Raises ConfigError when fewer than min_h remain.
+    Raises ConfigError when fewer than MIN_H remain.
     """
     hs = list(h_grid)
     for (x, xi) in points:
         hs = valid_h_grid(grid, x, xi, delta, rho, hs)
-    if len(hs) < min_h:
+    if len(hs) < MIN_H:
         raise ConfigError(
-            f"only {len(hs)} h values fit the box/Nyquist budget (need {min_h}); "
+            f"only {len(hs)} h values fit the box/Nyquist budget (need {MIN_H}); "
             "shrink |x0|, |xi0|, |t0| or the h range"
         )
     return hs
-
-
-@dataclass
-class DecayFit:
-    mu_hat: float
-    r2: float
-    stderr: float  # standard error of mu_hat; inf with mu_hat
-    h_used: list
-    norms: list
 
 
 def _fit_loglog(hs, norms):
@@ -330,9 +322,10 @@ def _fit_loglog(hs, norms):
     return float(coef[0]), r2, stderr
 
 
-def _decay_fit(u_fft, u_norm, grid, x0, xi0, delta, rho, h_grid, zoom):
-    """estimate_decay_order from u_fft = np.fft.fft(u.values), u_norm = ||u||
+def _decay_fit(u_fft, u_norm, grid, spec, h_grid, zoom):
+    """The ProbeResult of spec from u_fft = np.fft.fft(u.values), u_norm = ||u||
     and the field's _ZoomContext zoom."""
+    x0, xi0, delta, rho = spec.x0, spec.xi0, spec.delta, spec.rho
     if delta < 0 or rho < 0:
         raise ValueError("delta and rho must be nonnegative")
     window = window_symbol(x0, xi0)
@@ -345,23 +338,23 @@ def _decay_fit(u_fft, u_norm, grid, x0, xi0, delta, rho, h_grid, zoom):
     hs = [h for h, val in zip(h_grid, measured) if val > floor]
     norms = [val for val in measured if val > floor]
     if len(hs) < 3:
-        return DecayFit(math.inf, 1.0, math.inf, list(h_grid), measured)
-    return DecayFit(*_fit_loglog(hs, norms), hs, norms)
+        mu_hat, r2, stderr, hs, norms = math.inf, 1.0, math.inf, list(h_grid), measured
+    else:
+        mu_hat, r2, stderr = _fit_loglog(hs, norms)
+    return ProbeResult(**vars(spec), mu_hat=mu_hat, r2=r2, stderr=stderr, h_used=hs, norms=norms)
 
 
 def estimate_decay_order(u, x0, xi0, delta, rho, h_grid):
     """Fit log ||op_h(window) u||_L2 against log h; slope = decay order mu_hat.
 
-    The window is window_symbol(x0, xi0).  Returns a DecayFit of the h values
-    whose norm clears the numerical floor, their norms, and mu_hat with its
-    standard error; when fewer than 3 clear it, mu_hat = stderr = +inf (rapid
-    decay beyond measurability) and the fit lists every valid h with its
-    measured norm.  Raises ConfigError when fewer than 3 h values fit the box
-    and Nyquist budget.
+    The window is window_symbol(x0, xi0).  Returns the ProbeResult of the
+    h values whose norm clears the numerical floor, their norms, and mu_hat
+    with its standard error; when fewer than 3 clear it, mu_hat = stderr =
+    +inf (rapid decay beyond measurability) and the result lists every valid
+    h with its measured norm.  Raises ConfigError when fewer than 3 h values
+    fit the box and Nyquist budget.
     """
-    return _decay_fit(
-        np.fft.fft(u.values), l2_norm(u), u.grid, x0, xi0, delta, rho, h_grid, _ZoomContext(u.grid.n)
-    )
+    return probe_sweep(u, [ProbeSpec(x0, xi0, delta, rho)], h_grid).probes[0]
 
 
 def is_singular_at_order(mu_hat, sigma, tol_order=TOL_ORDER):
@@ -389,7 +382,7 @@ class ProbeResult:
     label: str = ""
     h_used: list = dc_field(default_factory=list)
     norms: list = dc_field(default_factory=list)
-    stderr: float = math.inf  # DecayFit.stderr of mu_hat
+    stderr: float = math.inf  # standard error of mu_hat; inf with mu_hat
 
 
 @dataclass
@@ -423,48 +416,16 @@ class WavefrontReport:
         return math.inf if math.isinf(lo) else lo - self.mu("predicted")
 
     def to_dict(self):
-        return {
-            "probes": [
-                {
-                    "x0": float(p.x0),
-                    "xi0": float(p.xi0),
-                    "delta": p.delta,
-                    "rho": p.rho,
-                    "mu_hat": p.mu_hat,
-                    "r2": p.r2,
-                    "label": p.label,
-                    "h_used": list(p.h_used),
-                    "norms": list(p.norms),
-                    "stderr": p.stderr,
-                }
-                for p in self.probes
-            ],
-            "h_grid": list(self.h_grid),
-            "tolerances": dict(self.tolerances),
-            "meta": self.meta,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d):
-        probes = [
-            ProbeResult(
-                x0=p["x0"],
-                xi0=p["xi0"],
-                delta=p["delta"],
-                rho=p["rho"],
-                mu_hat=p["mu_hat"],
-                r2=p["r2"],
-                label=p.get("label", ""),
-                h_used=list(p.get("h_used", [])),
-                norms=list(p.get("norms", [])),
-                stderr=p.get("stderr", math.inf),
-            )
-            for p in d["probes"]
-        ]
-        return cls(probes, list(d["h_grid"]), dict(d.get("tolerances", {})), d.get("meta", {}))
+        """The report of a to_dict; a probe without a stderr loads with stderr = inf."""
+        return cls([ProbeResult(**p) for p in d["probes"]], list(d["h_grid"]),
+                   dict(d.get("tolerances", {})), d.get("meta", {}))
 
     @classmethod
     def from_json(cls, text):
@@ -472,14 +433,17 @@ class WavefrontReport:
 
 
 def probe_sweep(u, specs, h_grid, meta=None):
-    """Run estimate_decay_order, with the default window, for each ProbeSpec."""
-    u_fft, u_norm, zoom = np.fft.fft(u.values), l2_norm(u), _ZoomContext(u.grid.n)
-    results = []
-    for spec in specs:
-        fit = _decay_fit(u_fft, u_norm, u.grid, spec.x0, spec.xi0, spec.delta, spec.rho, h_grid, zoom)
-        results.append(ProbeResult(
-            x0=spec.x0, xi0=spec.xi0, delta=spec.delta, rho=spec.rho,
-            mu_hat=fit.mu_hat, r2=fit.r2, label=spec.label,
-            h_used=fit.h_used, norms=fit.norms, stderr=fit.stderr,
-        ))
-    return WavefrontReport(results, list(h_grid), meta=meta or {})
+    """The WavefrontReport of u's decay orders at each ProbeSpec (window_symbol).
+
+    Its meta is meta plus what every report records: "grid", "boundary_mass"
+    (boundary_mass_fraction(u)) and "separation" (the report's separation()).
+    """
+    grid = u.grid
+    u_fft, u_norm, zoom = np.fft.fft(u.values), l2_norm(u), _ZoomContext(grid.n)
+    report = WavefrontReport(
+        [_decay_fit(u_fft, u_norm, grid, spec, h_grid, zoom) for spec in specs], list(h_grid),
+        meta={**(meta or {}), "grid": {"n": grid.n, "length": grid.length},
+              "boundary_mass": boundary_mass_fraction(u)},
+    )
+    report.meta["separation"] = report.separation()
+    return report

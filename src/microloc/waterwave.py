@@ -28,7 +28,7 @@ from .dno import (FluidDomain, _StripWorkspace, _node_sampler, _slopes, _x_deriv
                   b_v_fields, dn_elliptic)
 from .errors import BlowUpError, ConfigError
 from .flows import SurfaceMetric, asymptotic_direction
-from .grid import Field, boundary_mass_fraction
+from .grid import Field
 from .model_eq import (PacketTrack, group_shift, pick_controls, scaled_singularity_witness,
                        track_clean)
 from .paradiff import dyadic_paradiff_apply, paradiff_apply
@@ -388,8 +388,8 @@ def _evolve_and_probe(state0, t0, cfl, specs, hs_use, meta):
     """Evolve state0 to t0 on one strip workspace and probe u(t0) at specs.
 
     A surface tension other than 1, or a box too small for the dyadic
-    partition, raises ConfigError before any DN solve.  The report's meta is
-    meta plus what both experiments record.
+    partition, raises ConfigError before any DN solve.  probe_sweep finishes
+    the report's meta: meta plus the run's counts and the water's parameters.
     """
     grid, params = state0.grid, state0.params
     _require_unit_tension(params)
@@ -397,17 +397,13 @@ def _evolve_and_probe(state0, t0, cfl, specs, hs_use, meta):
     ws = _StripWorkspace(state0.domain())
     hist = integrate(state0, t0, cfl=cfl, track_invariants=False, workspace=ws)
     u_t = symmetrized_u(hist.final(), part=part, workspace=ws)
-    report = probe_sweep(u_t, specs, hs_use, meta={
+    return probe_sweep(u_t, specs, hs_use, meta={
         **meta,
         "steps": hist.steps, "rhs_evals": hist.rhs_evals,
         "dn_fixed_point_iters": hist.dn_fixed_point_iters,
         "dn_krylov_iters": hist.dn_krylov_iters,
-        "grid": {"n": grid.n, "length": grid.length},
-        "boundary_mass": boundary_mass_fraction(u_t),
         "params": {"gravity": params.gravity, "depth": params.depth, "nz": params.nz},
     })
-    report.meta["separation"] = report.separation()
-    return report
 
 
 def singularity_experiment_infinite(
@@ -422,14 +418,17 @@ def singularity_experiment_infinite(
 ):
     """Embed a (1/2,1)-singularity witness in psi, evolve, probe u(t0).
 
-    The witness, of weights amplitude h^1 on at least 6 shared h values, is
-    paired with the eta of a right-moving linear wave, which u carries on
-    -|xi0| to _u_ray(x0, -|xi0|, t0); the verdict uses the first 4 controls
-    on that branch clean against the _u_ray images of the packets at +-xi.
+    The witness, of weights amplitude h^1 on at least quantize.MIN_H shared
+    h values, is paired with the eta of a right-moving linear wave, which u
+    carries on -|xi0| to _u_ray(x0, -|xi0|, t0); the verdict uses the first 4
+    controls on that branch clean against the _u_ray images of the packets at
+    +-xi.  xi0 = 0 raises ConfigError before any DN solve.
     """
+    if xi0 == 0.0:
+        raise ConfigError("xi0 must be nonzero")
     delta, rho = 0.5, 1.0
     x_pred, xi_pred = _u_ray(x0, -abs(xi0), t0)
-    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi_pred)], delta, rho, h_grid, 6)
+    hs_use = shared_h_grid(grid, [(x0, xi0), (x_pred, xi_pred)], delta, rho, h_grid)
     psi0, tracks = real_scaled_witness(grid, x0, xi0, delta, rho, hs_use, amplitude)
 
     # at_time(-t0, 1.5) is _u_ray(x, xi, t0) with the packet's spreading
@@ -502,10 +501,10 @@ def singularity_experiment_smoothing(
     xi_inf comes from the co-geodesic flow of the initial surface alone; the
     real witness puts right-movers on u's branch -|xi_inf|, and the prediction
     _u_ray(0, -|xi_inf|, t0) = ((3/2) t0 |xi_inf|^{1/2}, -|xi_inf|) under the
-    (1/2,1) scaling is probed on at least 6 shared h values against controls
-    on the same branch at -1, 2 and 3 times its x.  The witness weights are
-    amplitude h^1.  A ray that escapes after flow time s_max
-    (xi0 = 0 never does) raises ConfigError before any DN solve.
+    (1/2,1) scaling is probed on at least quantize.MIN_H shared h values
+    against controls on the same branch at -1, 2 and 3 times its x.  The
+    witness weights are amplitude h^1.  A ray that escapes after flow time
+    s_max (xi0 = 0 never does) raises ConfigError before any DN solve.
     """
     delta, rho = 0.0, 1.0
     eta0 = ramp_surface(grid, surface_amplitude, ramp_width, center=x0)
@@ -518,7 +517,7 @@ def singularity_experiment_smoothing(
 
     dp, rp = 0.5, 1.0  # (1/2, 1) probing of the evolved field
     x_pred, xi_pred = _u_ray(0.0, -abs(xi_inf), t0)
-    hs_use = shared_h_grid(grid, [(x_pred, xi_pred)], dp, rp, h_grid, 6)
+    hs_use = shared_h_grid(grid, [(x_pred, xi_pred)], dp, rp, h_grid)
     candidates = [
         (-x_pred, xi_pred, "control_reflected"),
         (2.0 * x_pred, xi_pred, "control_far_x"),

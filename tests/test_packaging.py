@@ -2,8 +2,8 @@
 resolves, every public top-level name is exported, no module imports a name
 it never uses, no module binds mutable state at top level, every option of a
 library function and every public function has a caller outside the tests,
-every allowlisted exception is still needed, and the package runs on numpy
-alone."""
+every allowlisted exception is still needed, only quantize.probe_sweep
+finishes a report, and the package runs on numpy alone."""
 
 import ast
 import importlib
@@ -298,3 +298,40 @@ def test_every_public_function_is_reached():
     assert not hits, f"public functions that only tests reach: {hits}"
     stale = sorted(REACH_ALLOWLIST - set(unreached))
     assert not stale, f"REACH_ALLOWLIST entries that are gone or now reached: {stale}"
+
+
+def _report_tail_writers(modules):
+    """"module.function" for each top-level function or method of the
+    {module name: source} map that calls boundary_mass_fraction or assigns
+    meta["separation"]."""
+    hits = []
+    for module, src in sorted(modules.items()):
+        tree = ast.parse(src)
+        funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        funcs += [f for c in tree.body if isinstance(c, ast.ClassDef)
+                  for f in c.body if isinstance(f, ast.FunctionDef)]
+        for fn in funcs:
+            for n in ast.walk(fn):
+                calls = isinstance(n, ast.Call) and _callee(n) == "boundary_mass_fraction"
+                stores = (isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+                          and ast.unparse(n.value).split(".")[-1] == "meta"
+                          and isinstance(n.slice, ast.Constant) and n.slice.value == "separation")
+                if calls or stores:
+                    hits.append(f"{module}.{fn.name}")
+                    break
+    return hits
+
+
+def test_report_tail_writers_detector():
+    lib = ("def f(u):\n    rep.meta['separation'] = 1.0\n"
+           "def g(u):\n    return grid.boundary_mass_fraction(u)\n"
+           "def h(meta):\n    meta['other'] = 1\n    return meta['separation']\n"
+           "class K:\n    def k(self):\n        self.meta['separation'] = None\n")
+    assert _report_tail_writers({"m": lib}) == ["m.f", "m.g", "m.k"]
+
+
+def test_only_probe_sweep_finishes_a_report():
+    # the fields every report shares are written in one place: an experiment
+    # returns probe_sweep's report as it stands
+    modules = {p.stem: p.read_text() for p in (ROOT / "src" / "microloc").glob("*.py")}
+    assert _report_tail_writers(modules) == ["quantize.probe_sweep"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from microloc.errors import ConfigError, MultiplierError
-from microloc.grid import Field, Grid, l2_norm, transform, wave_packet
+from microloc.grid import Field, Grid, boundary_mass_fraction, l2_norm, transform, wave_packet
 from microloc.model_eq import geometric_h_grid, scaled_singularity_witness
 import microloc.quantize as quantize
 from microloc.quantize import (
@@ -512,18 +512,20 @@ def test_membership_rule():
     assert not is_singular_at_order(1.8, 2.0)  # within tol_order = 0.5
 
 
-def test_valid_h_grid_truncation():
+def test_valid_h_grid_truncation(monkeypatch):
     g = Grid(256, 40.0)
     hs = [2.0 ** (-j) for j in range(1, 10)]
     kept = valid_h_grid(g, 4.0, 3.0, 1.0, 1.0, hs)
     assert len(kept) < len(hs)
     assert all(h ** (-1.0) * (4.0 + 1.0) <= 0.95 * 20.0 for h in kept)
-    # shared_h_grid: the h valid at every point, at least min_h of them
+    # shared_h_grid: the h valid at every point, at least MIN_H of them
     points = [(1.0, 3.0), (4.0, 3.0)]
     assert valid_h_grid(g, 1.0, 3.0, 1.0, 1.0, hs) != kept
-    assert shared_h_grid(g, points, 1.0, 1.0, hs, min_h=len(kept)) == kept
+    monkeypatch.setattr(quantize, "MIN_H", len(kept))
+    assert shared_h_grid(g, points, 1.0, 1.0, hs) == kept
+    monkeypatch.setattr(quantize, "MIN_H", len(kept) + 1)
     with pytest.raises(ConfigError):
-        shared_h_grid(g, points, 1.0, 1.0, hs, min_h=len(kept) + 1)
+        shared_h_grid(g, points, 1.0, 1.0, hs)
 
 
 def test_garding_lower_bound(grid):
@@ -585,6 +587,7 @@ def test_report_json_roundtrip(witness_mu1):
     rep = probe_sweep(u, specs, h_grid=hs)
     back = WavefrontReport.from_json(rep.to_json())
     assert back.to_dict() == rep.to_dict()
+    assert back.probes == rep.probes
     assert rep.h_grid == list(hs)
     # each probe carries its fit's standard error; JSON without one loads as inf
     fit = estimate_decay_order(u, -3.0, 2.5, 1.0, 1.0, h_grid=hs)
@@ -594,6 +597,22 @@ def test_report_json_roundtrip(witness_mu1):
         del p["stderr"]
     assert all(p.stderr == math.inf for p in WavefrontReport.from_dict(old).probes)
     assert back.separation() == rep.separation() == rep.mu("control_1") - rep.mu("predicted")
+
+
+def test_probe_sweep_finishes_the_report(witness_mu1):
+    # probe_sweep keeps the caller's meta and adds what every report
+    # records; estimate_decay_order is its probe at a single spec
+    grid, hs, u = witness_mu1
+    specs = [ProbeSpec(-3.0, 2.5, 1.0, 1.0, label="predicted"),
+             ProbeSpec(3.0, 2.5, 1.0, 1.0, label="control_1")]
+    rep = probe_sweep(u, specs, hs, meta={"experiment": "probe", "t0": 0.5})
+    assert (rep.meta["experiment"], rep.meta["t0"]) == ("probe", 0.5)
+    assert rep.meta["grid"] == {"n": grid.n, "length": grid.length}
+    assert rep.meta["boundary_mass"] == boundary_mass_fraction(u)
+    assert rep.meta["separation"] == rep.separation() is not None
+    assert probe_sweep(u, specs[1:], hs).meta["separation"] is None  # nothing predicted
+    fit = estimate_decay_order(u, -3.0, 2.5, 1.0, 1.0, h_grid=hs)
+    assert fit == probe_sweep(u, [ProbeSpec(-3.0, 2.5, 1.0, 1.0)], hs).probes[0]
 
 
 def test_report_separation_rules():

@@ -249,7 +249,7 @@ def test_right_mover_state_moves_one_way():
     x0, xi0, t0 = 4.0, 1.0, 0.5
     right, left = x0 + 0.75, x0 - 0.75
     hs = shared_h_grid(g, [(x0, xi0), (right, xi0), (left, xi0)], 0.5, 1.0,
-                       geometric_h_grid(0.5, 2 ** -0.5, 14), 6)
+                       geometric_h_grid(0.5, 2 ** -0.5, 14))
     psi0, tracks = real_scaled_witness(g, x0, xi0, 0.5, 1.0, hs, 1e-2)
     mu = {}
     for name, state in (("paired", right_mover_state(g, params, psi0, tracks)),
@@ -270,7 +270,7 @@ def test_symmetrized_u_carries_right_movers_on_negative_frequencies():
     g, params = Grid(512, 64.0), WaveParams()
     x0, xi0, t0 = 4.0, 1.0, 0.5
     hs = shared_h_grid(g, [(x0, xi0), (x0 + 0.75, xi0)], 0.5, 1.0,
-                       geometric_h_grid(0.5, 2 ** -0.5, 14), 6)
+                       geometric_h_grid(0.5, 2 ** -0.5, 14))
     psi0, tracks = real_scaled_witness(g, x0, xi0, 0.5, 1.0, hs, 1e-2)
     positive = g.axis_frequencies() > 0
 
@@ -382,7 +382,7 @@ def test_eta_and_psi_carry_the_symmetrizer_index_shift(amplitude):
     g, params = Grid(512, 64.0), WaveParams()
     x0, xi0, t0 = 4.0, 1.0, 0.5
     hs = shared_h_grid(g, [(x0, xi0), (4.75, -xi0)], 0.5, 1.0,
-                       geometric_h_grid(0.5, 2 ** -0.5, 14), 6)
+                       geometric_h_grid(0.5, 2 ** -0.5, 14))
     psi0, tracks = real_scaled_witness(g, x0, xi0, 0.5, 1.0, hs, amplitude)
     state0 = right_mover_state(g, params, psi0, tracks)
     final = integrate(state0, t0, track_invariants=False).final()
@@ -423,6 +423,15 @@ def test_infinite_experiment_without_clean_controls_raises_before_stepping(monke
     with pytest.raises(ConfigError):
         singularity_experiment_infinite(Grid(256, 64.0), WaveParams(), x0=1.0, xi0=0.5,
                                         t0=1.0, h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14))
+
+
+def test_infinite_experiment_with_zero_frequency_raises_before_stepping(monkeypatch):
+    # xi0 = 0 has no u-ray to predict on (group_shift of 0 at gamma 3/2
+    # divides by zero): a ConfigError before any DN solve
+    monkeypatch.setattr(waterwave, "integrate", _no_integrate)
+    with pytest.raises(ConfigError, match="xi0 must be nonzero"):
+        singularity_experiment_infinite(Grid(512, 64.0), WaveParams(), x0=4.0, xi0=0.0,
+                                        t0=0.5, h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14))
 
 
 def test_smoothing_experiment_on_small_box_raises_before_stepping(monkeypatch):
