@@ -387,9 +387,12 @@ def right_mover_state(grid, params, psi0, tracks):
 def _evolve_and_probe(state0, t0, cfl, specs, hs_use, meta):
     """Evolve state0 to t0 on one strip workspace and probe u(t0) at specs.
 
-    A surface tension other than 1, or a box too small for the dyadic
-    partition, raises ConfigError before any DN solve.  probe_sweep finishes
-    the report's meta: meta plus the run's counts and the water's parameters.
+    integrate steps at the experiment's cfl (1.0 by default in both
+    experiments; the pinned verdicts are checked against cfl/2).  A surface
+    tension other than 1, or a box too small for the dyadic partition, raises
+    ConfigError before any DN solve.  probe_sweep finishes the report's meta:
+    meta plus the step taken (cfl and dt), the run's counts and the water's
+    parameters.
     """
     grid, params = state0.grid, state0.params
     _require_unit_tension(params)
@@ -399,7 +402,7 @@ def _evolve_and_probe(state0, t0, cfl, specs, hs_use, meta):
     u_t = symmetrized_u(hist.final(), part=part, workspace=ws)
     return probe_sweep(u_t, specs, hs_use, meta={
         **meta,
-        "steps": hist.steps, "rhs_evals": hist.rhs_evals,
+        "cfl": cfl, "dt": hist.dt, "steps": hist.steps, "rhs_evals": hist.rhs_evals,
         "dn_fixed_point_iters": hist.dn_fixed_point_iters,
         "dn_krylov_iters": hist.dn_krylov_iters,
         "params": {"gravity": params.gravity, "depth": params.depth, "nz": params.nz},
@@ -414,7 +417,7 @@ def singularity_experiment_infinite(
     t0,
     h_grid,
     amplitude=1e-2,
-    cfl=0.5,
+    cfl=1.0,
 ):
     """Embed a (1/2,1)-singularity witness in psi, evolve, probe u(t0).
 
@@ -422,7 +425,9 @@ def singularity_experiment_infinite(
     h values, is paired with the eta of a right-moving linear wave, which u
     carries on -|xi0| to _u_ray(x0, -|xi0|, t0); the verdict uses the first 4
     controls on that branch clean against the _u_ray images of the packets at
-    +-xi.  xi0 = 0 raises ConfigError before any DN solve.
+    +-xi.  It steps at cfl 1.0 by default: Lawson RK4 integrates the flat
+    flow exactly, and halving the step moves no pinned probe's decay order by
+    more than 2e-2.  xi0 = 0 raises ConfigError before any DN solve.
     """
     if xi0 == 0.0:
         raise ConfigError("xi0 must be nonzero")
@@ -493,7 +498,7 @@ def singularity_experiment_smoothing(
     surface_amplitude,
     ramp_width,
     amplitude=1e-2,
-    cfl=0.5,
+    cfl=1.0,
     s_max=2000.0,
 ):
     """(0,1)-singularity on a rampy initial surface: probe where u carries it.
@@ -503,8 +508,13 @@ def singularity_experiment_smoothing(
     _u_ray(0, -|xi_inf|, t0) = ((3/2) t0 |xi_inf|^{1/2}, -|xi_inf|) under the
     (1/2,1) scaling is probed on at least quantize.MIN_H shared h values
     against controls on the same branch at -1, 2 and 3 times its x.  The
-    witness weights are amplitude h^1.  A ray that escapes after flow time
-    s_max (xi0 = 0 never does) raises ConfigError before any DN solve.
+    witness weights are amplitude h^1.  It steps at cfl 1.0 by default, as
+    singularity_experiment_infinite does, but a long run over a steep ramp
+    can need a smaller step: to t0 = 0.75 on the slope-0.5 ramp, cfl 1.0
+    moves a control's decay order by 6.6e-2 from the cfl-0.25 run, and cfl
+    0.5 by 1.8e-3, so check a verdict against cfl/2.  A ray that escapes
+    after flow time s_max (xi0 = 0 never does) raises ConfigError before any
+    DN solve.
     """
     delta, rho = 0.0, 1.0
     eta0 = ramp_surface(grid, surface_amplitude, ramp_width, center=x0)

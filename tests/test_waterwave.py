@@ -4,6 +4,7 @@ step rule, the Lawson-RK4 time stepper and the two singularity experiments."""
 import math
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -315,24 +316,42 @@ def test_symmetrized_u_solves_the_paradifferential_equation():
     assert min(flipped) >= 1.5
 
 
+def _with_half_step(run):
+    """run() at the experiments' default cfl 1.0 and run(cfl=0.5): the
+    step-size refinement check of a pinned experiment.  No probe's decay
+    order moves by more than 2e-2 between the two reports; the caller
+    asserts its verdict on both."""
+    rep, half = run(), run(cfl=0.5)
+    assert (rep.meta["cfl"], half.meta["cfl"]) == (1.0, 0.5)
+    assert [p.label for p in half.probes] == [p.label for p in rep.probes]
+    assert max(abs(a.mu_hat - b.mu_hat) for a, b in zip(rep.probes, half.probes)) <= 2e-2
+    return rep, half
+
+
 def test_smoothing_experiment_reports_step_counts():
-    # the pinned ramp configuration: 4 Lawson steps of four zcs_rhs each; a
-    # varies 9x on the slope-0.5 ramp, so every DN solve skips the fixed point
-    # and the frozen-depth Krylov stage takes about 14 iterations
+    # the pinned ramp configuration at the default cfl 1.0 and at 0.5: 2 and
+    # 4 Lawson steps of four zcs_rhs each, every probe within 2.1e-4 of the
+    # cfl-0.5 run; a varies 9x on the slope-0.5 ramp, so every DN solve skips
+    # the fixed point and the frozen-depth Krylov stage takes 105 (182)
+    # iterations in all.  t0 = 0.125 is too short for a verdict (separation
+    # 0.048)
     g = Grid(256, 64.0)
-    rep = singularity_experiment_smoothing(
-        g, WaveParams(), x0=0.0, xi0=1.0, t0=0.125,
+    rep, half = _with_half_step(partial(
+        singularity_experiment_smoothing, g, WaveParams(), x0=0.0, xi0=1.0, t0=0.125,
         h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
-        surface_amplitude=0.5, ramp_width=1.0, s_max=150.0)
-    assert rep.meta["steps"] == 4
-    assert rep.meta["rhs_evals"] == 4 * rep.meta["steps"]
-    assert rep.meta["dn_fixed_point_iters"] == 0
-    assert 0 < rep.meta["dn_krylov_iters"] <= 190
-    assert abs(rep.meta["xi_inf"] - 1.0 / math.sqrt(1.25)) < 1e-12  # G conserved
-    assert 70.0 < rep.meta["s_escape"] < 71.0  # 70.561, the flow time to |x| = 100
-    # P_p and P_q high-pass the ramp: u(t0) keeps 7.7e-4 of its mass near the
-    # edges
-    assert 0.0 < rep.meta["boundary_mass"] < 2e-3
+        surface_amplitude=0.5, ramp_width=1.0, s_max=150.0))
+    assert (rep.meta["steps"], rep.meta["dt"]) == (2, 0.0625)
+    assert (half.meta["steps"], half.meta["dt"]) == (4, 0.03125)
+    assert 0 < rep.meta["dn_krylov_iters"] <= 110
+    assert 0 < half.meta["dn_krylov_iters"] <= 190
+    for r in (rep, half):
+        assert r.meta["rhs_evals"] == 4 * r.meta["steps"]
+        assert r.meta["dn_fixed_point_iters"] == 0
+        assert abs(r.meta["xi_inf"] - 1.0 / math.sqrt(1.25)) < 1e-12  # G conserved
+        assert 70.0 < r.meta["s_escape"] < 71.0  # 70.561, the flow time to |x| = 100
+        # P_p and P_q high-pass the ramp: u(t0) keeps 7.7e-4 of its mass near
+        # the edges
+        assert 0.0 < r.meta["boundary_mass"] < 2e-3
 
 
 def _no_integrate(*args, **kwargs):
@@ -341,34 +360,39 @@ def _no_integrate(*args, **kwargs):
 
 def _assert_flat_verdict(amplitude):
     g = Grid(512, 64.0)
-    rep = singularity_experiment_infinite(g, WaveParams(), x0=4.0, xi0=1.0, t0=0.5,
-                                          h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14),
-                                          amplitude=amplitude)
-    assert [p.label for p in rep.probes] == [
-        "predicted", "control_reflected", "control_mirror_initial",
-        "control_reflected_near_x", "control_far_x"]
-    assert (rep.meta["x_pred"], rep.meta["xi_pred"]) == (4.75, -1.0)
-    assert all(p.xi0 == -1.0 for p in rep.probes)
-    assert abs(rep.mu("predicted") - rep.meta["mu_w"]) <= TOL_ORDER
-    assert rep.meta["separation"] == rep.separation() >= 2.0
-    assert (rep.meta["steps"], rep.meta["rhs_evals"]) == (26, 104)
-    # near-flat surface (a varies 1.015x): every DN solve ends in the fixed point
-    assert rep.meta["dn_fixed_point_iters"] > 0 and rep.meta["dn_krylov_iters"] == 0
-    assert 0.0 < rep.meta["boundary_mass"] < 1e-4  # 9.7e-7, 8.9e-7 at 0.2
+    reports = _with_half_step(partial(
+        singularity_experiment_infinite, g, WaveParams(), x0=4.0, xi0=1.0, t0=0.5,
+        h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14), amplitude=amplitude))
+    assert [(r.meta["steps"], r.meta["rhs_evals"]) for r in reports] == [(13, 52), (26, 104)]
+    for rep in reports:
+        assert [p.label for p in rep.probes] == [
+            "predicted", "control_reflected", "control_mirror_initial",
+            "control_reflected_near_x", "control_far_x"]
+        assert (rep.meta["x_pred"], rep.meta["xi_pred"]) == (4.75, -1.0)
+        assert all(p.xi0 == -1.0 for p in rep.probes)
+        assert abs(rep.mu("predicted") - rep.meta["mu_w"]) <= TOL_ORDER
+        assert rep.meta["separation"] == rep.separation() >= 2.0
+        # near-flat surface (a varies 1.015x): every DN solve ends in the
+        # fixed point
+        assert rep.meta["dn_fixed_point_iters"] > 0 and rep.meta["dn_krylov_iters"] == 0
+        assert 0.0 < rep.meta["boundary_mass"] < 1e-4  # 9.7e-7, 8.9e-7 at 0.2
 
 
 def test_infinite_experiment_flat_verdict():
-    # the ww_flat configuration: 26 Lawson steps, four clean controls on u's
-    # branch -xi0, the prediction (4.75, -1) within TOL_ORDER of the witness
-    # order 1 (0.615), and singular by more than two orders against every
-    # control (2.854)
+    # the ww_flat configuration at the default cfl 1.0 (13 Lawson steps) and
+    # at 0.5 (26): four clean controls on u's branch -xi0, the prediction
+    # (4.75, -1) within TOL_ORDER of the witness order 1 (0.615), and
+    # singular by more than two orders against every control (2.8537 at 1.0,
+    # 2.8540 at 0.5); no probe moves by more than 3.1e-4 between the two
     _assert_flat_verdict(1e-2)
 
 
 def test_infinite_experiment_quasilinear_verdict():
     # the same at witness amplitude 0.2 (max |eta'| 0.27 at t0, u 12.9% off
-    # the linearized flow's): the prediction reads 0.609, the separation is
-    # 2.658, and the fixed point takes 1,079 sweeps (366 at 1e-2)
+    # the linearized flow's): the prediction reads 0.619 at cfl 1.0 and
+    # 0.609 at 0.5 (1.0e-2 apart, the largest move of any probe), the
+    # separation is 2.648 and 2.658, and the fixed point takes 624 and 1,079
+    # sweeps (184 and 366 at 1e-2)
     _assert_flat_verdict(0.2)
 
 
@@ -398,17 +422,19 @@ def test_eta_and_psi_carry_the_symmetrizer_index_shift(amplitude):
 
 
 def test_smoothing_experiment_ramp_verdict():
-    # the slope-0.5 ramp to t0 = 0.75 at cfl 1.0: the witness's right-movers
+    # the slope-0.5 ramp to t0 = 0.75 at cfl 0.5: the witness's right-movers
     # reach u's branch at (x_b, -xi_inf) = (1.064, -0.894), which reads
-    # within TOL_ORDER of the witness order 1 (0.745, stderr 0.206) and more
-    # than two TOL_ORDER below every control on that branch (separation
-    # 1.762); 19 steps and 951 Krylov iterations, about 2 s
+    # within TOL_ORDER of the witness order 1 (0.7455) and more than two
+    # TOL_ORDER below every control on that branch (separation 1.7505); 38
+    # steps and 1,705 Krylov iterations, about 3.9 s.  Every probe is within
+    # 1.8e-3 of a cfl-0.25 run; at the experiments' default cfl 1.0 the
+    # reflected control moves by 6.6e-2, outside the 2e-2 refinement bound
     g = Grid(512, 64.0)
     start = time.perf_counter()
     rep = singularity_experiment_smoothing(
         g, WaveParams(), x0=0.0, xi0=1.0, t0=0.75,
         h_grid=geometric_h_grid(0.5, 2 ** -0.25, 18),
-        surface_amplitude=0.5, ramp_width=1.0, cfl=1.0, s_max=150.0)
+        surface_amplitude=0.5, ramp_width=1.0, cfl=0.5, s_max=150.0)
     assert time.perf_counter() - start < 10.0
     assert [p.label for p in rep.probes] == [
         "predicted", "control_reflected", "control_far_x", "control_farther_x"]
