@@ -23,6 +23,10 @@ mean removed, in two stages:
   Gram-Schmidt with one reorthogonalization and stops on the residual of
   the strip equations.
 
+Both stages stop at the workspace's tolerance: TOL by default, which the
+solver's accuracy tests hold it to; the water-wave experiments build their
+workspace at waterwave.EXPERIMENT_TOL, the accuracy their probes can see.
+
 Both stages start from the flat harmonic extension of the data (one z
 profile per xi, times the data's spectrum) plus a combination of the
 corrections of the last solves on the workspace, with the weights that fit
@@ -69,7 +73,7 @@ __all__ = [
     "MAXITER",
 ]
 
-# Relative tolerance of both stages (see dn_elliptic).
+# Default relative tolerance of both stages (see dn_elliptic).
 TOL = 1e-10
 # GMRES of the Krylov stage: Arnoldi steps per restart cycle, and in all.
 RESTART = 50
@@ -143,8 +147,8 @@ class StripSolveStats:
     Krylov stage.  nodes is m, the node count of the frozen-depth
     preconditioner of the surface.  residual is the Krylov stage's final
     strip residual ||L v||_2 / ||L v_lift||_2, recomputed at its exit and so
-    at most TOL (the largest over the real solves); None when that stage did
-    not run.
+    at most the workspace's tolerance (the largest over the real solves);
+    None when that stage did not run.
     start_residual is that stage's start residual over the flat lift's,
     1.0 when the lift is the start (the largest over the real solves); None
     when that stage did not run.
@@ -159,7 +163,8 @@ class StripSolveStats:
 
 class _StripWorkspace:
     """Per-domain coefficients, flat-solve factors and the frozen-depth
-    preconditioner of the strip solver.
+    preconditioner of the strip solver, and tol, the stopping tolerance of
+    both stages on it (TOL by default; dn_elliptic states what it bounds).
 
     G(eta) is real-linear, so the solver works on real data only: the
     unknown v is a real (nz+1, n) array in physical space, row nz holding
@@ -214,9 +219,10 @@ class _StripWorkspace:
     NODE_RATIO = 3.0
     HISTORY = 8
 
-    def __init__(self, dom):
+    def __init__(self, dom, tol=TOL):
         grid, b, nz = dom.grid, dom.b, dom.nz
         self.dom = dom
+        self.tol = tol
         self.b = b
         self.nz = nz
         self.n = grid.n
@@ -516,12 +522,14 @@ def dn_elliptic(dom, psi, workspace=None):
     stats record what ran.  Raises EllipticSolveError if neither stage
     converges.
 
-    TOL bounds, for the fixed point, its max-norm update relative to
-    max |v| of that mean-free solve (G ignores the mean of psi); for the
-    Krylov stage, the L2 residual of the flattened strip equations relative
-    to that of the flat harmonic extension.  The fixed point's test is on the
+    The workspace's tol (TOL unless the workspace was built with another;
+    the water-wave experiments build theirs at waterwave.EXPERIMENT_TOL)
+    bounds, for the fixed point, its max-norm update relative to max |v| of
+    that mean-free solve (G ignores the mean of psi); for the Krylov stage,
+    the L2 residual of the flattened strip equations relative to that of the
+    flat harmonic extension.  The fixed point's test is on the
     flat-preconditioned problem, so the strip residual of its answer can be
-    larger than TOL.  _strip_solve returns the strip solution v with the flux.
+    larger than tol.  _strip_solve returns the strip solution v with the flux.
     """
     ws = workspace if workspace is not None else _StripWorkspace(dom)
     if workspace is not None:
@@ -561,7 +569,7 @@ def _strip_solve(ws, psi):
             delta = ws.fixed_point_sweep(v, v_new) / scale
             ws.stats.fixed_point_iters += 1
             v, v_new = v_new, v
-            converged = delta < TOL
+            converged = delta < ws.tol
             if converged or (prev_delta is not None and delta > 0.9 * prev_delta and it >= 4):
                 break  # done, or stalling: switch to GMRES
             prev_delta = delta
@@ -580,7 +588,7 @@ def _krylov_solve(ws, v_lift, v0):
     v_lift, whichever has the smaller strip residual, and the ratio of the
     two residuals goes to ws.stats.start_residual.  The GMRES residual is
     the strip residual itself, in strip_op's unitary coordinates (their
-    float view): it stops at ||L v||_2 <= TOL ||L v_lift||_2,
+    float view): it stops at ||L v||_2 <= ws.tol ||L v_lift||_2,
     and the ratio it recomputes at exit goes to ws.stats.residual.  The
     operator is ws.krylov_op and the Arnoldi basis ws.basis, so the
     iterations run in the workspace's buffers.
@@ -599,7 +607,7 @@ def _krylov_solve(ws, v_lift, v0):
         ws.basis = np.empty((RESTART + 1, 2 * nz * ws.nh))
     iters = ws.stats.krylov_iters
     b = np.negative(r0.view(np.float64)).ravel()
-    _, res = _gmres(ws.krylov_op, b, TOL * lift_norm, ws.basis, ws.stats)
+    _, res = _gmres(ws.krylov_op, b, ws.tol * lift_norm, ws.basis, ws.stats)
     residual = float(res / lift_norm) if res > 0 else 0.0
     ws.stats.residual = max(residual, ws.stats.residual or 0.0)
     v = v0.copy()

@@ -60,6 +60,10 @@ __all__ = [
 
 # Mollifier rate of integrate: each step damps mode xi by exp(-MOLLIFY dt |xi|^{3/2}).
 MOLLIFY = 1e-6
+# Stopping tolerance of the experiments' strip DN solves (dno.TOL elsewhere):
+# it moves no pinned probe's decay order by more than 2e-7 from a dno.TOL
+# run, five orders inside the 2e-2 step-refinement bound (ROADMAP item 23).
+EXPERIMENT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -388,21 +392,24 @@ def _evolve_and_probe(state0, t0, cfl, specs, hs_use, meta):
     """Evolve state0 to t0 on one strip workspace and probe u(t0) at specs.
 
     integrate steps at the experiment's cfl (1.0 by default in both
-    experiments; the pinned verdicts are checked against cfl/2).  A surface
-    tension other than 1, or a box too small for the dyadic partition, raises
-    ConfigError before any DN solve.  probe_sweep finishes the report's meta:
-    meta plus the step taken (cfl and dt), the run's counts and the water's
-    parameters.
+    experiments; the pinned verdicts are checked against cfl/2).  The
+    workspace stops every DN solve, integrate's and symmetrized_u's, at
+    EXPERIMENT_TOL, not dno.TOL.  A surface tension other than 1, or a box
+    too small for the dyadic partition, raises ConfigError before any DN
+    solve.  probe_sweep finishes the report's meta: meta plus the step taken
+    (cfl and dt), the DN solves' tolerance (dn_tol), the run's counts and
+    the water's parameters.
     """
     grid, params = state0.grid, state0.params
     _require_unit_tension(params)
     part = make_dyadic_partition(grid)
-    ws = _StripWorkspace(state0.domain())
+    ws = _StripWorkspace(state0.domain(), tol=EXPERIMENT_TOL)
     hist = integrate(state0, t0, cfl=cfl, track_invariants=False, workspace=ws)
     u_t = symmetrized_u(hist.final(), part=part, workspace=ws)
     return probe_sweep(u_t, specs, hs_use, meta={
         **meta,
-        "cfl": cfl, "dt": hist.dt, "steps": hist.steps, "rhs_evals": hist.rhs_evals,
+        "cfl": cfl, "dt": hist.dt, "dn_tol": ws.tol,
+        "steps": hist.steps, "rhs_evals": hist.rhs_evals,
         "dn_fixed_point_iters": hist.dn_fixed_point_iters,
         "dn_krylov_iters": hist.dn_krylov_iters,
         "params": {"gravity": params.gravity, "depth": params.depth, "nz": params.nz},
@@ -427,7 +434,8 @@ def singularity_experiment_infinite(
     controls on that branch clean against the _u_ray images of the packets at
     +-xi.  It steps at cfl 1.0 by default: Lawson RK4 integrates the flat
     flow exactly, and halving the step moves no pinned probe's decay order by
-    more than 2e-2.  xi0 = 0 raises ConfigError before any DN solve.
+    more than 2e-2.  Its DN solves stop at EXPERIMENT_TOL (dno.TOL is the
+    default elsewhere).  xi0 = 0 raises ConfigError before any DN solve.
     """
     if xi0 == 0.0:
         raise ConfigError("xi0 must be nonzero")
@@ -512,9 +520,10 @@ def singularity_experiment_smoothing(
     singularity_experiment_infinite does, but a long run over a steep ramp
     can need a smaller step: to t0 = 0.75 on the slope-0.5 ramp, cfl 1.0
     moves a control's decay order by 6.6e-2 from the cfl-0.25 run, and cfl
-    0.5 by 1.8e-3, so check a verdict against cfl/2.  A ray that escapes
-    after flow time s_max (xi0 = 0 never does) raises ConfigError before any
-    DN solve.
+    0.5 by 1.8e-3, so check a verdict against cfl/2.  Its DN solves stop at
+    EXPERIMENT_TOL, as singularity_experiment_infinite's do.  A ray that
+    escapes after flow time s_max (xi0 = 0 never does) raises ConfigError
+    before any DN solve.
     """
     delta, rho = 0.0, 1.0
     eta0 = ramp_surface(grid, surface_amplitude, ramp_width, center=x0)

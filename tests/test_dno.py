@@ -523,9 +523,22 @@ def test_fixed_point_solves_strip_equations(unit_grid, monkeypatch):
     assert np.linalg.norm(G.values - G_krylov.values) <= 1e-9 * np.linalg.norm(G_krylov.values)
 
 
-def _ramp_workspace():
+def _ramp_workspace(tol=dno.TOL):
     g = Grid(256, 64.0)
-    return dno._StripWorkspace(FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 64))
+    return dno._StripWorkspace(FluidDomain(g, ramp_surface(g, 0.5, 1.0), B_DEPTH, 64), tol=tol)
+
+
+def test_workspace_tolerance_stops_the_krylov_stage():
+    # a workspace carries its own stopping tolerance: on the ww_ramp surface
+    # a cold solve at 1e-7 ends below 1e-7 in fewer iterations (10 against
+    # 14) than one on a default workspace, which still ends below dno.TOL
+    psi = random_field(Grid(256, 64.0), seed=2, decay=3.0, real=True)
+    loose, default = _ramp_workspace(tol=1e-7), _ramp_workspace()
+    assert (loose.tol, default.tol) == (1e-7, dno.TOL)
+    for ws in (loose, default):
+        dn_elliptic(ws.dom, psi, workspace=ws)
+        assert ws.stats.residual <= ws.tol
+    assert 0 < loose.stats.krylov_iters < default.stats.krylov_iters
 
 
 def test_frozen_depth_preconditioner_two_bands_on_the_ramp():
@@ -783,11 +796,14 @@ def test_high_frequency_paralinearization_structure():
     for k in ks:
         nz = int(64 * k)
         dom = FluidDomain(g, eta, B_DEPTH, nz)
-        defect = discrete_flat_symbol(g, B_DEPTH, nz) - axi * np.tanh(B_DEPTH * axi)
+        # one workspace per nz: its z-eigenfactors are the bulk of a solve's
+        # cost here, and b_v_fields's solve starts from dn_elliptic's
+        ws = dno._StripWorkspace(dom)
+        defect = ws.flat_symbol() - axi * np.tanh(B_DEPTH * axi)
         psi = wave_packet(g, 0.0, k, 1.5, normalize=True)
         psi = Field(g, np.real(psi.values).astype(complex))
-        Gp = dn_elliptic(dom, psi)
-        B, V = b_v_fields(dom, psi)
+        Gp = dn_elliptic(dom, psi, workspace=ws)
+        B, V = b_v_fields(dom, psi, workspace=ws)
         good = Field(g, psi.values - paradiff_apply(B, eta).values)
         Tlam = paradiff_apply(lam_sym, good)
         TV = paradiff_apply(V, Field(g, etax.astype(complex)))

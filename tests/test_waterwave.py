@@ -17,7 +17,7 @@ from microloc.model_eq import geometric_h_grid
 from microloc.paradiff import paradiff_apply
 from microloc.quantize import TOL_ORDER, ProbeSpec, estimate_decay_order, probe_sweep, shared_h_grid
 from microloc.symbols import Symbol
-from microloc import waterwave
+from microloc import dno, waterwave
 from microloc.waterwave import (
     SurfaceState,
     WaveParams,
@@ -316,13 +316,35 @@ def test_symmetrized_u_solves_the_paradifferential_equation():
     assert min(flipped) >= 1.5
 
 
-def _with_half_step(run):
-    """run() at the experiments' default cfl 1.0 and run(cfl=0.5): the
-    step-size refinement check of a pinned experiment.  No probe's decay
-    order moves by more than 2e-2 between the two reports; the caller
-    asserts its verdict on both."""
-    rep, half = run(), run(cfl=0.5)
-    assert (rep.meta["cfl"], half.meta["cfl"]) == (1.0, 0.5)
+def _ww_ramp(**kw):
+    """The pinned ww_ramp configuration: the slope-0.5 ramp to t0 = 0.125."""
+    return singularity_experiment_smoothing(
+        Grid(256, 64.0), WaveParams(), x0=0.0, xi0=1.0, t0=0.125,
+        h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
+        surface_amplitude=0.5, ramp_width=1.0, s_max=150.0, **kw)
+
+
+def _ww_flat(amplitude, **kw):
+    """The pinned ww_flat configuration at witness amplitude amplitude."""
+    return singularity_experiment_infinite(
+        Grid(512, 64.0), WaveParams(), x0=4.0, xi0=1.0, t0=0.5,
+        h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14), amplitude=amplitude, **kw)
+
+
+def _verdict(rep):
+    """Whether the prediction reads within TOL_ORDER of the witness order,
+    and whether it sits more than two TOL_ORDER below every control."""
+    return (abs(rep.mu("predicted") - rep.meta["mu_w"]) <= TOL_ORDER,
+            rep.separation() >= 2 * TOL_ORDER)
+
+
+def _with_half_step(run, cfl=1.0):
+    """run() at its cfl, the experiments' default 1.0 unless run sets
+    another, and run(cfl=cfl/2): the step-size refinement check of a pinned
+    experiment.  No probe's decay order moves by more than 2e-2 between the
+    two reports; the caller asserts its verdict on both."""
+    rep, half = run(), run(cfl=cfl / 2)
+    assert (rep.meta["cfl"], half.meta["cfl"]) == (cfl, cfl / 2)
     assert [p.label for p in half.probes] == [p.label for p in rep.probes]
     assert max(abs(a.mu_hat - b.mu_hat) for a, b in zip(rep.probes, half.probes)) <= 2e-2
     return rep, half
@@ -332,18 +354,14 @@ def test_smoothing_experiment_reports_step_counts():
     # the pinned ramp configuration at the default cfl 1.0 and at 0.5: 2 and
     # 4 Lawson steps of four zcs_rhs each, every probe within 2.1e-4 of the
     # cfl-0.5 run; a varies 9x on the slope-0.5 ramp, so every DN solve skips
-    # the fixed point and the frozen-depth Krylov stage takes 105 (182)
-    # iterations in all.  t0 = 0.125 is too short for a verdict (separation
-    # 0.048)
-    g = Grid(256, 64.0)
-    rep, half = _with_half_step(partial(
-        singularity_experiment_smoothing, g, WaveParams(), x0=0.0, xi0=1.0, t0=0.125,
-        h_grid=geometric_h_grid(0.5, 2 ** -0.25, 14),
-        surface_amplitude=0.5, ramp_width=1.0, s_max=150.0))
+    # the fixed point and the frozen-depth Krylov stage takes 73 (118)
+    # iterations in all at EXPERIMENT_TOL.  t0 = 0.125 is too short for a
+    # verdict (separation 0.048)
+    rep, half = _with_half_step(_ww_ramp)
     assert (rep.meta["steps"], rep.meta["dt"]) == (2, 0.0625)
     assert (half.meta["steps"], half.meta["dt"]) == (4, 0.03125)
-    assert 0 < rep.meta["dn_krylov_iters"] <= 110
-    assert 0 < half.meta["dn_krylov_iters"] <= 190
+    assert 0 < rep.meta["dn_krylov_iters"] <= 80
+    assert 0 < half.meta["dn_krylov_iters"] <= 125
     for r in (rep, half):
         assert r.meta["rhs_evals"] == 4 * r.meta["steps"]
         assert r.meta["dn_fixed_point_iters"] == 0
@@ -359,10 +377,7 @@ def _no_integrate(*args, **kwargs):
 
 
 def _assert_flat_verdict(amplitude):
-    g = Grid(512, 64.0)
-    reports = _with_half_step(partial(
-        singularity_experiment_infinite, g, WaveParams(), x0=4.0, xi0=1.0, t0=0.5,
-        h_grid=geometric_h_grid(0.5, 2 ** -0.5, 14), amplitude=amplitude))
+    reports = _with_half_step(partial(_ww_flat, amplitude))
     assert [(r.meta["steps"], r.meta["rhs_evals"]) for r in reports] == [(13, 52), (26, 104)]
     for rep in reports:
         assert [p.label for p in rep.probes] == [
@@ -391,9 +406,28 @@ def test_infinite_experiment_quasilinear_verdict():
     # the same at witness amplitude 0.2 (max |eta'| 0.27 at t0, u 12.9% off
     # the linearized flow's): the prediction reads 0.619 at cfl 1.0 and
     # 0.609 at 0.5 (1.0e-2 apart, the largest move of any probe), the
-    # separation is 2.648 and 2.658, and the fixed point takes 624 and 1,079
-    # sweeps (184 and 366 at 1e-2)
+    # separation is 2.648 and 2.658, and the fixed point takes 351 and 543
+    # sweeps (131 and 261 at 1e-2)
     _assert_flat_verdict(0.2)
+
+
+def test_experiment_tolerance_moves_no_probe(monkeypatch):
+    # the experiments' DN solves stop at EXPERIMENT_TOL = 1e-7, not dno.TOL:
+    # on ww_ramp and on ww_flat at amplitude 0.2 the labels and the verdict
+    # stay, no probe moves by more than 1e-6 (2.6e-9 and 7.1e-8), and the
+    # solves do less work (73 against 105 Krylov iterations, 351 against 624
+    # fixed-point sweeps)
+    for run, work in ((_ww_ramp, "dn_krylov_iters"),
+                      (partial(_ww_flat, 0.2), "dn_fixed_point_iters")):
+        rep = run()
+        with monkeypatch.context() as m:
+            m.setattr(waterwave, "EXPERIMENT_TOL", dno.TOL)
+            tight = run()
+        assert (rep.meta["dn_tol"], tight.meta["dn_tol"]) == (waterwave.EXPERIMENT_TOL, dno.TOL)
+        assert [p.label for p in rep.probes] == [p.label for p in tight.probes]
+        assert _verdict(rep) == _verdict(tight)
+        assert max(abs(a.mu_hat - b.mu_hat) for a, b in zip(rep.probes, tight.probes)) <= 1e-6
+        assert 0 < rep.meta[work] < tight.meta[work]
 
 
 @pytest.mark.parametrize("amplitude", [1e-2, 0.2])
@@ -426,21 +460,25 @@ def test_smoothing_experiment_ramp_verdict():
     # reach u's branch at (x_b, -xi_inf) = (1.064, -0.894), which reads
     # within TOL_ORDER of the witness order 1 (0.7455) and more than two
     # TOL_ORDER below every control on that branch (separation 1.7505); 38
-    # steps and 1,705 Krylov iterations, about 3.9 s.  Every probe is within
-    # 1.8e-3 of a cfl-0.25 run; at the experiments' default cfl 1.0 the
-    # reflected control moves by 6.6e-2, outside the 2e-2 refinement bound
-    g = Grid(512, 64.0)
-    start = time.perf_counter()
-    rep = singularity_experiment_smoothing(
-        g, WaveParams(), x0=0.0, xi0=1.0, t0=0.75,
-        h_grid=geometric_h_grid(0.5, 2 ** -0.25, 18),
-        surface_amplitude=0.5, ramp_width=1.0, cfl=0.5, s_max=150.0)
-    assert time.perf_counter() - start < 10.0
-    assert [p.label for p in rep.probes] == [
-        "predicted", "control_reflected", "control_far_x", "control_farther_x"]
-    assert rep.meta["xi_pred"] == -rep.meta["xi_inf"]
-    assert abs(rep.mu("predicted") - rep.meta["mu_w"]) <= TOL_ORDER
-    assert rep.separation() >= 2 * TOL_ORDER
+    # steps and 1,035 Krylov iterations, about 3.2 s.  Every probe is within
+    # 1.8e-3 of the cfl-0.25 run (1,612 iterations, about 4.3 s), which holds
+    # the verdict too; at the experiments' default cfl 1.0 the reflected
+    # control moves by 6.6e-2, outside the 2e-2 refinement bound
+    run = partial(singularity_experiment_smoothing, Grid(512, 64.0), WaveParams(), x0=0.0,
+                  xi0=1.0, t0=0.75, h_grid=geometric_h_grid(0.5, 2 ** -0.25, 18),
+                  surface_amplitude=0.5, ramp_width=1.0, cfl=0.5, s_max=150.0)
+
+    def timed(**kw):
+        start = time.perf_counter()
+        rep = run(**kw)
+        assert time.perf_counter() - start < 10.0
+        return rep
+
+    for rep in _with_half_step(timed, cfl=0.5):
+        assert [p.label for p in rep.probes] == [
+            "predicted", "control_reflected", "control_far_x", "control_farther_x"]
+        assert rep.meta["xi_pred"] == -rep.meta["xi_inf"]
+        assert _verdict(rep) == (True, True)
 
 
 def test_infinite_experiment_without_clean_controls_raises_before_stepping(monkeypatch):
